@@ -433,3 +433,64 @@ def test_golden_report_csv_digest():
     )
     digest = hashlib.sha256(report_csv(run_paired_trials(cfg)).encode()).hexdigest()
     assert digest == "15ffcf420f4f0651982527a7527e7b23c87d614398b572b41d55c0870af6278f"
+
+
+# Small batches for the other four learners, pinned the same way.  The
+# noisy ones use the tuned A² constants; ``cal`` charges rejection sampling
+# to the unlabeled counter and ``a2`` runs under a theta override, so both
+# options reach the digests.
+_GOLDEN_A2_TUNED = ra.Constants().updated({"c_a2": 24.0, "c_a2_final": 200.0})
+_GOLDEN_COMMON = dict(eps=0.1, delta=0.1, rho=0.3, trials=4, b_seed="1234", data_seed="abcd")
+_GOLDEN_NOISY = dict(domain_size=32, target=32, eta=0.05, constants=_GOLDEN_A2_TUNED)
+GOLDEN_BATCHES = {
+    "erm": ExperimentConfig(domain_size=32, algo="erm", **_GOLDEN_COMMON),
+    "cal": ExperimentConfig(domain_size=32, algo="cal", stream_accounting=True, **_GOLDEN_COMMON),
+    "a2": ExperimentConfig(algo="a2", theta_override=1.5, **_GOLDEN_NOISY, **_GOLDEN_COMMON),
+    "replical": ExperimentConfig(domain_size=32, algo="replical", **_GOLDEN_COMMON),
+    "replica2": ExperimentConfig(algo="replica2", **_GOLDEN_NOISY, **_GOLDEN_COMMON),
+}
+
+GOLDEN_REPORT_DIGESTS = {
+    "erm": "cdc9fa77a35fa62422200b85fbb61edfa520fffeb21dba5ab05455682b0d9807",
+    "cal": "b8f1ad7fd428e9c33ebd4f85f18783f3288082694289c8330defdaa46626a818",
+    "a2": "c63d9edfab0bb7a4b1d1e1b509b9aa83502b40bdfe04cb54b8be01feb0dd2e9b",
+    "replica2": "a3a5c0c1f6e28c78978812f302ff8242562324e7febbbda0645bde8ef103c2fb",
+}
+
+GOLDEN_RESULT_DIGESTS = {
+    "erm": "a86f92d0604c0d813013dace05da6023c59f5cc636e3283b59d79ad9efddbd9d",
+    "cal": "9cdd1e5f3f98c367460537982533cc084ceec38896494a2ac10563adae70f174",
+    "a2": "558500e5b5491f54b62baa865a1b270ef4fa811b9b36f86a7af6c023ca5178e2",
+    "replical": "888f3436ccec598ae7877d9296770495bbdfa71e471f8bbc533c638717845dbb",
+    "replica2": "ea4f29ec4bf7da9a40fb533aee372fead4216d48cfbf13d093f31c35cdb2b843",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("algo", sorted(GOLDEN_REPORT_DIGESTS))
+def test_golden_report_csv_digest_per_learner(algo):
+    """Pinned report CSV of one small batch per learner; refresh only on a
+    deliberate behavior change."""
+    report = run_paired_trials(GOLDEN_BATCHES[algo])
+    assert report.failure_counts == ()
+    assert _sha256(report_csv(report)) == GOLDEN_REPORT_DIGESTS[algo]
+
+
+@pytest.mark.parametrize("algo", sorted(GOLDEN_RESULT_DIGESTS))
+def test_golden_run_result_digest(algo):
+    """Pinned JSON of the first side of the first pair, trace included."""
+    result = next(iter_paired_runs(GOLDEN_BATCHES[algo])).result_first
+    assert _sha256(json.dumps(result.to_jsonable(), sort_keys=True)) == GOLDEN_RESULT_DIGESTS[algo]
+
+
+def test_golden_sweep_csv_digest():
+    cfg = ExperimentConfig(
+        domain_size=32, algos=("erm", "cal", "replical"), **{**_GOLDEN_COMMON, "trials": 2}
+    )
+    table = label_complexity_sweep(cfg, [0.2, 0.1])
+    assert _sha256(sweep_csv(table)) == (
+        "5f28aa5f9286c3fb263cf07544eb75b2099f28eab8a4037534ccccdf1e42ef0a"
+    )
