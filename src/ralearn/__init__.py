@@ -19,14 +19,13 @@ from .core import (
     DataModel,
     EmptyVersionSpaceError,
     HypothesisClass,
-    LabeledSample,
     ParameterError,
+    Problem,
     RoundCapExceededError,
     SampleCounters,
     VersionSpace,
     WrongSettingError,
     ZeroMassRegionError,
-    conditional_empirical_error,
     conditional_true_errors,
     conditional_weights,
     disagreement_coefficient,
@@ -34,7 +33,6 @@ from .core import (
     disagreement_mass,
     disagreement_region,
     distances_from,
-    empirical_errors,
     empirical_errors_from_counts,
     error_ball,
     explicit,
@@ -42,10 +40,7 @@ from .core import (
     intervals,
     noise_rate,
     region_hit_count,
-    sample_labeled,
     sample_labeled_counts,
-    sample_labeled_iid,
-    sample_unlabeled,
     thresholds,
     true_error,
     true_errors,
@@ -75,7 +70,6 @@ from .harness import (
     label_complexity_sweep,
     problem_stats,
     run_paired_trials,
-    run_single,
     summarize_pairs,
     wilson_interval,
 )

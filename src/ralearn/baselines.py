@@ -16,20 +16,21 @@ import numpy as np
 
 from .core import (
     PROB_TOL,
-    DataModel,
-    HypothesisClass,
     ParameterError,
+    Problem,
     RoundCapExceededError,
     SampleCounters,
     VersionSpace,
     WrongSettingError,
-    disagreement_coefficient,
     disagreement_mass,
     empirical_errors_from_counts,
-    noise_rate,
     sample_labeled_counts,
     true_error,
 )
+
+# not called here since learners take a Problem; bench/spans.py wraps these
+# names at every module that imports them, this one included
+from .core import disagreement_coefficient, noise_rate  # noqa: F401
 
 # divergent configurations abort after this many times the nominal round bound
 ROUND_CAP_FACTOR = 4
@@ -153,16 +154,9 @@ def _check_accuracy_params(eps: float, delta: float) -> None:
         raise ParameterError(f"failure budget must lie in (0, 1), got {delta}")
 
 
-def _sizing_theta(theta: float) -> float:
-    # theta is 0 only when every hypothesis duplicates the center; any
-    # positive stand-in keeps the sizing formulas defined in that corner
-    return theta if theta > 0.0 else 1.0
-
-
 def _result(
     algo: str,
-    hclass: HypothesisClass,
-    model: DataModel,
+    problem: Problem,
     chosen: int,
     space: VersionSpace,
     counters: SampleCounters,
@@ -171,6 +165,7 @@ def _result(
     trace: list[RoundRecord],
     flags: tuple[str, ...] = (),
 ) -> RunResult:
+    hclass = problem.hclass
     sig = hclass.signature(chosen)
     return RunResult(
         algo=algo,
@@ -181,7 +176,7 @@ def _result(
         unlabeled_used=counters.unlabeled,
         rounds=rounds,
         final_disagreement_estimate=final_estimate,
-        error=true_error(hclass, model, chosen),
+        error=true_error(hclass, problem.model, chosen),
         survivors=tuple(int(i) for i in space.indices()),
         trace=tuple(trace),
         flags=flags,
@@ -197,8 +192,7 @@ def erm_sample_size(n_hypotheses: int, eps: float, delta: float, constants: Cons
 
 
 def run_passive_erm(
-    hclass: HypothesisClass,
-    model: DataModel,
+    problem: Problem,
     eps: float,
     delta: float,
     rng: np.random.Generator,
@@ -209,6 +203,7 @@ def run_passive_erm(
     _check_accuracy_params(eps, delta)
     constants = constants or Constants()
     counters = counters if counters is not None else SampleCounters()
+    hclass, model = problem.hclass, problem.model
     m = erm_sample_size(hclass.n_hypotheses, eps, delta, constants)
     # full version space: labels come from D itself, not a conditional region
     counters.labels += m
@@ -220,8 +215,7 @@ def run_passive_erm(
     best = int(np.argmin(errs))
     return _result(
         "erm",
-        hclass,
-        model,
+        problem,
         best,
         VersionSpace.from_indices([best], hclass.n_hypotheses),
         counters,
@@ -242,21 +236,18 @@ def cal_round_bound(eps: float) -> int:
 def cal_sample_size(
     n_hypotheses: int, theta: float, eps: float, delta: float, constants: Constants
 ) -> int:
+    """Labels per CAL round; ``theta`` is the sizing value (positive)."""
     n_max = cal_round_bound(eps)
-    return int(
-        math.ceil(constants.c_cal * _sizing_theta(theta) * math.log(n_hypotheses * n_max / delta))
-    )
+    return int(math.ceil(constants.c_cal * theta * math.log(n_hypotheses * n_max / delta)))
 
 
 def run_cal(
-    hclass: HypothesisClass,
-    model: DataModel,
+    problem: Problem,
     eps: float,
     delta: float,
     rng: np.random.Generator,
     constants: Optional[Constants] = None,
     counters: Optional[SampleCounters] = None,
-    theta_override: Optional[float] = None,
     stream_accounting: bool = False,
 ) -> RunResult:
     """Disagreement-region consistency elimination for noiseless labels.
@@ -269,14 +260,13 @@ def run_cal(
     _check_accuracy_params(eps, delta)
     constants = constants or Constants()
     counters = counters if counters is not None else SampleCounters()
-    nu, center = noise_rate(hclass, model)
-    if nu > PROB_TOL:
+    hclass, model = problem.hclass, problem.model
+    if problem.nu > PROB_TOL:
         raise WrongSettingError(
-            f"consistency elimination needs a zero-error hypothesis, best has error {nu}"
+            f"consistency elimination needs a zero-error hypothesis, best has error {problem.nu}"
         )
-    theta = disagreement_coefficient(hclass, model, center) if theta_override is None else theta_override
     n_max = cal_round_bound(eps)
-    k = cal_sample_size(hclass.n_hypotheses, theta, eps, delta, constants)
+    k = cal_sample_size(hclass.n_hypotheses, problem.sizing_theta, eps, delta, constants)
     space = VersionSpace.full(hclass.n_hypotheses)
     trace: list[RoundRecord] = []
     rounds = 0
@@ -299,9 +289,7 @@ def run_cal(
         space = VersionSpace(space.members & (errs <= PROB_TOL))
         rounds += 1
     chosen = int(space.indices()[0])
-    return _result(
-        "cal", hclass, model, chosen, space, counters, rounds, dmass, trace
-    )
+    return _result("cal", problem, chosen, space, counters, rounds, dmass, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -309,24 +297,22 @@ def run_cal(
 
 
 def a2_round_bound(theta: float, nu: float, eps: float) -> int:
-    """Nominal elimination-round bound before the final estimation step."""
-    t = _sizing_theta(theta)
+    """Nominal elimination-round bound before the final estimation step;
+    ``theta`` is the sizing value (positive)."""
     if nu > PROB_TOL:
-        if 8.0 * t * nu >= 1.0:
+        if 8.0 * theta * nu >= 1.0:
             return 1
-        return max(1, int(math.ceil(math.log2(1.0 / (8.0 * t * nu)))))
+        return max(1, int(math.ceil(math.log2(1.0 / (8.0 * theta * nu)))))
     return cal_round_bound(eps)
 
 
 def run_a2(
-    hclass: HypothesisClass,
-    model: DataModel,
+    problem: Problem,
     eps: float,
     delta: float,
     rng: np.random.Generator,
     constants: Optional[Constants] = None,
     counters: Optional[SampleCounters] = None,
-    theta_override: Optional[float] = None,
     stream_accounting: bool = False,
 ) -> RunResult:
     """Agnostic elimination by confidence intervals, then a final refit.
@@ -339,10 +325,9 @@ def run_a2(
     _check_accuracy_params(eps, delta)
     constants = constants or Constants()
     counters = counters if counters is not None else SampleCounters()
-    nu, center = noise_rate(hclass, model)
-    theta = disagreement_coefficient(hclass, model, center) if theta_override is None else theta_override
-    t_size = _sizing_theta(theta)
-    n_loop = a2_round_bound(theta, nu, eps)
+    hclass, model, nu = problem.hclass, problem.model, problem.nu
+    t_size = problem.sizing_theta
+    n_loop = a2_round_bound(t_size, nu, eps)
     delta_round = delta / (1.0 + n_loop)
     n_c = hclass.n_hypotheses
     k = int(math.ceil(constants.c_a2 * t_size**2 * math.log(n_c * n_loop / delta_round)))
@@ -392,6 +377,4 @@ def run_a2(
         chosen = int(np.argmin(np.where(space.members, errs, np.inf)))
     else:
         chosen = int(space.indices()[0])
-    return _result(
-        "a2", hclass, model, chosen, space, counters, rounds, dmass, trace
-    )
+    return _result("a2", problem, chosen, space, counters, rounds, dmass, trace)

@@ -22,6 +22,7 @@ from typing import Optional
 from .core import (
     PROB_TOL,
     ParameterError,
+    Problem,
     VersionSpace,
     conditional_true_errors,
     disagreement_mask,
@@ -29,15 +30,17 @@ from .core import (
 )
 from .diagnostics import bad_fraction, classify_thresholds, interval_profile
 from .harness import (
+    ALGORITHMS,
+    GENERATORS,
+    LEARNERS,
     ExperimentConfig,
     build_problem,
     data_stream,
     export,
+    json_text,
     label_complexity_sweep,
-    problem_stats,
     report_csv,
     run_paired_trials,
-    run_single,
     sweep_csv,
 )
 from .randomness import RandomString
@@ -62,7 +65,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--class",
         dest="class_name",
-        choices=["thresholds", "intervals", "worst_case", "explicit"],
+        choices=GENERATORS,
         help="built-in hypothesis class generator",
     )
     p.add_argument("--domain-size", type=int, help="generator size parameter")
@@ -93,7 +96,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_algo_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algo", choices=["erm", "cal", "a2", "replical", "replica2"])
+    p.add_argument("--algo", choices=ALGORITHMS)
     p.add_argument(
         "--epsilon",
         action="append",
@@ -208,9 +211,13 @@ def _fmt_number(x: float) -> str:
     return f"{x:g}"
 
 
+def _problem(cfg: ExperimentConfig) -> Problem:
+    return Problem(*build_problem(cfg), cfg.theta_override)
+
+
 def _cmd_theta(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    hclass, model = build_problem(cfg)
-    theta, nu, center = problem_stats(hclass, model, cfg)
+    problem = _problem(cfg)
+    hclass, theta, nu, center = problem.hclass, problem.theta, problem.nu, problem.center
     payload = {
         "theta": theta,
         "nu": nu,
@@ -221,7 +228,7 @@ def _cmd_theta(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if hclass.names is not None:
         payload["best_name"] = hclass.names[center]
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2)
+        text = json_text(payload)
     else:
         lines = [f"theta={_fmt_number(theta)}", f"nu={_fmt_number(nu)}", f"best_index={center}"]
         if hclass.names is not None:
@@ -236,11 +243,11 @@ def _cmd_theta(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    hclass, model = build_problem(cfg)
+    problem = _problem(cfg)
     shared = RandomString(cfg.b_seed)
     rng = data_stream(cfg.data_seed, 0, 0)
-    result = run_single(hclass, model, cfg, cfg.algo, shared, rng)
-    text = json.dumps(result.to_jsonable(), sort_keys=True, indent=2)
+    result = LEARNERS[cfg.algo](problem, cfg, shared, rng)
+    text = json_text(result.to_jsonable())
     print(text)
     path = _out_path(args)
     if path:
@@ -252,7 +259,7 @@ def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 def _cmd_pair(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     report = run_paired_trials(cfg)
     if args.format == "json":
-        print(json.dumps(report.to_jsonable(), sort_keys=True, indent=2))
+        print(json_text(report.to_jsonable()))
     elif args.format == "csv":
         sys.stdout.write(report_csv(report))
     else:
@@ -283,7 +290,7 @@ def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     eps_values = getattr(args, "epsilon", None) or [cfg.eps]
     table = label_complexity_sweep(cfg, [float(e) for e in eps_values])
     if args.format == "json":
-        print(json.dumps(table.to_jsonable(), sort_keys=True, indent=2))
+        print(json_text(table.to_jsonable()))
     else:
         sys.stdout.write(sweep_csv(table))
     path = _out_path(args)
@@ -302,7 +309,7 @@ def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             "exact_agreement_probability": prob,
         }
         if args.format == "json":
-            print(json.dumps(payload, sort_keys=True, indent=2))
+            print(json_text(payload))
         else:
             print(
                 f"k={args.micro_k} p={_fmt_number(args.micro_p)} "
@@ -310,13 +317,13 @@ def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                 f"exact_agreement_probability={prob!r}"
             )
         return 0
-    hclass, model = build_problem(cfg)
-    theta, nu, _ = problem_stats(hclass, model, cfg)
-    sizing = theta if theta > 0.0 else 1.0
+    problem = _problem(cfg)
+    hclass, model, nu = problem.hclass, problem.model, problem.nu
     phase = "agnostic-loop" if nu > PROB_TOL else "realizable"
     shared = RandomString(cfg.b_seed)
     grid = build_grid(
-        sizing, cfg.rho, hclass.n_hypotheses, phase, shared, cfg.eps, nu, cfg.constants
+        problem.sizing_theta, cfg.rho, hclass.n_hypotheses, phase, shared, cfg.eps, nu,
+        cfg.constants,
     )
     full = VersionSpace.full(hclass.n_hypotheses)
     mask = disagreement_mask(hclass, full)
@@ -338,7 +345,7 @@ def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             "bad_flags": list(flags),
             "bad_fraction": bad_fraction(profile, cfg.rho),
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json_text(payload))
     else:
         print(f"phase={phase} origin={grid.origin!r} spacing={grid.spacing!r} count={grid.count}")
         print(f"selected_index={grid.selected_index} threshold={grid.threshold!r}")

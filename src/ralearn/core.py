@@ -4,9 +4,9 @@ The domain is a finite set of points carrying an explicit probability vector,
 and a hypothesis class is a {0,1} prediction matrix with one row per
 hypothesis.  Because everything is finite and explicit, error rates,
 disagreement masses, and the disagreement coefficient are computed exactly by
-summation.  The sampling helpers at the bottom are the only stochastic piece;
-they draw from the model through a caller-owned numpy Generator so every
-source of randomness in an experiment is explicit.
+summation.  The two samplers at the bottom are the only stochastic piece;
+they draw counts from the model through a caller-owned numpy Generator so
+every source of randomness in an experiment is explicit.
 """
 from __future__ import annotations
 
@@ -80,12 +80,6 @@ class HypothesisClass:
     def signature_hash(self, h: int) -> str:
         return hash_signature(self.signature(h))
 
-    def index_of_signature(self, sig: bytes) -> int:
-        """Lowest hypothesis index whose predictions equal ``sig``."""
-        for i in range(self.n_hypotheses):
-            if self.signature(i) == sig:
-                return i
-        raise ParameterError("signature does not belong to this class")
 
 
 def hash_signature(sig: bytes) -> str:
@@ -220,28 +214,6 @@ class VersionSpace:
         return np.flatnonzero(self.members)
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledSample:
-    """Domain indices with observed labels, tagged with where they came from."""
-
-    points: np.ndarray
-    labels: np.ndarray
-    source: str = ""
-
-    def __post_init__(self):
-        p = np.ascontiguousarray(np.asarray(self.points, dtype=np.int64))
-        y = np.ascontiguousarray(np.asarray(self.labels, dtype=np.uint8))
-        if p.shape != y.shape or p.ndim != 1:
-            raise ParameterError("points and labels must share one 1d shape")
-        p.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "points", p)
-        object.__setattr__(self, "labels", y)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 @dataclass
 class SampleCounters:
     """Mutable per-run tally of label queries and unlabeled draws."""
@@ -287,24 +259,6 @@ def conditional_true_errors(
     _check_same_domain(hclass, model)
     w = conditional_weights(model, region_mask)
     return _errors_under(hclass, model, w)
-
-
-def conditional_empirical_error(hclass: HypothesisClass, sample: LabeledSample, h: int) -> float:
-    """Fraction of a sample's labels that hypothesis ``h`` gets wrong."""
-    if len(sample) == 0:
-        raise ParameterError("empirical error of an empty sample is undefined")
-    pred = hclass.predictions[h, sample.points]
-    return float(np.mean(pred != sample.labels))
-
-
-def empirical_errors(hclass: HypothesisClass, sample: LabeledSample) -> np.ndarray:
-    """Per-hypothesis empirical error on a sample, via per-point label counts."""
-    if len(sample) == 0:
-        raise ParameterError("empirical error of an empty sample is undefined")
-    n = hclass.domain_size
-    idx = sample.points * 2 + sample.labels
-    counts = np.bincount(idx, minlength=2 * n)
-    return empirical_errors_from_counts(hclass, counts[0::2], counts[1::2])
 
 
 def empirical_errors_from_counts(
@@ -404,6 +358,48 @@ def noise_rate(hclass: HypothesisClass, model: DataModel) -> tuple[float, int]:
     return float(errs[best]), best
 
 
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """A class and a label model with their invariants, computed once.
+
+    ``nu`` is the best-in-class error and ``center`` the lowest index
+    achieving it; ``theta`` is the disagreement coefficient at ``center``, or
+    ``theta_override`` when one is given.  Learners and the harness take a
+    Problem, so a batch computes the geometry once instead of once per run.
+    """
+
+    hclass: HypothesisClass
+    model: DataModel
+    theta_override: Optional[float] = None
+    nu: float = field(init=False)
+    center: int = field(init=False)
+    theta: float = field(init=False)
+
+    def __post_init__(self):
+        override = self.theta_override
+        if override is not None and not (math.isfinite(override) and override > 0.0):
+            raise ParameterError(
+                f"theta override must be a finite positive number, got {override!r}"
+            )
+        nu, center = noise_rate(self.hclass, self.model)
+        if override is None:
+            theta = disagreement_coefficient(self.hclass, self.model, center)
+        else:
+            theta = float(override)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "theta", theta)
+
+    @property
+    def sizing_theta(self) -> float:
+        """``theta`` for the sample-size formulas.
+
+        theta is 0 only when every hypothesis duplicates the center; any
+        positive stand-in keeps the formulas defined in that corner.
+        """
+        return self.theta if self.theta > 0.0 else 1.0
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -418,19 +414,6 @@ def conditional_weights(model: DataModel, region_mask: np.ndarray) -> np.ndarray
     if mass <= PROB_TOL:
         raise ZeroMassRegionError("conditional distribution over a zero-mass region")
     return w / mass
-
-
-def sample_unlabeled(
-    model: DataModel, m: int, rng: np.random.Generator, counters: SampleCounters
-) -> np.ndarray:
-    """``m`` independent domain indices from the model distribution."""
-    if m < 0:
-        raise ParameterError("sample size must be nonnegative")
-    counters.unlabeled += m
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    w = model.weights / model.weights.sum()
-    return rng.choice(model.domain_size, size=m, p=w).astype(np.int64)
 
 
 def region_hit_count(
@@ -454,50 +437,6 @@ def region_hit_count(
     return int(rng.binomial(m, min(mass, 1.0)))
 
 
-def _labeled_points(
-    model: DataModel,
-    weights: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    counters: SampleCounters,
-    source: str,
-) -> LabeledSample:
-    counters.labels += k
-    if k == 0:
-        return LabeledSample(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), source)
-    points = rng.choice(model.domain_size, size=k, p=weights).astype(np.int64)
-    p1 = model.label_one_probabilities()[points]
-    labels = (rng.random(k) < p1).astype(np.uint8)
-    return LabeledSample(points, labels, source)
-
-
-def sample_labeled(
-    hclass: HypothesisClass,
-    model: DataModel,
-    space: VersionSpace,
-    k: int,
-    rng: np.random.Generator,
-    counters: SampleCounters,
-    stream_accounting: bool = False,
-    source: str = "",
-) -> LabeledSample:
-    """``k`` labeled points from the model conditioned on the disagreement region.
-
-    With ``stream_accounting`` the rejection cost of hitting the region from
-    the unconditional stream is simulated and charged to the unlabeled counter.
-    """
-    if k < 0:
-        raise ParameterError("sample size must be nonnegative")
-    _check_same_domain(hclass, model)
-    mask = disagreement_mask(hclass, space)
-    w = conditional_weights(model, mask)
-    if stream_accounting and k > 0:
-        mass = float(model.weights[mask].sum())
-        if mass < 1.0:
-            counters.unlabeled += int(rng.negative_binomial(k, mass))
-    return _labeled_points(model, w, k, rng, counters, source)
-
-
 def sample_labeled_counts(
     hclass: HypothesisClass,
     model: DataModel,
@@ -507,12 +446,14 @@ def sample_labeled_counts(
     counters: SampleCounters,
     stream_accounting: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregated form of :func:`sample_labeled` for large ``k``.
+    """``k`` labeled draws from the model conditioned on the disagreement region.
 
     Returns per-point counts of observed 0-labels and 1-labels.  The joint law
     of the counts matches drawing the points one by one (multinomial cells,
     then a binomial label split per cell), so downstream empirical errors are
-    distributed exactly as with the materialized sample.
+    distributed exactly as with a materialized sample.  With
+    ``stream_accounting`` the rejection cost of hitting the region from the
+    unconditional stream is simulated and charged to the unlabeled counter.
     """
     if k < 0:
         raise ParameterError("sample size must be nonnegative")
@@ -528,20 +469,6 @@ def sample_labeled_counts(
     p1 = model.label_one_probabilities()
     ones = rng.binomial(counts, p1)
     return (counts - ones).astype(np.int64), ones.astype(np.int64)
-
-
-def sample_labeled_iid(
-    model: DataModel,
-    k: int,
-    rng: np.random.Generator,
-    counters: SampleCounters,
-    source: str = "",
-) -> LabeledSample:
-    """``k`` labeled points from the unconditional model distribution."""
-    if k < 0:
-        raise ParameterError("sample size must be nonnegative")
-    w = model.weights / model.weights.sum()
-    return _labeled_points(model, w, k, rng, counters, source)
 
 
 # ---------------------------------------------------------------------------

@@ -15,30 +15,67 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - declared dependency
-    jsonschema = None
 
 from .baselines import Constants, RunResult, run_a2, run_cal, run_passive_erm
 from .core import (
     DataModel,
     HypothesisClass,
     ParameterError,
-    disagreement_coefficient,
+    Problem,
     explicit,
     intervals,
-    noise_rate,
     thresholds,
     worst_case,
 )
 from .randomness import RandomString
 from .replicable import run_replica2, run_replical
 
-ALGORITHMS = ("erm", "cal", "a2", "replical", "replica2")
-GENERATORS = ("thresholds", "intervals", "worst_case", "explicit")
+# not called here since Problem computes the geometry; bench/spans.py wraps
+# these names at every module that imports them, this one included
+from .core import disagreement_coefficient, noise_rate  # noqa: F401
+
+# One entry per learner: (problem, cfg, shared, rng) -> RunResult.  Each
+# looks its run_* function up in this module's globals when called, so a
+# wrapper put on those names (the traced benchmark run does) sees every call.
+LEARNERS = {
+    "erm": lambda p, cfg, shared, rng: run_passive_erm(
+        p, cfg.eps, cfg.delta, rng, constants=cfg.constants
+    ),
+    "cal": lambda p, cfg, shared, rng: run_cal(
+        p, cfg.eps, cfg.delta, rng, constants=cfg.constants,
+        stream_accounting=cfg.stream_accounting,
+    ),
+    "a2": lambda p, cfg, shared, rng: run_a2(
+        p, cfg.eps, cfg.delta, rng, constants=cfg.constants,
+        stream_accounting=cfg.stream_accounting,
+    ),
+    "replical": lambda p, cfg, shared, rng: run_replical(
+        p, cfg.eps, cfg.delta, cfg.rho, shared, rng, constants=cfg.constants,
+        stream_accounting=cfg.stream_accounting,
+    ),
+    "replica2": lambda p, cfg, shared, rng: run_replica2(
+        p, cfg.eps, cfg.delta, cfg.rho, shared, rng, constants=cfg.constants,
+        stream_accounting=cfg.stream_accounting,
+    ),
+}
+ALGORITHMS = tuple(LEARNERS)
+
+
+def _explicit_class(cfg: ExperimentConfig) -> HypothesisClass:
+    if cfg.matrix is None:
+        raise ParameterError("explicit class needs a prediction matrix")
+    return explicit(np.asarray(cfg.matrix, dtype=np.uint8))
+
+
+CLASS_GENERATORS = {
+    "thresholds": lambda cfg: thresholds(cfg.domain_size),
+    "intervals": lambda cfg: intervals(cfg.domain_size),
+    "worst_case": lambda cfg: worst_case(cfg.domain_size),
+    "explicit": _explicit_class,
+}
+GENERATORS = tuple(CLASS_GENERATORS)
 
 _SEED_PATTERN = "^(0x)?[0-9a-fA-F]+$"
 
@@ -160,11 +197,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """Build from a schema-validated JSON document."""
-        if jsonschema is not None:
-            try:
-                jsonschema.validate(doc, CONFIG_SCHEMA)
-            except jsonschema.ValidationError as e:
-                raise ParameterError(f"config does not match the schema: {e.message}") from e
+        try:
+            jsonschema.validate(doc, CONFIG_SCHEMA)
+        except jsonschema.ValidationError as e:
+            raise ParameterError(f"config does not match the schema: {e.message}") from e
         cspec = doc.get("class", {})
         matrix = cspec.get("matrix")
         weights = cspec.get("weights")
@@ -228,16 +264,7 @@ class ExperimentConfig:
 
 def build_problem(cfg: ExperimentConfig) -> tuple[HypothesisClass, DataModel]:
     """Materialize the hypothesis class and label model a config describes."""
-    if cfg.class_name == "thresholds":
-        hclass = thresholds(cfg.domain_size)
-    elif cfg.class_name == "intervals":
-        hclass = intervals(cfg.domain_size)
-    elif cfg.class_name == "worst_case":
-        hclass = worst_case(cfg.domain_size)
-    else:
-        if cfg.matrix is None:
-            raise ParameterError("explicit class needs a prediction matrix")
-        hclass = explicit(np.asarray(cfg.matrix, dtype=np.uint8))
+    hclass = CLASS_GENERATORS[cfg.class_name](cfg)
     if cfg.target is not None:
         base = cfg.target
         if not 0 <= base < hclass.n_hypotheses:
@@ -258,73 +285,8 @@ def problem_stats(
     hclass: HypothesisClass, model: DataModel, cfg: ExperimentConfig
 ) -> tuple[float, float, int]:
     """(theta, nu, best-index) for reporting; honors the theta override."""
-    nu, center = noise_rate(hclass, model)
-    if cfg.theta_override is not None:
-        return float(cfg.theta_override), nu, center
-    return disagreement_coefficient(hclass, model, center), nu, center
-
-
-def run_single(
-    hclass: HypothesisClass,
-    model: DataModel,
-    cfg: ExperimentConfig,
-    algo: str,
-    shared: RandomString,
-    rng: np.random.Generator,
-) -> RunResult:
-    """Execute one algorithm once under a config's parameters."""
-    common = dict(constants=cfg.constants)
-    if algo == "erm":
-        return run_passive_erm(hclass, model, cfg.eps, cfg.delta, rng, **common)
-    if algo == "cal":
-        return run_cal(
-            hclass,
-            model,
-            cfg.eps,
-            cfg.delta,
-            rng,
-            theta_override=cfg.theta_override,
-            stream_accounting=cfg.stream_accounting,
-            **common,
-        )
-    if algo == "a2":
-        return run_a2(
-            hclass,
-            model,
-            cfg.eps,
-            cfg.delta,
-            rng,
-            theta_override=cfg.theta_override,
-            stream_accounting=cfg.stream_accounting,
-            **common,
-        )
-    if algo == "replical":
-        return run_replical(
-            hclass,
-            model,
-            cfg.eps,
-            cfg.delta,
-            cfg.rho,
-            shared,
-            rng,
-            theta_override=cfg.theta_override,
-            stream_accounting=cfg.stream_accounting,
-            **common,
-        )
-    if algo == "replica2":
-        return run_replica2(
-            hclass,
-            model,
-            cfg.eps,
-            cfg.delta,
-            cfg.rho,
-            shared,
-            rng,
-            theta_override=cfg.theta_override,
-            stream_accounting=cfg.stream_accounting,
-            **common,
-        )
-    raise ParameterError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    problem = Problem(hclass, model, cfg.theta_override)
+    return problem.theta, problem.nu, problem.center
 
 
 def data_stream(data_seed: str, *key: int) -> np.random.Generator:
@@ -444,13 +406,17 @@ def iter_paired_runs(
 ) -> Iterator[PairOutcome]:
     """Run the config's paired trials one at a time.
 
-    Each pair derives one shared string from the master seed and the pair
-    index; the two sides draw data from independent streams (or the same
-    stream when the config pins identical sides for smoke testing).  A
-    failing side is recorded by exception type instead of aborting the batch.
+    The problem's geometry is computed once, before the first pair; an
+    invalid theta override raises there.  Each pair derives one shared string
+    from the master seed and the pair index; the two sides draw data from
+    independent streams (or the same stream when the config pins identical
+    sides for smoke testing).  A failing side is recorded by exception type
+    instead of aborting the batch.
     """
     if hclass is None or model is None:
         hclass, model = build_problem(cfg)
+    problem = Problem(hclass, model, cfg.theta_override)
+    learner = LEARNERS[cfg.algo]
     master = RandomString(cfg.b_seed)
     for i in range(cfg.trials):
         b = master if cfg.b_policy == "fixed" else master.spawn(f"pair/{i}")
@@ -462,7 +428,7 @@ def iter_paired_runs(
             rng = data_stream(cfg.data_seed, i, side_key)
             seeds.append(f"{cfg.data_seed}:{i}:{side_key}")
             try:
-                sides.append(run_single(hclass, model, cfg, cfg.algo, b, rng))
+                sides.append(learner(problem, cfg, b, rng))
                 failures.append(None)
             except (ParameterError, RuntimeError) as e:
                 sides.append(None)
@@ -593,8 +559,7 @@ def label_complexity_sweep(cfg: ExperimentConfig, eps_list: Sequence[float]) -> 
     """
     if not eps_list:
         raise ParameterError("sweep needs at least one accuracy target")
-    hclass, model = build_problem(cfg)
-    _, nu, _ = problem_stats(hclass, model, cfg)
+    problem = Problem(*build_problem(cfg), cfg.theta_override)
     algos = cfg.algos or (cfg.algo,)
     master = RandomString(cfg.b_seed)
     rows: list[SweepRow] = []
@@ -607,11 +572,11 @@ def label_complexity_sweep(cfg: ExperimentConfig, eps_list: Sequence[float]) -> 
             for t in range(cfg.trials):
                 b = master.spawn(f"sweep/{algo}/{ei}/{t}")
                 rng = data_stream(cfg.data_seed, ai, ei, t)
-                result = run_single(hclass, model, sub, algo, b, rng)
+                result = LEARNERS[algo](problem, sub, b, rng)
                 labels.append(result.labels_used)
                 unlabeled.append(result.unlabeled_used)
                 errors.append(result.error)
-            within = sum(1 for e in errors if e <= nu + eps + 1e-12) / len(errors)
+            within = sum(1 for e in errors if e <= problem.nu + eps + 1e-12) / len(errors)
             rows.append(
                 SweepRow(
                     algo=algo,
@@ -654,6 +619,15 @@ def sweep_csv(table: SweepTable) -> str:
     )
 
 
+def json_text(payload) -> str:
+    """Strict JSON with sorted keys and a two-space indent.
+
+    NaN and infinities raise ValueError instead of being written as the
+    non-standard tokens ``NaN`` and ``Infinity``.
+    """
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+
+
 def export(obj, path: str, fmt: str) -> None:
     """Write a report or sweep table to disk, bit-stably."""
     if fmt == "csv":
@@ -669,7 +643,6 @@ def export(obj, path: str, fmt: str) -> None:
     if fmt == "json":
         payload = obj.to_jsonable() if hasattr(obj, "to_jsonable") else obj
         with open(path, "w") as f:
-            json.dump(payload, f, sort_keys=True, indent=2)
-            f.write("\n")
+            f.write(json_text(payload) + "\n")
         return
     raise ParameterError(f"unknown export format {fmt!r}; expected 'csv' or 'json'")

@@ -26,21 +26,25 @@ import numpy as np
 from .baselines import ROUND_CAP_FACTOR, Constants, RoundRecord, RunResult, _result
 from .core import (
     PROB_TOL,
-    DataModel,
+    EmptyVersionSpaceError,
     HypothesisClass,
     ParameterError,
+    Problem,
     RoundCapExceededError,
     SampleCounters,
     VersionSpace,
     WrongSettingError,
-    disagreement_coefficient,
     disagreement_mask,
     empirical_errors_from_counts,
-    noise_rate,
+    region_hit_count,
     sample_labeled_counts,
 )
 from .randomness import RandomString
 from .rstat import SQParams, required_sample_size, rstat_answer_from_mean
+
+# not called here since learners take a Problem; bench/spans.py wraps these
+# names at every module that imports them, this one included
+from .core import disagreement_coefficient, noise_rate  # noqa: F401
 
 GRID_PHASES = ("realizable", "agnostic-loop", "agnostic-final")
 
@@ -291,8 +295,7 @@ def size_schedule(
 
 
 def _replicable_region_estimate(
-    hclass: HypothesisClass,
-    model: DataModel,
+    problem: Problem,
     space: VersionSpace,
     sq: SQParams,
     t_draws: int,
@@ -301,16 +304,10 @@ def _replicable_region_estimate(
     rng: np.random.Generator,
     counters: SampleCounters,
 ) -> float:
-    """Replicable estimate of the disagreement mass from fresh unlabeled draws.
-
-    The membership count of t_draws independent points is binomial in the
-    exact region mass, so a single binomial draw reproduces the sample mean's
-    law without materializing the points.
-    """
-    mask = disagreement_mask(hclass, space)
-    mass = float(model.weights[mask].sum())
-    counters.unlabeled += t_draws
-    hits = int(rng.binomial(t_draws, min(mass, 1.0)))
+    """Replicable estimate of the disagreement mass from t_draws fresh
+    unlabeled draws (t_draws >= 1, as the schedule guarantees)."""
+    mask = disagreement_mask(problem.hclass, space)
+    hits = region_hit_count(problem.model, mask, t_draws, rng, counters)
     return rstat_answer_from_mean(sq, hits / t_draws, rs, label)
 
 
@@ -344,8 +341,7 @@ def _select_final(hclass: HypothesisClass, space: VersionSpace, rs: RandomString
 
 
 def run_replical(
-    hclass: HypothesisClass,
-    model: DataModel,
+    problem: Problem,
     eps: float,
     delta: float,
     rho: float,
@@ -353,7 +349,6 @@ def run_replical(
     rng: np.random.Generator,
     constants: Optional[Constants] = None,
     counters: Optional[SampleCounters] = None,
-    theta_override: Optional[float] = None,
     stream_accounting: bool = False,
 ) -> RunResult:
     """Replicable consistency-style elimination for noiseless labels.
@@ -366,14 +361,12 @@ def run_replical(
     """
     constants = constants or Constants()
     counters = counters if counters is not None else SampleCounters()
-    nu, center = noise_rate(hclass, model)
-    if nu > PROB_TOL:
+    hclass, model = problem.hclass, problem.model
+    if problem.nu > PROB_TOL:
         raise WrongSettingError(
-            f"this learner needs a zero-error hypothesis, best has error {nu}"
+            f"this learner needs a zero-error hypothesis, best has error {problem.nu}"
         )
-    theta = disagreement_coefficient(hclass, model, center) if theta_override is None else theta_override
-    if theta <= 0.0:
-        theta = 1.0
+    theta = problem.sizing_theta
     sched = size_schedule(theta, eps, delta, rho, 0.0, hclass.n_hypotheses, "realizable", constants)
     shared = rs.clone()
     grid = build_grid(theta, rho, hclass.n_hypotheses, "realizable", shared, constants=constants)
@@ -383,8 +376,7 @@ def run_replical(
     rounds = 0
     while True:
         est = _replicable_region_estimate(
-            hclass,
-            model,
+            problem,
             space,
             sched.sq_loop,
             sched.t_unlabeled,
@@ -409,7 +401,7 @@ def run_replical(
         space = VersionSpace(space.members & (errs <= v + PROB_TOL))
         rounds += 1
     chosen = _select_final(hclass, space, shared)
-    return _result("replical", hclass, model, chosen, space, counters, rounds, est, trace)
+    return _result("replical", problem, chosen, space, counters, rounds, est, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +409,7 @@ def run_replical(
 
 
 def run_replica2(
-    hclass: HypothesisClass,
-    model: DataModel,
+    problem: Problem,
     eps: float,
     delta: float,
     rho: float,
@@ -426,7 +417,6 @@ def run_replica2(
     rng: np.random.Generator,
     constants: Optional[Constants] = None,
     counters: Optional[SampleCounters] = None,
-    theta_override: Optional[float] = None,
     stream_accounting: bool = False,
 ) -> RunResult:
     """Replicable agnostic elimination, then a final cut relative to the best.
@@ -457,10 +447,8 @@ def run_replica2(
     """
     constants = constants or Constants()
     counters = counters if counters is not None else SampleCounters()
-    nu, center = noise_rate(hclass, model)
-    theta = disagreement_coefficient(hclass, model, center) if theta_override is None else theta_override
-    if theta <= 0.0:
-        theta = 1.0
+    hclass, model, nu = problem.hclass, problem.model, problem.nu
+    theta = problem.sizing_theta
     # raises ParameterError when nu is 0: the noise-scaled grids are undefined
     sched = size_schedule(theta, eps, delta, rho, nu, hclass.n_hypotheses, "agnostic", constants)
     shared = rs.clone()
@@ -480,8 +468,7 @@ def run_replica2(
     else:
         while True:
             est = _replicable_region_estimate(
-                hclass,
-                model,
+                problem,
                 space,
                 sched.sq_loop,
                 sched.t_unlabeled,
@@ -526,8 +513,7 @@ def run_replica2(
     )
     v_final = final_grid.threshold
     est_final = _replicable_region_estimate(
-        hclass,
-        model,
+        problem,
         space,
         sched.sq_final,
         sched.t_final,
@@ -565,8 +551,7 @@ def run_replica2(
     chosen = _select_final(hclass, space, shared)
     return _result(
         "replica2",
-        hclass,
-        model,
+        problem,
         chosen,
         space,
         counters,

@@ -67,8 +67,8 @@ def snap_to_grid(value: float, offset: float, spacing: float) -> float:
 
     Ties round toward the larger grid point.
     """
-    if spacing <= 0.0:
-        raise ParameterError("grid spacing must be positive")
+    if not (math.isfinite(spacing) and spacing > 0.0):
+        raise ParameterError(f"grid spacing must be a finite positive number, got {spacing}")
     g = math.floor((value - offset) / spacing + 0.5)
     return min(1.0, max(0.0, offset + spacing * g))
 
@@ -120,8 +120,8 @@ def pair_agreement_exact(mean1: float, mean2: float, spacing: float) -> float:
     decided by evaluating both snaps at its midpoint.
     """
     s = spacing
-    if s <= 0.0:
-        raise ParameterError("grid spacing must be positive")
+    if not (math.isfinite(s) and s > 0.0):
+        raise ParameterError(f"grid spacing must be a finite positive number, got {s}")
     for m in (mean1, mean2):
         if not 0.0 <= m <= 1.0:
             raise ParameterError(f"means must lie in [0, 1], got {m}")

@@ -6,6 +6,7 @@ documents and enforces the gate.  Tolerances are pinned inline; statistical
 bounds carry a three-sigma slack on top of the guaranteed rate.
 """
 
+import itertools
 import math
 import time
 
@@ -127,12 +128,12 @@ def test_criterion_04_micro_oracle(criterion):
 
 def test_criterion_05_cal_correctness_and_rounds(criterion):
     hclass = ra.thresholds(128)
-    model = ra.DataModel.realizable(hclass, 65)
+    problem = ra.Problem(hclass, ra.DataModel.realizable(hclass, 65))
     cap = cal_round_bound(0.05)
     within = rounds_ok = 0
     traces = []
     for t in range(200):
-        result = ra.run_cal(hclass, model, 0.05, 0.05, data_stream("05", t))
+        result = ra.run_cal(problem, 0.05, 0.05, data_stream("05", t))
         within += result.error <= 0.05 + 1e-12
         rounds_ok += result.rounds <= cap
         traces.append(result.trace)
@@ -265,23 +266,23 @@ def test_criterion_13_divergence_link(criterion, replical_batch):
 
 def test_criterion_09_replay(criterion):
     real_h = ra.thresholds(16)
-    real_m = ra.DataModel.realizable(real_h, 8)
+    real = ra.Problem(real_h, ra.DataModel.realizable(real_h, 8))
     agn_h = ra.thresholds(128)
-    agn_m = ra.DataModel.agnostic(agn_h, 128, 0.05)
+    agn = ra.Problem(agn_h, ra.DataModel.agnostic(agn_h, 128, 0.05))
 
     def once(algo, seed):
         if algo == "erm":
-            return ra.run_passive_erm(real_h, real_m, 0.1, 0.1, data_stream(seed, 0))
+            return ra.run_passive_erm(real, 0.1, 0.1, data_stream(seed, 0))
         if algo == "cal":
-            return ra.run_cal(real_h, real_m, 0.1, 0.1, data_stream(seed, 1))
+            return ra.run_cal(real, 0.1, 0.1, data_stream(seed, 1))
         if algo == "a2":
-            return ra.run_a2(agn_h, agn_m, 0.1, 0.1, data_stream(seed, 2), constants=A2_TUNED)
+            return ra.run_a2(agn, 0.1, 0.1, data_stream(seed, 2), constants=A2_TUNED)
         if algo == "replical":
             return ra.run_replical(
-                real_h, real_m, 0.1, 0.1, 0.3, ra.RandomString(seed), data_stream(seed, 3)
+                real, 0.1, 0.1, 0.3, ra.RandomString(seed), data_stream(seed, 3)
             )
         return ra.run_replica2(
-            agn_h, agn_m, 0.1, 0.1, 0.3, ra.RandomString(seed), data_stream(seed, 4),
+            agn, 0.1, 0.1, 0.3, ra.RandomString(seed), data_stream(seed, 4),
             constants=A2_TUNED,
         )
 
@@ -306,6 +307,7 @@ def test_criterion_09_replay(criterion):
 def _literal_flags(counts, rho):
     """Direct float re-evaluation of both badness conditions, cell by cell."""
     n = len(counts)
+    total = sum(counts)
     flags = []
     for i in range(1, n):
         below = float(sum(counts[:i]))
@@ -313,11 +315,17 @@ def _literal_flags(counts, rho):
         if below == 0.0:
             runaway = i < n - 1
         else:
-            # exp(j) overflows past j ~ 709; by then the bound dwarfs any count
+            # exp(j) overflows past j ~ 709; by then the bound dwarfs any count.
+            # No cell holds more than the total and the bound grows with j, so
+            # the scan stops once the bound passes the total: no later j matches
+            reachable = itertools.takewhile(
+                lambda j: math.exp(j) * below <= total + 1e-9 * max(total, 1),
+                range(1, n - i),
+            )
             runaway = any(
                 j < 700
                 and counts[i + j] >= math.exp(j) * below - 1e-9 * max(counts[i + j], 1)
-                for j in range(1, n - i)
+                for j in reachable
             )
         flags.append(bool(crowded or runaway))
     return tuple(flags)
@@ -378,11 +386,10 @@ def agnostic_problem():
 
 def test_criterion_11_a2_agnostic_correctness(criterion, agnostic_problem):
     hclass, model, nu = agnostic_problem
+    problem = ra.Problem(hclass, model)
     hits = 0
     for t in range(200):
-        result = ra.run_a2(
-            hclass, model, 0.1, 0.1, data_stream("11", t), constants=A2_TUNED
-        )
+        result = ra.run_a2(problem, 0.1, 0.1, data_stream("11", t), constants=A2_TUNED)
         hits += result.error <= nu + 0.1 + 1e-9
     rate = hits / 200
     assert criterion(

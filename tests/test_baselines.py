@@ -55,7 +55,7 @@ def test_constants_updated_returns_new_object():
 def test_erm_singleton_class_draws_full_sample():
     h = ra.explicit([[0, 1, 0, 1]])
     m = ra.DataModel.realizable(h, 0)
-    res = run_passive_erm(h, m, 0.1, 0.1, _rng())
+    res = run_passive_erm(ra.Problem(h, m), 0.1, 0.1, _rng())
     assert res.hypothesis_index == 0
     assert res.labels_used == erm_sample_size(1, 0.1, 0.1, Constants())
     assert res.rounds == 0
@@ -75,7 +75,7 @@ def test_erm_learns_thresholds():
     m = ra.DataModel.realizable(h, 65)
     good = 0
     for t in range(50):
-        res = run_passive_erm(h, m, 0.05, 0.05, _rng(t))
+        res = run_passive_erm(ra.Problem(h, m), 0.05, 0.05, _rng(t))
         good += res.error <= 0.05
     assert good >= 45
 
@@ -83,7 +83,7 @@ def test_erm_learns_thresholds():
 def test_erm_result_is_jsonable():
     h = ra.thresholds(8)
     m = ra.DataModel.realizable(h, 4)
-    res = run_passive_erm(h, m, 0.1, 0.1, _rng(1))
+    res = run_passive_erm(ra.Problem(h, m), 0.1, 0.1, _rng(1))
     doc = res.to_jsonable()
     assert doc["algo"] == "erm"
     assert doc["signature"] == res.signature.hex()
@@ -102,7 +102,7 @@ def test_cal_round_bound_values():
 def test_cal_singleton_class_is_immediate():
     h = ra.explicit([[1, 0, 1]])
     m = ra.DataModel.realizable(h, 0)
-    res = run_cal(h, m, 0.1, 0.1, _rng())
+    res = run_cal(ra.Problem(h, m), 0.1, 0.1, _rng())
     assert res.labels_used == 0
     assert res.rounds == 0
     assert res.hypothesis_index == 0
@@ -110,8 +110,9 @@ def test_cal_singleton_class_is_immediate():
 
 def test_cal_consistency_filter_hand_case(thresholds8):
     """Labels (x=4, 0) and (x=5, 1) pin the version space to h5 alone."""
-    sample = ra.LabeledSample(np.array([3, 4]), np.array([0, 1], dtype=np.uint8))
-    errs = ra.empirical_errors(thresholds8, sample)
+    count0 = np.array([0, 0, 0, 1, 0, 0, 0, 0])
+    count1 = np.array([0, 0, 0, 0, 1, 0, 0, 0])
+    errs = ra.empirical_errors_from_counts(thresholds8, count0, count1)
     consistent = np.flatnonzero(errs <= 1e-12)
     assert consistent.tolist() == [4]
 
@@ -119,7 +120,7 @@ def test_cal_consistency_filter_hand_case(thresholds8):
 def test_cal_recovers_target():
     h = ra.thresholds(128)
     m = ra.DataModel.realizable(h, 65)
-    res = run_cal(h, m, 0.05, 0.05, _rng(3))
+    res = run_cal(ra.Problem(h, m), 0.05, 0.05, _rng(3))
     assert res.error <= 0.05
     assert res.rounds <= cal_round_bound(0.05)
     assert res.labels_used > 0
@@ -129,7 +130,7 @@ def test_cal_never_eliminates_target():
     h = ra.thresholds(64)
     m = ra.DataModel.realizable(h, 20)
     for t in range(100):
-        res = run_cal(h, m, 0.1, 0.1, _rng(t))
+        res = run_cal(ra.Problem(h, m), 0.1, 0.1, _rng(t))
         assert 20 in res.survivors
 
 
@@ -137,13 +138,13 @@ def test_cal_rejects_noisy_models():
     h = ra.thresholds(16)
     m = ra.DataModel.agnostic(h, 8, 0.1)
     with pytest.raises(ra.WrongSettingError):
-        run_cal(h, m, 0.1, 0.1, _rng())
+        run_cal(ra.Problem(h, m), 0.1, 0.1, _rng())
 
 
 def test_cal_trace_shrinks_monotonically():
     h = ra.thresholds(128)
     m = ra.DataModel.realizable(h, 65)
-    res = run_cal(h, m, 0.05, 0.05, _rng(8))
+    res = run_cal(ra.Problem(h, m), 0.05, 0.05, _rng(8))
     sizes = [r.version_size for r in res.trace]
     assert sizes == sorted(sizes, reverse=True)
     masses = [r.disagreement for r in res.trace]
@@ -160,9 +161,9 @@ def test_cal_accuracy_param_validation():
     h = ra.thresholds(8)
     m = ra.DataModel.realizable(h, 4)
     with pytest.raises(ra.ParameterError):
-        run_cal(h, m, 0.0, 0.1, _rng())
+        run_cal(ra.Problem(h, m), 0.0, 0.1, _rng())
     with pytest.raises(ra.ParameterError):
-        run_cal(h, m, 0.1, 1.5, _rng())
+        run_cal(ra.Problem(h, m), 0.1, 1.5, _rng())
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +179,7 @@ def test_a2_round_bound_cases():
 def test_a2_runs_in_realizable_limit():
     h = ra.thresholds(32)
     m = ra.DataModel.realizable(h, 16)
-    res = run_a2(h, m, 0.1, 0.1, _rng(5), constants=A2_TUNED)
+    res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(5), constants=A2_TUNED)
     assert res.error <= 0.1 + 1e-12
     assert res.algo == "a2"
 
@@ -190,7 +191,7 @@ def test_a2_agnostic_accuracy_with_tuned_sizes():
     assert best == 128 and nu == pytest.approx(0.05)
     good = 0
     for t in range(30):
-        res = run_a2(h, m, 0.1, 0.1, _rng(t), constants=A2_TUNED)
+        res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(t), constants=A2_TUNED)
         good += res.error <= nu + 0.1 + 1e-12
     assert good >= 25
 
@@ -200,7 +201,7 @@ def test_a2_best_hypothesis_survives_elimination():
     m = ra.DataModel.agnostic(h, 128, 0.05)
     kept = 0
     for t in range(30):
-        res = run_a2(h, m, 0.1, 0.1, _rng(100 + t), constants=A2_TUNED)
+        res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(100 + t), constants=A2_TUNED)
         kept += 128 in res.survivors
     assert kept >= 27
 
@@ -211,13 +212,13 @@ def test_a2_default_sizes_hit_round_cap():
     h = ra.thresholds(128)
     m = ra.DataModel.agnostic(h, 128, 0.05)
     with pytest.raises(ra.RoundCapExceededError):
-        run_a2(h, m, 0.1, 0.1, _rng(0))
+        run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(0))
 
 
 def test_a2_trace_records_cutoffs():
     h = ra.thresholds(128)
     m = ra.DataModel.agnostic(h, 128, 0.05)
-    res = run_a2(h, m, 0.1, 0.1, _rng(2), constants=A2_TUNED)
+    res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(2), constants=A2_TUNED)
     assert len(res.trace) == res.rounds
     for rec in res.trace:
         assert rec.threshold is not None and rec.slack is not None

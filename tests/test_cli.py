@@ -118,6 +118,43 @@ def test_run_replica2_zero_final_region_prints_strict_json(capsys):
     assert final["threshold"] is not None
 
 
+_PROBLEM = ["--class", "thresholds", "--domain-size", "16"]
+_QUICK = [*_PROBLEM, "--epsilon", "0.2", "--delta", "0.1"]
+
+
+@pytest.mark.parametrize("command", ["run", "pair"])
+def test_nan_theta_is_parameter_error(capsys, command):
+    code, out, err = run_cli(
+        capsys, [command, *_QUICK, "--algo", "replical", "--rho", "0.3", "--theta", "nan"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "theta" in err
+
+
+def test_infinite_theta_is_parameter_error(capsys):
+    code, out, err = run_cli(capsys, ["theta", *_PROBLEM, "--theta", "inf", "--format", "json"])
+    assert code == 3
+    assert out == ""
+    assert "theta" in err
+
+
+def test_negative_theta_is_parameter_error(capsys):
+    code, out, err = run_cli(capsys, ["run", *_QUICK, "--algo", "cal", "--theta", "-3"])
+    assert code == 3
+    assert out == ""
+    assert "theta" in err
+
+
+def test_infinite_micro_spacing_is_parameter_error(capsys):
+    code, out, err = run_cli(
+        capsys, ["gridcheck", "--micro-k", "5", "--micro-spacing", "inf", "--format", "json"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "spacing" in err
+
+
 def test_pair_stdout_is_bit_stable(capsys):
     argv = [
         "pair", "--class", "thresholds", "--domain-size", "16",

@@ -13,6 +13,22 @@ def _random_class(seed, n_h, n_x):
     return ra.explicit(g.integers(0, 2, size=(n_h, n_x)))
 
 
+def _point_sample(model, mask, k, rng):
+    """Oracle for the count law: ``k`` materialized points drawn from the
+    model conditioned on ``mask``, each labeled by its own coin."""
+    points = rng.choice(model.domain_size, size=k, p=ra.conditional_weights(model, mask))
+    labels = (rng.random(k) < model.label_one_probabilities()[points]).astype(np.uint8)
+    return points, labels
+
+
+def _label_counts(points, labels, n):
+    """Per-point counts of observed 0-labels and 1-labels."""
+    return (
+        np.bincount(points[labels == 0], minlength=n),
+        np.bincount(points[labels == 1], minlength=n),
+    )
+
+
 # ---------------------------------------------------------------------------
 # class generators
 
@@ -60,7 +76,6 @@ def test_signatures_distinguish_rows():
     h = ra.thresholds(4)
     sigs = {h.signature(i) for i in range(h.n_hypotheses)}
     assert len(sigs) == h.n_hypotheses
-    assert h.index_of_signature(h.signature(3)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +156,24 @@ def test_conditional_true_errors_on_two_point_region(thresholds8, uniform8):
 
 def test_empirical_error_zero_on_own_labels(thresholds8):
     pts = np.array([0, 3, 5, 7])
-    sample = ra.LabeledSample(pts, thresholds8.row(4)[pts])
-    errs = ra.empirical_errors(thresholds8, sample)
+    c0, c1 = _label_counts(pts, thresholds8.row(4)[pts], 8)
+    errs = ra.empirical_errors_from_counts(thresholds8, c0, c1)
     assert errs[4] == 0.0
 
 
 def test_empirical_error_one_wrong_of_four(thresholds8):
-    labels = thresholds8.row(4)[np.array([0, 3, 5, 7])].copy()
+    pts = np.array([0, 3, 5, 7])
+    labels = thresholds8.row(4)[pts].copy()
     labels[2] ^= 1
-    sample = ra.LabeledSample(np.array([0, 3, 5, 7]), labels)
-    assert ra.empirical_errors(thresholds8, sample)[4] == pytest.approx(0.25)
-    assert ra.conditional_empirical_error(thresholds8, sample, 4) == pytest.approx(0.25)
+    c0, c1 = _label_counts(pts, labels, 8)
+    assert ra.empirical_errors_from_counts(thresholds8, c0, c1)[4] == pytest.approx(0.25)
 
 
 def test_empirical_errors_against_recount(thresholds8):
     g = np.random.default_rng(7)
     pts = g.integers(0, 8, size=20)
     labels = g.integers(0, 2, size=20).astype(np.uint8)
-    sample = ra.LabeledSample(pts, labels)
-    errs = ra.empirical_errors(thresholds8, sample)
+    errs = ra.empirical_errors_from_counts(thresholds8, *_label_counts(pts, labels, 8))
     for i in range(9):
         row = thresholds8.row(i)
         manual = sum(1 for p, y in zip(pts, labels) if row[p] != y) / 20
@@ -170,16 +184,16 @@ def test_empirical_errors_from_counts_match_sample(thresholds8):
     g = np.random.default_rng(11)
     pts = g.integers(0, 8, size=50)
     labels = g.integers(0, 2, size=50).astype(np.uint8)
-    c0 = np.bincount(pts[labels == 0], minlength=8)
-    c1 = np.bincount(pts[labels == 1], minlength=8)
-    via_counts = ra.empirical_errors_from_counts(thresholds8, c0, c1)
-    via_sample = ra.empirical_errors(thresholds8, ra.LabeledSample(pts, labels))
+    via_counts = ra.empirical_errors_from_counts(thresholds8, *_label_counts(pts, labels, 8))
+    # mistake rate of every hypothesis over the materialized sample
+    via_sample = np.mean(thresholds8.predictions[:, pts] != labels, axis=1)
     assert np.allclose(via_counts, via_sample)
 
 
 def test_empty_sample_rejected(thresholds8):
+    zeros = np.zeros(8, dtype=np.int64)
     with pytest.raises(ra.ParameterError):
-        ra.empirical_errors(thresholds8, ra.LabeledSample(np.array([], dtype=np.int64), np.array([], dtype=np.uint8)))
+        ra.empirical_errors_from_counts(thresholds8, zeros, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -398,30 +412,63 @@ def test_noise_rate_against_exhaustive_scan():
 
 
 # ---------------------------------------------------------------------------
+# problems
+
+
+def test_problem_holds_the_geometry(thresholds8, uniform8):
+    p = ra.Problem(thresholds8, uniform8)
+    assert (p.nu, p.center) == ra.noise_rate(thresholds8, uniform8)
+    assert p.theta == ra.disagreement_coefficient(thresholds8, uniform8, 4) == 2.0
+    assert p.sizing_theta == 2.0
+    assert p.hclass is thresholds8 and p.model is uniform8
+
+
+def test_problem_honors_theta_override(thresholds8, uniform8):
+    p = ra.Problem(thresholds8, uniform8, 3)
+    assert p.theta == p.sizing_theta == 3.0
+    assert p.center == 4
+
+
+@pytest.mark.parametrize("bad", [0.0, -3.0, float("inf"), float("nan")])
+def test_problem_rejects_bad_theta_override(thresholds8, uniform8, bad):
+    with pytest.raises(ra.ParameterError):
+        ra.Problem(thresholds8, uniform8, bad)
+
+
+def test_problem_sizing_theta_stands_in_for_zero():
+    h = ra.explicit([[0, 1, 0]])
+    p = ra.Problem(h, ra.DataModel.realizable(h, 0))
+    assert p.theta == 0.0
+    assert p.sizing_theta == 1.0
+
+
+# ---------------------------------------------------------------------------
 # sampling
 
 
 def test_conditional_sampling_needs_mass(thresholds8, uniform8, counters):
     space = ra.VersionSpace.from_indices([4], 9)
     with pytest.raises(ra.ZeroMassRegionError):
-        ra.sample_labeled(thresholds8, uniform8, space, 1, np.random.default_rng(0), counters)
+        ra.sample_labeled_counts(thresholds8, uniform8, space, 1, np.random.default_rng(0), counters)
 
 
 def test_zero_draws_leave_counters_alone(thresholds8, uniform8, counters):
     space = ra.VersionSpace.full(9)
-    out = ra.sample_labeled(thresholds8, uniform8, space, 0, np.random.default_rng(0), counters)
-    assert len(out) == 0
+    c0, c1 = ra.sample_labeled_counts(
+        thresholds8, uniform8, space, 0, np.random.default_rng(0), counters
+    )
+    assert int(c0.sum() + c1.sum()) == 0
     assert counters.labels == 0 and counters.unlabeled == 0
 
 
 def test_label_counter_tracks_draws(thresholds8, uniform8, counters):
     space = ra.VersionSpace.full(9)
-    ra.sample_labeled(thresholds8, uniform8, space, 12, np.random.default_rng(0), counters)
+    ra.sample_labeled_counts(thresholds8, uniform8, space, 12, np.random.default_rng(0), counters)
     assert counters.labels == 12
 
 
 def test_unlabeled_counter_tracks_draws(uniform8, counters):
-    ra.sample_unlabeled(uniform8, 33, np.random.default_rng(0), counters)
+    ra.region_hit_count(uniform8, np.ones(8, dtype=bool), 33, np.random.default_rng(0), counters)
     assert counters.unlabeled == 33
 
 
@@ -431,8 +478,8 @@ def test_conditional_frequencies_match_renormalized_weights():
     # h2 and h4 split only on {2,3}; conditional law is uniform on those two
     space = ra.VersionSpace.from_indices([1, 3], 5)
     counters = ra.SampleCounters()
-    sample = ra.sample_labeled(h, m, space, 100_000, np.random.default_rng(5), counters)
-    hits = np.bincount(sample.points, minlength=4)
+    c0, c1 = ra.sample_labeled_counts(h, m, space, 100_000, np.random.default_rng(5), counters)
+    hits = c0 + c1
     assert hits[0] == 0 and hits[3] == 0
     three_sigma = 3 * np.sqrt(100_000 * 0.25)
     assert abs(hits[1] - 50_000) <= three_sigma
@@ -443,33 +490,41 @@ def test_point_mass_sampling_is_deterministic():
     h = ra.thresholds(4)
     m = ra.DataModel(np.array([0.0, 1.0, 0.0, 0.0]), h.row(2), np.zeros(4), 2)
     counters = ra.SampleCounters()
-    sample = ra.sample_labeled_iid(m, 50, np.random.default_rng(1), counters)
-    assert np.all(sample.points == 1)
-    assert np.all(sample.labels == h.row(2)[1])
+    space = ra.VersionSpace.full(5)
+    c0, c1 = ra.sample_labeled_counts(h, m, space, 50, np.random.default_rng(1), counters)
+    # every draw lands on point 1, whose label is h3's prediction there (0)
+    assert c0.tolist() == [0, 50, 0, 0]
+    assert c1.tolist() == [0, 0, 0, 0]
 
 
 def test_labeled_counts_agree_with_point_sampler(thresholds8, counters):
     """The counts fast path must draw from the same law as the point path."""
     m = ra.DataModel.agnostic(ra.thresholds(8), 4, 0.2)
-    space = ra.VersionSpace.full(9)
+    space = ra.VersionSpace.from_indices([1, 4, 6], 9)  # region {1, ..., 5}
+    mask = ra.disagreement_mask(thresholds8, space)
     k = 40_000
     c0, c1 = ra.sample_labeled_counts(thresholds8, m, space, k, np.random.default_rng(9), counters)
     assert int(c0.sum() + c1.sum()) == k
     assert counters.labels == k
-    # per-point expected label-1 fraction is known exactly
+    o0, o1 = _label_counts(*_point_sample(m, mask, k, np.random.default_rng(10)), 8)
+    # each (point, label) cell is binomial(k, q) under both samplers, with q
+    # the conditional mass of the point times the chance of that label
+    w = ra.conditional_weights(m, mask)
     p1 = m.label_one_probabilities()
-    for x in range(8):
-        n_x = int(c0[x] + c1[x])
-        if n_x == 0:
-            continue
-        sd = np.sqrt(n_x * p1[x] * (1 - p1[x]))
-        assert abs(int(c1[x]) - n_x * p1[x]) <= 4 * sd + 1
+    for counts, oracle, q in ((c0, o0, w * (1 - p1)), (c1, o1, w * p1)):
+        sd = np.sqrt(k * q * (1 - q))
+        assert np.all(counts[~mask] == 0) and np.all(oracle[~mask] == 0)
+        assert np.all(np.abs(counts - k * q) <= 4 * sd + 1)
+        assert np.all(np.abs(counts - oracle) <= 4 * np.sqrt(2) * sd + 1)
 
 
 def test_stream_accounting_charges_rejections(thresholds8, uniform8):
     space = ra.VersionSpace.from_indices([3, 4, 5], 9)  # region mass 2/8
     counters = ra.SampleCounters()
-    ra.sample_labeled(thresholds8, uniform8, space, 100, np.random.default_rng(2), counters, stream_accounting=True)
+    ra.sample_labeled_counts(
+        thresholds8, uniform8, space, 100, np.random.default_rng(2), counters,
+        stream_accounting=True,
+    )
     assert counters.labels == 100
     # roughly 3 rejections per hit at mass 1/4; just require a positive charge
     assert counters.unlabeled > 100

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ralearn as ra
+from ralearn import baselines, core, harness, replicable
 from ralearn.harness import (
     CSV_COLUMNS,
     SWEEP_COLUMNS,
@@ -315,6 +316,31 @@ def test_paired_batch_replays_exactly():
     assert first.to_jsonable() == second.to_jsonable()
 
 
+def test_batch_computes_the_geometry_once(monkeypatch):
+    calls = []
+    original = core.disagreement_coefficient
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # every module that binds the name, so a learner calling it is counted too
+    for module in (core, baselines, replicable, harness):
+        monkeypatch.setattr(module, "disagreement_coefficient", counting)
+    cfg = _cal_cfg(trials=5)
+    hclass, model = build_problem(cfg)
+    outcomes = list(iter_paired_runs(cfg, hclass, model))
+    assert len(outcomes) == 5
+    assert all(o.result_first is not None and o.result_second is not None for o in outcomes)
+    assert len(calls) == 1
+
+
+def test_invalid_theta_override_stops_the_batch():
+    # a config error, not a failed side: it must reach the caller
+    with pytest.raises(ra.ParameterError):
+        list(iter_paired_runs(_cal_cfg(theta_override=float("nan"))))
+
+
 def test_summarize_is_order_insensitive():
     cfg = _cal_cfg(trials=5)
     hclass, model = build_problem(cfg)
@@ -401,6 +427,11 @@ def test_export_plain_payload_as_json(tmp_path):
     path = tmp_path / "doc.json"
     export({"a": 1}, str(path), "json")
     assert json.loads(path.read_text()) == {"a": 1}
+
+
+def test_export_json_rejects_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        export({"a": float("inf")}, str(tmp_path / "doc.json"), "json")
 
 
 def test_export_rejects_unknown_format(tmp_path):

@@ -198,7 +198,7 @@ def test_schedule_rejects_zero_noise_agnostic():
 def test_replical_singleton_class_uses_no_labels():
     h = ra.explicit([[0, 1, 0]])
     m = ra.DataModel.realizable(h, 0)
-    res = run_replical(h, m, 0.1, 0.1, 0.3, ra.RandomString("01"), _rng())
+    res = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("01"), _rng())
     assert res.hypothesis_index == 0
     assert res.labels_used == 0
     assert res.rounds == 0
@@ -208,8 +208,8 @@ def test_replical_singleton_class_uses_no_labels():
 def test_replical_replays_bit_identically():
     h = ra.thresholds(64)
     m = ra.DataModel.realizable(h, 20)
-    a = run_replical(h, m, 0.1, 0.1, 0.3, ra.RandomString("c0de"), _rng(5))
-    b = run_replical(h, m, 0.1, 0.1, 0.3, ra.RandomString("c0de"), _rng(5))
+    a = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("c0de"), _rng(5))
+    b = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("c0de"), _rng(5))
     assert a == b
 
 
@@ -217,9 +217,9 @@ def test_replical_does_not_mutate_callers_string():
     h = ra.thresholds(32)
     m = ra.DataModel.realizable(h, 16)
     rs = ra.RandomString("77aa")
-    run_replical(h, m, 0.1, 0.1, 0.3, rs, _rng(1))
-    first = run_replical(h, m, 0.1, 0.1, 0.3, rs, _rng(1))
-    second = run_replical(h, m, 0.1, 0.1, 0.3, rs, _rng(1))
+    run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(1))
+    first = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(1))
+    second = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(1))
     assert first == second  # entry clone keeps the caller's counters untouched
 
 
@@ -229,8 +229,8 @@ def test_replical_pairs_mostly_agree_when_sharing_the_string():
     agree = 0
     for i in range(20):
         rs = ra.RandomString(f"{i:02x}")
-        r1 = run_replical(h, m, 0.1, 0.1, 0.3, rs, _rng(2 * i))
-        r2 = run_replical(h, m, 0.1, 0.1, 0.3, rs, _rng(2 * i + 1))
+        r1 = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(2 * i))
+        r2 = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(2 * i + 1))
         agree += r1.signature == r2.signature
     assert agree >= 12  # budget allows 30% disagreement; this is far inside it
 
@@ -239,7 +239,7 @@ def test_replical_target_always_survives():
     h = ra.thresholds(64)
     m = ra.DataModel.realizable(h, 20)
     for i in range(30):
-        res = run_replical(h, m, 0.1, 0.1, 0.3, ra.RandomString(f"{i + 1:04x}"), _rng(i))
+        res = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString(f"{i + 1:04x}"), _rng(i))
         assert 20 in res.survivors
         assert res.error <= 0.1 + 1e-12
 
@@ -249,7 +249,7 @@ def test_replical_label_accounting_matches_schedule():
     m = ra.DataModel.realizable(h, 65)
     theta = ra.disagreement_coefficient(h, m, 65)
     sched = size_schedule(theta, 0.05, 0.05, 0.3, 0.0, 129, "realizable")
-    res = run_replical(h, m, 0.05, 0.05, 0.3, ra.RandomString("0abc"), _rng(9))
+    res = run_replical(ra.Problem(h, m), 0.05, 0.05, 0.3, ra.RandomString("0abc"), _rng(9))
     assert res.labels_used == sched.k * res.rounds
     assert res.unlabeled_used == sched.t_unlabeled * (res.rounds + 1)
     assert res.rounds <= sched.n_max
@@ -258,7 +258,7 @@ def test_replical_label_accounting_matches_schedule():
 def test_replical_trace_is_monotone():
     h = ra.thresholds(128)
     m = ra.DataModel.realizable(h, 65)
-    res = run_replical(h, m, 0.05, 0.05, 0.3, ra.RandomString("0abd"), _rng(4))
+    res = run_replical(ra.Problem(h, m), 0.05, 0.05, 0.3, ra.RandomString("0abd"), _rng(4))
     sizes = [r.version_size for r in res.trace]
     assert sizes == sorted(sizes, reverse=True)
     for rec in res.trace:
@@ -272,9 +272,9 @@ def test_replical_rejects_bad_budgets():
     h = ra.thresholds(8)
     m = ra.DataModel.realizable(h, 4)
     with pytest.raises(ra.ParameterError):
-        run_replical(h, m, 0.1, 0.2, 0.3, ra.RandomString("01"), _rng())
+        run_replical(ra.Problem(h, m), 0.1, 0.2, 0.3, ra.RandomString("01"), _rng())
     with pytest.raises(ra.ParameterError):
-        run_replical(h, m, 1.2, 0.05, 0.3, ra.RandomString("01"), _rng())
+        run_replical(ra.Problem(h, m), 1.2, 0.05, 0.3, ra.RandomString("01"), _rng())
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +291,12 @@ def test_replica2_rejects_noiseless_models():
     h = ra.thresholds(16)
     m = ra.DataModel.realizable(h, 8)
     with pytest.raises(ra.ParameterError):
-        run_replica2(h, m, 0.1, 0.1, 0.3, ra.RandomString("01"), _rng())
+        run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("01"), _rng())
 
 
 def test_replica2_runs_on_edge_noise():
     h, m = _edge_noise_problem()
-    res = run_replica2(h, m, 0.1, 0.1, 0.3, ra.RandomString("0101"), _rng(3))
+    res = run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("0101"), _rng(3))
     assert res.algo == "replica2"
     assert res.labels_used > 0
     assert len(res.trace) == res.rounds + 1  # loop rounds plus the final phase record
@@ -305,8 +305,8 @@ def test_replica2_runs_on_edge_noise():
 
 def test_replica2_replays_bit_identically():
     h, m = _edge_noise_problem()
-    a = run_replica2(h, m, 0.1, 0.1, 0.3, ra.RandomString("fe01"), _rng(7))
-    b = run_replica2(h, m, 0.1, 0.1, 0.3, ra.RandomString("fe01"), _rng(7))
+    a = run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("fe01"), _rng(7))
+    b = run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("fe01"), _rng(7))
     assert a == b
 
 
@@ -317,7 +317,7 @@ def test_replica2_flags_unsatisfiable_loop_guard():
     m = ra.DataModel.agnostic(h, 8, 0.05)
     theta = ra.disagreement_coefficient(h, m, 8)
     assert theta == pytest.approx(2.0)
-    res = run_replica2(h, m, 0.1, 0.1, 0.3, ra.RandomString("33"), _rng(2))
+    res = run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("33"), _rng(2))
     assert "loop-guard-unsatisfiable" in res.flags
     assert res.rounds == 0
 
@@ -326,7 +326,7 @@ def test_replica2_best_hypothesis_usually_survives():
     h, m = _edge_noise_problem(32)
     kept = 0
     for i in range(20):
-        res = run_replica2(h, m, 0.1, 0.1, 0.3, ra.RandomString(f"{i:02x}"), _rng(i))
+        res = run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString(f"{i:02x}"), _rng(i))
         kept += 32 in res.survivors
     assert kept >= 18
 
@@ -336,7 +336,7 @@ def test_replica2_pairs_mostly_agree():
     agree = 0
     for i in range(20):
         rs = ra.RandomString(f"a0{i:02x}")
-        r1 = run_replica2(h, m, 0.1, 0.1, 0.3, rs, _rng(50 + 2 * i))
-        r2 = run_replica2(h, m, 0.1, 0.1, 0.3, rs, _rng(51 + 2 * i))
+        r1 = run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(50 + 2 * i))
+        r2 = run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(51 + 2 * i))
         agree += r1.signature == r2.signature
     assert agree >= 12

@@ -89,6 +89,14 @@ def test_snap_lands_on_offset_grid():
         assert abs(ans - value) <= s / 2 + 1e-12
 
 
+@pytest.mark.parametrize("spacing", [0.0, -0.1, float("inf"), float("nan")])
+def test_spacing_must_be_finite_and_positive(spacing):
+    with pytest.raises(ra.ParameterError):
+        snap_to_grid(0.5, 0.0, spacing)
+    with pytest.raises(ra.ParameterError):
+        pair_agreement_exact(0.4, 0.5, spacing)
+
+
 def test_snap_clips_into_unit_interval():
     assert snap_to_grid(0.99, 0.5, 1.0) == 0.5
     assert snap_to_grid(1.0, 0.8, 0.5) == 0.8 + 0.5 * round((1.0 - 0.8) / 0.5)
