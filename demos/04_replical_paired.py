@@ -5,8 +5,8 @@ Paired runs of the replicable noiseless learner.
 Each pair shares one random string but draws its labeled data from two
 independent streams.  The string fixes the error threshold (drawn between
 the grid lines, so sampling noise rarely flips a hypothesis across it) and
-the final tie-breaking order.  The headline number is how often the two
-sides return the exact same hypothesis.
+the keyed-hash ranks that break the final tie.  The headline number is how
+often the two sides return the exact same hypothesis.
 """
 
 from ralearn.harness import ExperimentConfig, report_csv, run_paired_trials

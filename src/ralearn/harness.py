@@ -403,19 +403,24 @@ def iter_paired_runs(
     cfg: ExperimentConfig,
     hclass: Optional[HypothesisClass] = None,
     model: Optional[DataModel] = None,
+    *,
+    problem: Optional[Problem] = None,
 ) -> Iterator[PairOutcome]:
     """Run the config's paired trials one at a time.
 
-    The problem's geometry is computed once, before the first pair; an
-    invalid theta override raises there.  Each pair derives one shared string
-    from the master seed and the pair index; the two sides draw data from
-    independent streams (or the same stream when the config pins identical
-    sides for smoke testing).  A failing side is recorded by exception type
+    A caller that already holds the batch's ``problem`` passes it, and
+    ``hclass`` and ``model`` are then ignored.  Otherwise the problem's
+    geometry is computed once, before the first pair; an invalid theta
+    override raises there.  Each pair derives one shared string from the
+    master seed and the pair index; the two sides draw data from independent
+    streams (or the same stream when the config pins identical sides for
+    smoke testing).  A failing side is recorded by exception type
     instead of aborting the batch.
     """
-    if hclass is None or model is None:
-        hclass, model = build_problem(cfg)
-    problem = Problem(hclass, model, cfg.theta_override)
+    if problem is None:
+        if hclass is None or model is None:
+            hclass, model = build_problem(cfg)
+        problem = Problem(hclass, model, cfg.theta_override)
     learner = LEARNERS[cfg.algo]
     master = RandomString(cfg.b_seed)
     for i in range(cfg.trials):
@@ -520,10 +525,9 @@ def summarize_pairs(
 
 def run_paired_trials(cfg: ExperimentConfig) -> ReplicabilityReport:
     """Full paired-replicability experiment for one config."""
-    hclass, model = build_problem(cfg)
-    theta, nu, _ = problem_stats(hclass, model, cfg)
-    outcomes = list(iter_paired_runs(cfg, hclass, model))
-    return summarize_pairs(cfg, outcomes, theta, nu)
+    problem = Problem(*build_problem(cfg), cfg.theta_override)
+    outcomes = list(iter_paired_runs(cfg, problem=problem))
+    return summarize_pairs(cfg, outcomes, problem.theta, problem.nu)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ by a string label; each label owns an independent sub-stream with its own
 counter, so two runs that consume labels in different orders still agree on
 the values of every label they share.  That property is what lets a pair of
 runs with the same seed make identical internal choices (grid origin, grid
-index, rounding offsets, final tie-breaking order) while their data-facing
-randomness stays independent.
+index, rounding offsets) while their data-facing randomness stays
+independent.  :meth:`RandomString.rank` gives the other kind of shared
+choice: a keyed hash of an item, so a set's minimum under it (the final
+pick among survivors) is the same on both runs wherever their sets agree.
 
 Data randomness must never come from a RandomString; use a per-run numpy
 Generator for anything sample-shaped.
@@ -93,6 +95,20 @@ class RandomString:
             x = int.from_bytes(self._next_block(label), "big")
             if x < limit:
                 return x % n
+
+    def rank(self, label: str, item: bytes) -> int:
+        """Keyed 64-bit hash of ``item`` under ``label``; consumes no draws.
+
+        The ``rank`` prefix keeps the message apart from the counter-mode
+        blocks (no sub-stream is labelled "rank"), and the value depends only
+        on the key, the label and the item.  Over spawned keys the ranks of
+        distinct items behave as independent uniform values, so the
+        minimum-rank element of a set is a uniform pick from it, and two sets
+        share their minimum with probability equal to their Jaccard
+        similarity (MinHash).
+        """
+        msg = b"rank\x00" + label.encode() + b"\x00" + item
+        return int.from_bytes(hashlib.blake2b(msg, key=self._key, digest_size=8).digest(), "big")
 
     def derive_permutation(self, label: str, n: int) -> np.ndarray:
         """Next uniform permutation of range(n) from the sub-stream ``label``."""

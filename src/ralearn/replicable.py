@@ -9,8 +9,9 @@ their data differs:
 - "region-estimate-{r}" / "region-estimate-final": one grid offset per
   disagreement-mass query, keyed by round so runs that exit at different
   rounds still share every offset they both use;
-- "final-order": one permutation of the class's distinct prediction
-  signatures; the first surviving signature under it is returned.
+- "final-order": a keyed-hash rank per distinct surviving prediction
+  signature (``RandomString.rank``, no draws consumed); the minimum is
+  returned.
 
 Data randomness (which points are drawn, which labels flip) never touches the
 shared string; it comes from the caller's numpy Generator.
@@ -314,26 +315,22 @@ def _replicable_region_estimate(
 def _select_final(hclass: HypothesisClass, space: VersionSpace, rs: RandomString) -> int:
     """Shared-randomness pick among survivors, invariant to index accidents.
 
-    The shared string fixes one random order over the distinct prediction
-    signatures of the whole class (a data-independent list), and the first
-    surviving signature under that order wins.  Because the order never
-    depends on the data, two runs sharing the string disagree only when the
-    top-ranked element of the union of their survivor sets falls in the
-    symmetric difference, so the disagreement probability is at most the
-    divergence |S1 xor S2| / |S1 or S2|.
+    Each distinct surviving prediction signature is ranked by the shared
+    string's keyed hash under "final-order", the signature itself breaking a
+    64-bit tie, and the minimum wins; the lowest surviving index holding it
+    is returned.  The ranks never depend on the data, so two runs sharing
+    the string disagree exactly when the minimum of the union of their
+    survivor sets falls in the symmetric difference, which has probability
+    |S1 xor S2| / |S1 or S2| over the string (MinHash).  The cost is one hash
+    per distinct survivor.
     """
-    class_sigs = sorted({hclass.signature(i) for i in range(hclass.n_hypotheses)})
-    perm = rs.derive_permutation("final-order", len(class_sigs))
-    surviving_by_sig: dict[bytes, int] = {}
+    lowest_by_sig: dict[bytes, int] = {}
     for i in space.indices():
-        sig = hclass.signature(int(i))
-        if sig not in surviving_by_sig:
-            surviving_by_sig[sig] = int(i)
-    for slot in perm:
-        winner = surviving_by_sig.get(class_sigs[int(slot)])
-        if winner is not None:
-            return winner
-    raise EmptyVersionSpaceError("no surviving signature to select")
+        lowest_by_sig.setdefault(hclass.signature(int(i)), int(i))
+    if not lowest_by_sig:
+        raise EmptyVersionSpaceError("no surviving signature to select")
+    sig = min(lowest_by_sig, key=lambda s: (rs.rank("final-order", s), s))
+    return lowest_by_sig[sig]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +354,8 @@ def run_replical(
     guarded by a replicable estimate of the disagreement mass instead of the
     exact value, elimination keeps hypotheses with conditional empirical
     error up to a shared randomly drawn threshold instead of exactly zero,
-    and the returned survivor is picked by a shared random permutation.
+    and the returned survivor is the one of least keyed-hash rank on the
+    shared string (see ``_select_final``).
     """
     constants = constants or Constants()
     counters = counters if counters is not None else SampleCounters()
@@ -429,8 +427,8 @@ def run_replica2(
     the version space V makes the final cut: h is kept iff its conditional
     empirical error is at most floor + v_final, where floor is the lowest
     such error among the members of V (the A² rule, with the shared grid
-    value in place of a confidence radius).  A shared permutation then picks
-    the winner.
+    value in place of a confidence radius).  The survivor of least keyed-hash
+    rank on the shared string is the winner (see ``_select_final``).
 
     Error bound.  Let Delta be the mass of V's disagreement region, c(h) the
     conditional error there, and r the uniform deviation of the k_final-draw

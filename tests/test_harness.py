@@ -316,7 +316,7 @@ def test_paired_batch_replays_exactly():
     assert first.to_jsonable() == second.to_jsonable()
 
 
-def test_batch_computes_the_geometry_once(monkeypatch):
+def _count_geometry(monkeypatch) -> list:
     calls = []
     original = core.disagreement_coefficient
 
@@ -327,11 +327,24 @@ def test_batch_computes_the_geometry_once(monkeypatch):
     # every module that binds the name, so a learner calling it is counted too
     for module in (core, baselines, replicable, harness):
         monkeypatch.setattr(module, "disagreement_coefficient", counting)
+    return calls
+
+
+def test_batch_computes_the_geometry_once(monkeypatch):
+    calls = _count_geometry(monkeypatch)
     cfg = _cal_cfg(trials=5)
     hclass, model = build_problem(cfg)
     outcomes = list(iter_paired_runs(cfg, hclass, model))
     assert len(outcomes) == 5
     assert all(o.result_first is not None and o.result_second is not None for o in outcomes)
+    assert len(calls) == 1
+
+
+def test_run_paired_trials_computes_the_geometry_once(monkeypatch):
+    # the report's theta and nu come from the same Problem the pairs use
+    calls = _count_geometry(monkeypatch)
+    report = run_paired_trials(_cal_cfg(trials=5))
+    assert report.pairs == 5 and not report.failure_counts
     assert len(calls) == 1
 
 

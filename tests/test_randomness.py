@@ -142,3 +142,30 @@ def test_permutations_of_three_equiprobable():
     three_sigma = 3 * np.sqrt(n * (1 / 6) * (5 / 6))
     for key, c in counts.items():
         assert abs(c - expect) <= three_sigma, (key, c)
+
+
+def test_rank_is_a_keyed_hash_of_label_and_item():
+    a = ra.RandomString("5eed")
+    a.derive_uniform("final-order")
+    r = a.rank("final-order", b"\x00\x01")
+    assert 0 <= r < 1 << 64
+    # counter state plays no part: clones, fresh equal seeds and repeats agree
+    assert a.clone().rank("final-order", b"\x00\x01") == r
+    assert ra.RandomString("5eed").rank("final-order", b"\x00\x01") == r
+    assert a.rank("final-order", b"\x00\x01") == r
+    assert ra.RandomString("5eef").rank("final-order", b"\x00\x01") != r
+    assert a.spawn("pair/0").rank("final-order", b"\x00\x01") != r
+    assert a.rank("other", b"\x00\x01") != r
+    assert a.rank("final-order", b"\x01\x00") != r
+
+
+def test_rank_consumes_no_draws():
+    a = ra.RandomString("5eed")
+    b = ra.RandomString("5eed")
+    a.derive_uniform("final-order")
+    b.derive_uniform("final-order")
+    for item in (b"", b"\x00", b"\x01\x01"):
+        a.rank("final-order", item)
+    assert a.draws_made("final-order") == 1
+    assert a.draws_made("rank") == 0
+    assert a.derive_uniform("final-order") == b.derive_uniform("final-order")

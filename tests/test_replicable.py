@@ -9,6 +9,7 @@ import ralearn as ra
 from ralearn.baselines import Constants
 from ralearn.replicable import (
     ThresholdGrid,
+    _select_final,
     build_grid,
     grid_interval_count,
     grid_range_top,
@@ -189,6 +190,82 @@ def test_schedule_rejects_unknown_setting():
 def test_schedule_rejects_zero_noise_agnostic():
     with pytest.raises(ra.ParameterError):
         size_schedule(2.0, 0.05, 0.1, 0.3, 0.0, 129, "agnostic")
+
+
+# ---------------------------------------------------------------------------
+# shared final pick
+
+# rows 0, 2 and 5 share a signature, as do rows 1 and 4
+_DUPLICATES = ra.explicit(
+    [[0, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1], [0, 1, 1], [0, 0, 1], [1, 0, 0]]
+)
+
+
+def _pick(h, members, rs):
+    return _select_final(h, ra.VersionSpace.from_indices(members, h.n_hypotheses), rs)
+
+
+def test_final_pick_depends_only_on_the_surviving_signatures():
+    # three survivor sets with the same three signatures
+    survivor_sets = ([0, 1, 3], [1, 2, 3, 4], [3, 4, 5])
+    master = ra.RandomString("f1a1")
+    winners = set()
+    for i in range(40):
+        rs = master.spawn(f"pick/{i}")
+        picks = [_pick(_DUPLICATES, m, rs) for m in survivor_sets]
+        sigs = {_DUPLICATES.signature(p) for p in picks}
+        assert len(sigs) == 1
+        sig = sigs.pop()
+        winners.add(sig)
+        # the lowest surviving index that holds the winning signature
+        for members, pick in zip(survivor_sets, picks):
+            assert pick == min(j for j in members if _DUPLICATES.signature(j) == sig)
+        # the same rows in another order give the same signature
+        order = [6, 5, 4, 3, 2, 1, 0]
+        reordered = ra.explicit(_DUPLICATES.predictions[order])
+        pick = _pick(reordered, [order.index(j) for j in (0, 1, 3)], rs)
+        assert reordered.signature(pick) == sig
+    assert len(winners) == 3
+    with pytest.raises(ra.EmptyVersionSpaceError):
+        _pick(_DUPLICATES, [], master)
+
+
+def test_final_pick_ranks_each_distinct_survivor_once(monkeypatch):
+    ranked = []
+    original = ra.RandomString.rank
+
+    def counting(self, label, item):
+        ranked.append((label, item))
+        return original(self, label, item)
+
+    monkeypatch.setattr(ra.RandomString, "rank", counting)
+    rs = ra.RandomString("0b")
+    h = ra.thresholds(64)
+    _pick(h, [10, 11, 12], rs)
+    assert [label for label, _ in ranked] == ["final-order"] * 3
+    ranked.clear()
+    _pick(_DUPLICATES, [0, 1, 2, 4, 5], rs)
+    assert sorted(item for _, item in ranked) == sorted(
+        {_DUPLICATES.signature(j) for j in (0, 1)}
+    )
+    assert rs.draws_made("final-order") == 0
+
+
+def test_final_pick_agreement_matches_jaccard_similarity():
+    """Monte Carlo companion to criterion 13: over shared strings, two fixed
+    survivor sets pick the same hypothesis with probability equal to their
+    Jaccard similarity, here 3 / 10."""
+    h = ra.thresholds(16)
+    first, second = list(range(0, 6)), list(range(3, 10))
+    jaccard = 3 / 10
+    master = ra.RandomString("ac1d")
+    n = 20_000
+    agree = 0
+    for i in range(n):
+        rs = master.spawn(f"jaccard/{i}")
+        agree += _pick(h, first, rs) == _pick(h, second, rs)
+    sigma = math.sqrt(jaccard * (1 - jaccard) / n)
+    assert abs(agree / n - jaccard) <= 4 * sigma, agree / n
 
 
 # ---------------------------------------------------------------------------
