@@ -31,7 +31,6 @@ from .core import (
     disagreement_coefficient,
     disagreement_mask,
     disagreement_mass,
-    disagreement_region,
     distances_from,
     empirical_errors_from_counts,
     error_ball,

@@ -22,6 +22,7 @@ from .core import (
     SampleCounters,
     VersionSpace,
     WrongSettingError,
+    disagreement_mask,
     disagreement_mass,
     empirical_errors_from_counts,
     sample_labeled_counts,
@@ -65,11 +66,7 @@ class Constants:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, float]) -> "Constants":
         """Build from a name/value mapping; unknown names are an error."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapping) - known
-        if unknown:
-            raise ParameterError(f"unknown constants: {sorted(unknown)} (known: {sorted(known)})")
-        return cls(**{k: float(v) for k, v in mapping.items()})
+        return cls().updated(mapping)
 
     def updated(self, mapping: Mapping[str, float]) -> "Constants":
         known = {f.name for f in fields(self)}
@@ -268,10 +265,11 @@ def run_cal(
     n_max = cal_round_bound(eps)
     k = cal_sample_size(hclass.n_hypotheses, problem.sizing_theta, eps, delta, constants)
     space = VersionSpace.full(hclass.n_hypotheses)
+    region = disagreement_mask(hclass, space)
     trace: list[RoundRecord] = []
     rounds = 0
     while True:
-        dmass = disagreement_mass(hclass, model, space)
+        dmass = disagreement_mass(model, region)
         if dmass <= eps + PROB_TOL:
             break
         if rounds >= ROUND_CAP_FACTOR * n_max:
@@ -281,12 +279,11 @@ def run_cal(
         trace.append(
             RoundRecord(rounds, dmass, space.size, threshold=0.0, labels_so_far=counters.labels)
         )
-        count0, count1 = sample_labeled_counts(
-            hclass, model, space, k, rng, counters, stream_accounting
-        )
+        count0, count1 = sample_labeled_counts(model, region, k, rng, counters, stream_accounting)
         errs = empirical_errors_from_counts(hclass, count0, count1)
         # mistakes are integer counts, so any inconsistency puts the error at >= 1/k
         space = VersionSpace(space.members & (errs <= PROB_TOL))
+        region = disagreement_mask(hclass, space)
         rounds += 1
     chosen = int(space.indices()[0])
     return _result("cal", problem, chosen, space, counters, rounds, dmass, trace)
@@ -333,11 +330,12 @@ def run_a2(
     k = int(math.ceil(constants.c_a2 * t_size**2 * math.log(n_c * n_loop / delta_round)))
     radius = math.sqrt(math.log(2.0 * n_c / delta_round) / (2.0 * k))
     space = VersionSpace.full(n_c)
+    region = disagreement_mask(hclass, space)
     trace: list[RoundRecord] = []
     rounds = 0
     noisy = nu > PROB_TOL
     while True:
-        dmass = disagreement_mass(hclass, model, space)
+        dmass = disagreement_mass(model, region)
         if dmass <= PROB_TOL:
             break
         if noisy and dmass < 8.0 * t_size * nu:
@@ -348,9 +346,7 @@ def run_a2(
             raise RoundCapExceededError(
                 f"no exit after {rounds} rounds (bound {n_loop}); disagreement still {dmass}"
             )
-        count0, count1 = sample_labeled_counts(
-            hclass, model, space, k, rng, counters, stream_accounting
-        )
+        count0, count1 = sample_labeled_counts(model, region, k, rng, counters, stream_accounting)
         errs = empirical_errors_from_counts(hclass, count0, count1)
         floor_err = float(errs[space.members].min())
         cutoff = floor_err + 2.0 * radius
@@ -367,12 +363,12 @@ def run_a2(
         # keep h iff its lower bound stays within the best upper bound; the
         # round's empirical minimizer always satisfies this, so V stays nonempty
         space = VersionSpace(space.members & (errs <= cutoff + PROB_TOL))
+        region = disagreement_mask(hclass, space)
         rounds += 1
     k_final = int(math.ceil(constants.c_a2_final * t_size**2 * (nu / eps) ** 2 * math.log(n_c / delta)))
-    if k_final > 0 and disagreement_mass(hclass, model, space) > PROB_TOL:
-        count0, count1 = sample_labeled_counts(
-            hclass, model, space, k_final, rng, counters, stream_accounting
-        )
+    # the loop only exits through a break, so dmass and region describe this space
+    if k_final > 0 and dmass > PROB_TOL:
+        count0, count1 = sample_labeled_counts(model, region, k_final, rng, counters, stream_accounting)
         errs = empirical_errors_from_counts(hclass, count0, count1)
         chosen = int(np.argmin(np.where(space.members, errs, np.inf)))
     else:

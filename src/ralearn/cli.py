@@ -350,10 +350,10 @@ def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         print(f"phase={phase} origin={grid.origin!r} spacing={grid.spacing!r} count={grid.count}")
         print(f"selected_index={grid.selected_index} threshold={grid.threshold!r}")
         print("slot\tthreshold\tcell_count\tbelow\tbad")
-        for j in range(grid.count):
+        for j, threshold in enumerate(grid.selectable_thresholds()):
             i = j + 1
             print(
-                f"{j}\t{grid.origin + (j + 1.5) * grid.spacing:.6g}\t"
+                f"{j}\t{threshold:.6g}\t"
                 f"{profile.counts[i]}\t{profile.cumulative[i - 1]}\t"
                 f"{'BAD' if flags[j] else 'ok'}"
             )

@@ -4,9 +4,12 @@ The domain is a finite set of points carrying an explicit probability vector,
 and a hypothesis class is a {0,1} prediction matrix with one row per
 hypothesis.  Because everything is finite and explicit, error rates,
 disagreement masses, and the disagreement coefficient are computed exactly by
-summation.  The two samplers at the bottom are the only stochastic piece;
-they draw counts from the model through a caller-owned numpy Generator so
-every source of randomness in an experiment is explicit.
+summation.  A version space's disagreement region is a boolean mask over the
+domain; learners derive it once per version space and hand it to
+``disagreement_mass`` and to the samplers.  The two samplers at the bottom
+are the only stochastic piece; they draw counts from the model inside a given
+region through a caller-owned numpy Generator so every source of randomness
+in an experiment is explicit.
 """
 from __future__ import annotations
 
@@ -107,13 +110,14 @@ class DataModel:
             raise ParameterError("weights, base_labels, flip_rates must share one 1d shape")
         if w.size == 0:
             raise ParameterError("domain must be nonempty")
-        if np.any(w < 0):
-            raise ParameterError("weights must be nonnegative")
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise ParameterError("weights must be finite and nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise ParameterError("weights must sum to 1")
         if b.max(initial=0) > 1:
             raise ParameterError("base labels must be 0/1 valued")
-        if np.any(f < 0) or np.any(f > 1):
+        # written as membership so a NaN rate is rejected too
+        if not np.all((f >= 0) & (f <= 1)):
             raise ParameterError("flip rates must lie in [0, 1]")
         for name, arr in (("weights", w), ("base_labels", b), ("flip_rates", f)):
             arr.setflags(write=False)
@@ -131,19 +135,6 @@ class DataModel:
             raise ParameterError(f"target index {target} out of range")
         w = uniform_weights(hclass.domain_size) if weights is None else np.asarray(weights)
         return cls(w, hclass.row(target), np.zeros(hclass.domain_size), target_index=target)
-
-    @classmethod
-    def from_labels(
-        cls,
-        labels: np.ndarray,
-        weights: np.ndarray,
-        flip_rates: Optional[np.ndarray] = None,
-    ) -> "DataModel":
-        """Explicit label row; zero flip rates unless given."""
-        labels = np.asarray(labels)
-        if flip_rates is None:
-            flip_rates = np.zeros(labels.shape[0])
-        return cls(np.asarray(weights), labels, np.asarray(flip_rates))
 
     @classmethod
     def agnostic(
@@ -164,10 +155,6 @@ class DataModel:
     @property
     def domain_size(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def is_realizable(self) -> bool:
-        return bool(np.all(self.flip_rates == 0.0))
 
     def label_one_probabilities(self) -> np.ndarray:
         """P[label = 1 | x] for every domain point."""
@@ -283,22 +270,17 @@ def disagreement_mask(hclass: HypothesisClass, space: VersionSpace) -> np.ndarra
     return sub.min(axis=0) != sub.max(axis=0)
 
 
-def disagreement_region(hclass: HypothesisClass, space: VersionSpace) -> np.ndarray:
-    """Sorted domain indices where at least two members disagree."""
-    return np.flatnonzero(disagreement_mask(hclass, space))
-
-
-def disagreement_mass(hclass: HypothesisClass, model: DataModel, space: VersionSpace) -> float:
-    """Probability mass of the disagreement region."""
-    _check_same_domain(hclass, model)
-    return float(model.weights[disagreement_mask(hclass, space)].sum())
+def disagreement_mass(model: DataModel, region: np.ndarray) -> float:
+    """Probability mass of a region given as a boolean mask over the domain."""
+    mask = np.asarray(region, dtype=bool)
+    if mask.shape != model.weights.shape:
+        raise ParameterError("region mask shape must match the domain")
+    return float(model.weights[mask].sum())
 
 
 def hypothesis_distance(hclass: HypothesisClass, model: DataModel, h1: int, h2: int) -> float:
     """Mass of the points where two hypotheses predict differently."""
-    _check_same_domain(hclass, model)
-    diff = hclass.row(h1) != hclass.row(h2)
-    return float(model.weights[diff].sum())
+    return disagreement_mass(model, hclass.row(h1) != hclass.row(h2))
 
 
 def distances_from(hclass: HypothesisClass, model: DataModel, center: int) -> np.ndarray:
@@ -332,7 +314,6 @@ def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: 
     order = np.argsort(d, kind="stable")
     pred = hclass.predictions
     ones = np.zeros(hclass.domain_size, dtype=np.int64)
-    w = model.weights
     best = 0.0
     members = 0
     pos = 0
@@ -346,7 +327,7 @@ def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: 
             pos += 1
         if radius <= PROB_TOL:
             continue
-        mass = float(w[(ones > 0) & (ones < members)].sum())
+        mass = disagreement_mass(model, (ones > 0) & (ones < members))
         best = max(best, mass / float(radius))
     return best
 
@@ -433,39 +414,38 @@ def region_hit_count(
     counters.unlabeled += m
     if m == 0:
         return 0
-    mass = float(model.weights[np.asarray(region_mask, dtype=bool)].sum())
+    mass = disagreement_mass(model, region_mask)
     return int(rng.binomial(m, min(mass, 1.0)))
 
 
 def sample_labeled_counts(
-    hclass: HypothesisClass,
     model: DataModel,
-    space: VersionSpace,
+    region: np.ndarray,
     k: int,
     rng: np.random.Generator,
     counters: SampleCounters,
     stream_accounting: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``k`` labeled draws from the model conditioned on the disagreement region.
+    """``k`` labeled draws from the model conditioned on a region.
 
-    Returns per-point counts of observed 0-labels and 1-labels.  The joint law
-    of the counts matches drawing the points one by one (multinomial cells,
-    then a binomial label split per cell), so downstream empirical errors are
-    distributed exactly as with a materialized sample.  With
-    ``stream_accounting`` the rejection cost of hitting the region from the
-    unconditional stream is simulated and charged to the unlabeled counter.
+    ``region`` is a boolean mask over the domain, for a learner the
+    disagreement region of its current version space.  Returns per-point
+    counts of observed 0-labels and 1-labels.  The joint law of the counts
+    matches drawing the points one by one (multinomial cells, then a binomial
+    label split per cell), so downstream empirical errors are distributed
+    exactly as with a materialized sample.  With ``stream_accounting`` the
+    rejection cost of hitting the region from the unconditional stream is
+    simulated and charged to the unlabeled counter.
     """
     if k < 0:
         raise ParameterError("sample size must be nonnegative")
-    _check_same_domain(hclass, model)
-    mask = disagreement_mask(hclass, space)
-    w = conditional_weights(model, mask)
+    w = conditional_weights(model, region)
     if stream_accounting and k > 0:
-        mass = float(model.weights[mask].sum())
+        mass = disagreement_mass(model, region)
         if mass < 1.0:
             counters.unlabeled += int(rng.negative_binomial(k, mass))
     counters.labels += k
-    counts = rng.multinomial(k, w / w.sum())
+    counts = rng.multinomial(k, w)
     p1 = model.label_one_probabilities()
     ones = rng.binomial(counts, p1)
     return (counts - ones).astype(np.int64), ones.astype(np.int64)

@@ -201,30 +201,17 @@ class ExperimentConfig:
             jsonschema.validate(doc, CONFIG_SCHEMA)
         except jsonschema.ValidationError as e:
             raise ParameterError(f"config does not match the schema: {e.message}") from e
-        cspec = doc.get("class", {})
-        matrix = cspec.get("matrix")
-        weights = cspec.get("weights")
-        kwargs = dict(
-            class_name=cspec.get("generator", "thresholds"),
-            domain_size=cspec.get("size", 16),
-            matrix=tuple(tuple(row) for row in matrix) if matrix is not None else None,
-            weights=tuple(weights) if weights is not None else None,
-            target=cspec.get("target"),
-            eta=cspec.get("eta", 0.0),
-            algo=doc.get("algo", "cal"),
-            algos=tuple(doc.get("algos", ())),
-            eps=doc.get("epsilon", 0.05),
-            delta=doc.get("delta", 0.05),
-            rho=doc.get("rho", 0.1),
-            trials=doc.get("trials", 10),
-            b_seed=doc.get("b_seed", "01"),
-            data_seed=doc.get("data_seed", "02"),
-            b_policy=doc.get("b_policy", "per-trial"),
-            constants=Constants.from_mapping(doc.get("constants", {})),
-            theta_override=doc.get("theta_override"),
-            stream_accounting=doc.get("stream_accounting", False),
-            identical_sides=doc.get("identical_sides", False),
-        )
+        # only the keys the document has, so the field defaults are the only copy
+        renamed = {"generator": "class_name", "size": "domain_size", "epsilon": "eps"}
+        items = {**doc.get("class", {}), **doc}.items()
+        kwargs = {renamed.get(k, k): v for k, v in items if k != "class"}
+        if "matrix" in kwargs:
+            kwargs["matrix"] = tuple(tuple(row) for row in kwargs["matrix"])
+        for key in ("weights", "algos"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
+        if "constants" in kwargs:
+            kwargs["constants"] = Constants.from_mapping(kwargs["constants"])
         return cls(**kwargs)
 
     def to_dict(self) -> dict:

@@ -27,6 +27,7 @@ import numpy as np
 from .baselines import ROUND_CAP_FACTOR, Constants, RoundRecord, RunResult, _result
 from .core import (
     PROB_TOL,
+    DataModel,
     EmptyVersionSpaceError,
     HypothesisClass,
     ParameterError,
@@ -36,6 +37,7 @@ from .core import (
     VersionSpace,
     WrongSettingError,
     disagreement_mask,
+    disagreement_mass,
     empirical_errors_from_counts,
     region_hit_count,
     sample_labeled_counts,
@@ -296,8 +298,8 @@ def size_schedule(
 
 
 def _replicable_region_estimate(
-    problem: Problem,
-    space: VersionSpace,
+    model: DataModel,
+    region: np.ndarray,
     sq: SQParams,
     t_draws: int,
     rs: RandomString,
@@ -305,10 +307,9 @@ def _replicable_region_estimate(
     rng: np.random.Generator,
     counters: SampleCounters,
 ) -> float:
-    """Replicable estimate of the disagreement mass from t_draws fresh
-    unlabeled draws (t_draws >= 1, as the schedule guarantees)."""
-    mask = disagreement_mask(problem.hclass, space)
-    hits = region_hit_count(problem.model, mask, t_draws, rng, counters)
+    """Replicable estimate of a region's mass from t_draws fresh unlabeled
+    draws (t_draws >= 1, as the schedule guarantees)."""
+    hits = region_hit_count(model, region, t_draws, rng, counters)
     return rstat_answer_from_mean(sq, hits / t_draws, rs, label)
 
 
@@ -370,12 +371,13 @@ def run_replical(
     grid = build_grid(theta, rho, hclass.n_hypotheses, "realizable", shared, constants=constants)
     v = grid.threshold
     space = VersionSpace.full(hclass.n_hypotheses)
+    region = disagreement_mask(hclass, space)
     trace: list[RoundRecord] = []
     rounds = 0
     while True:
         est = _replicable_region_estimate(
-            problem,
-            space,
+            model,
+            region,
             sched.sq_loop,
             sched.t_unlabeled,
             shared,
@@ -390,13 +392,14 @@ def run_replical(
                 f"no exit after {rounds} rounds (bound {sched.n_max}); estimate still {est}"
             )
         count0, count1 = sample_labeled_counts(
-            hclass, model, space, sched.k, rng, counters, stream_accounting
+            model, region, sched.k, rng, counters, stream_accounting
         )
         errs = empirical_errors_from_counts(hclass, count0, count1)
         trace.append(
             RoundRecord(rounds, est, space.size, threshold=v, labels_so_far=counters.labels)
         )
         space = VersionSpace(space.members & (errs <= v + PROB_TOL))
+        region = disagreement_mask(hclass, space)
         rounds += 1
     chosen = _select_final(hclass, space, shared)
     return _result("replical", problem, chosen, space, counters, rounds, est, trace)
@@ -455,6 +458,7 @@ def run_replica2(
     )
     v = grid.threshold
     space = VersionSpace.full(hclass.n_hypotheses)
+    region = disagreement_mask(hclass, space)
     trace: list[RoundRecord] = []
     flags: list[str] = []
     rounds = 0
@@ -466,8 +470,8 @@ def run_replica2(
     else:
         while True:
             est = _replicable_region_estimate(
-                problem,
-                space,
+                model,
+                region,
                 sched.sq_loop,
                 sched.t_unlabeled,
                 shared,
@@ -483,7 +487,7 @@ def run_replica2(
                 )
             slack = 2.0 * nu / est + 1.0 / (16.0 * theta)
             count0, count1 = sample_labeled_counts(
-                hclass, model, space, sched.k, rng, counters, stream_accounting
+                model, region, sched.k, rng, counters, stream_accounting
             )
             errs = empirical_errors_from_counts(hclass, count0, count1)
             trace.append(
@@ -497,6 +501,7 @@ def run_replica2(
                 )
             )
             space = VersionSpace(space.members & (errs <= v + slack + PROB_TOL))
+            region = disagreement_mask(hclass, space)
             rounds += 1
     final_grid = build_grid(
         theta,
@@ -511,8 +516,8 @@ def run_replica2(
     )
     v_final = final_grid.threshold
     est_final = _replicable_region_estimate(
-        problem,
-        space,
+        model,
+        region,
         sched.sq_final,
         sched.t_final,
         shared,
@@ -524,10 +529,9 @@ def run_replica2(
         flags.append("final-estimate-zero")
     pre_size = space.size
     floor_final: Optional[float] = None
-    mask = disagreement_mask(hclass, space)
-    if float(model.weights[mask].sum()) > PROB_TOL:
+    if disagreement_mass(model, region) > PROB_TOL:
         count0, count1 = sample_labeled_counts(
-            hclass, model, space, sched.k_final, rng, counters, stream_accounting
+            model, region, sched.k_final, rng, counters, stream_accounting
         )
         errs = empirical_errors_from_counts(hclass, count0, count1)
         # the cut is measured from the best member, so the shared threshold

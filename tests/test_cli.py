@@ -155,6 +155,26 @@ def test_infinite_micro_spacing_is_parameter_error(capsys):
     assert "spacing" in err
 
 
+@pytest.mark.parametrize("command", ["theta", "pair"])
+def test_nan_weight_in_config_is_parameter_error(tmp_path, command):
+    # json reads NaN and the schema's minimum lets it through; a NaN weight
+    # once hung the geometry scan, so a child process with a timeout turns a
+    # hang into a failure instead of stalling the suite
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"class": {"generator": "thresholds", "size": 4, "weights": [NaN, 0.5, 0.25, 0.25]}}'
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "ralearn", command, "--config", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "weights" in proc.stderr
+
+
 def test_pair_stdout_is_bit_stable(capsys):
     argv = [
         "pair", "--class", "thresholds", "--domain-size", "16",

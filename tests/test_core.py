@@ -96,6 +96,21 @@ def test_model_weight_validation():
         ra.DataModel(np.array([0.5, -0.1, 0.3, 0.3]), h.row(0), np.zeros(4), None)
 
 
+@pytest.mark.parametrize(
+    "weights, flips",
+    [
+        ([np.nan, 0.5, 0.25, 0.25], [0.0] * 4),
+        ([0.25] * 4, [np.nan, 0.0, 0.0, 0.0]),
+        ([0.25] * 4, [0.0, np.inf, 0.0, 0.0]),
+    ],
+)
+def test_model_rejects_non_finite_values(weights, flips):
+    # NaN slips past range checks written as "reject if below 0", and a NaN
+    # distance never lets the coefficient scan advance
+    with pytest.raises(ra.ParameterError):
+        ra.DataModel(np.array(weights), ra.thresholds(4).row(0), np.array(flips), None)
+
+
 def test_realizable_target_bounds():
     h = ra.thresholds(4)
     with pytest.raises(ra.ParameterError):
@@ -202,22 +217,27 @@ def test_empty_sample_rejected(thresholds8):
 
 def test_singleton_space_has_empty_region(thresholds8, uniform8):
     space = ra.VersionSpace.from_indices([4], 9)
-    assert ra.disagreement_region(thresholds8, space).size == 0
-    assert ra.disagreement_mass(thresholds8, uniform8, space) == 0.0
+    assert np.flatnonzero(ra.disagreement_mask(thresholds8, space)).size == 0
+    assert ra.disagreement_mass(uniform8, ra.disagreement_mask(thresholds8, space)) == 0.0
 
 
 def test_full_thresholds_region_is_whole_domain():
     h = ra.thresholds(4)
     m = ra.DataModel.realizable(h, 2)
     space = ra.VersionSpace.full(5)
-    assert ra.disagreement_region(h, space).tolist() == [0, 1, 2, 3]
-    assert ra.disagreement_mass(h, m, space) == pytest.approx(1.0)
+    assert np.flatnonzero(ra.disagreement_mask(h, space)).tolist() == [0, 1, 2, 3]
+    assert ra.disagreement_mass(m, ra.disagreement_mask(h, space)) == pytest.approx(1.0)
+
+
+def test_disagreement_mass_rejects_a_region_of_another_domain(uniform8):
+    with pytest.raises(ra.ParameterError):
+        ra.disagreement_mass(uniform8, np.ones(9, dtype=bool))
 
 
 def test_duplicate_rows_disagree_nowhere():
     h = ra.explicit([[0, 1, 1], [0, 1, 1]])
     space = ra.VersionSpace.full(2)
-    assert ra.disagreement_region(h, space).size == 0
+    assert np.flatnonzero(ra.disagreement_mask(h, space)).size == 0
 
 
 def test_empty_version_space_rejected():
@@ -294,7 +314,7 @@ def test_thresholds_coefficient_against_radius_scan():
     for k in range(1, 9):
         r = k / 8
         ball = ra.error_ball(h, m, 4, r)
-        best = max(best, ra.disagreement_mass(h, m, ball) / r)
+        best = max(best, ra.disagreement_mass(m, ra.disagreement_mask(h, ball)) / r)
     assert ra.disagreement_coefficient(h, m, 4) == pytest.approx(best)
     assert best == pytest.approx(2.0)
 
@@ -328,7 +348,7 @@ def test_coefficient_matches_dense_radius_scan(seed):
     best = 0.0
     for r in sorted(set(float(x) for x in d if x > PROB_TOL)):
         ball = ra.error_ball(h, m, 0, r)
-        best = max(best, ra.disagreement_mass(h, m, ball) / r)
+        best = max(best, ra.disagreement_mass(m, ra.disagreement_mask(h, ball)) / r)
     assert ra.disagreement_coefficient(h, m, 0) == pytest.approx(best)
 
 
@@ -373,8 +393,8 @@ def test_subspace_region_is_contained(seed):
     big = ra.VersionSpace.from_indices(sorted(g.choice(6, size=4, replace=False).tolist()), 6)
     small_idx = sorted(g.choice(big.indices(), size=2, replace=False).tolist())
     small = ra.VersionSpace.from_indices(small_idx, 6)
-    inner = set(ra.disagreement_region(h, small).tolist())
-    outer = set(ra.disagreement_region(h, big).tolist())
+    inner = set(np.flatnonzero(ra.disagreement_mask(h, small)).tolist())
+    outer = set(np.flatnonzero(ra.disagreement_mask(h, big)).tolist())
     assert inner <= outer
 
 
@@ -447,23 +467,21 @@ def test_problem_sizing_theta_stands_in_for_zero():
 
 
 def test_conditional_sampling_needs_mass(thresholds8, uniform8, counters):
-    space = ra.VersionSpace.from_indices([4], 9)
+    region = ra.disagreement_mask(thresholds8, ra.VersionSpace.from_indices([4], 9))
     with pytest.raises(ra.ZeroMassRegionError):
-        ra.sample_labeled_counts(thresholds8, uniform8, space, 1, np.random.default_rng(0), counters)
+        ra.sample_labeled_counts(uniform8, region, 1, np.random.default_rng(0), counters)
 
 
 def test_zero_draws_leave_counters_alone(thresholds8, uniform8, counters):
-    space = ra.VersionSpace.full(9)
-    c0, c1 = ra.sample_labeled_counts(
-        thresholds8, uniform8, space, 0, np.random.default_rng(0), counters
-    )
+    region = ra.disagreement_mask(thresholds8, ra.VersionSpace.full(9))
+    c0, c1 = ra.sample_labeled_counts(uniform8, region, 0, np.random.default_rng(0), counters)
     assert int(c0.sum() + c1.sum()) == 0
     assert counters.labels == 0 and counters.unlabeled == 0
 
 
 def test_label_counter_tracks_draws(thresholds8, uniform8, counters):
-    space = ra.VersionSpace.full(9)
-    ra.sample_labeled_counts(thresholds8, uniform8, space, 12, np.random.default_rng(0), counters)
+    region = ra.disagreement_mask(thresholds8, ra.VersionSpace.full(9))
+    ra.sample_labeled_counts(uniform8, region, 12, np.random.default_rng(0), counters)
     assert counters.labels == 12
 
 
@@ -478,7 +496,8 @@ def test_conditional_frequencies_match_renormalized_weights():
     # h2 and h4 split only on {2,3}; conditional law is uniform on those two
     space = ra.VersionSpace.from_indices([1, 3], 5)
     counters = ra.SampleCounters()
-    c0, c1 = ra.sample_labeled_counts(h, m, space, 100_000, np.random.default_rng(5), counters)
+    region = ra.disagreement_mask(h, space)
+    c0, c1 = ra.sample_labeled_counts(m, region, 100_000, np.random.default_rng(5), counters)
     hits = c0 + c1
     assert hits[0] == 0 and hits[3] == 0
     three_sigma = 3 * np.sqrt(100_000 * 0.25)
@@ -491,7 +510,8 @@ def test_point_mass_sampling_is_deterministic():
     m = ra.DataModel(np.array([0.0, 1.0, 0.0, 0.0]), h.row(2), np.zeros(4), 2)
     counters = ra.SampleCounters()
     space = ra.VersionSpace.full(5)
-    c0, c1 = ra.sample_labeled_counts(h, m, space, 50, np.random.default_rng(1), counters)
+    region = ra.disagreement_mask(h, space)
+    c0, c1 = ra.sample_labeled_counts(m, region, 50, np.random.default_rng(1), counters)
     # every draw lands on point 1, whose label is h3's prediction there (0)
     assert c0.tolist() == [0, 50, 0, 0]
     assert c1.tolist() == [0, 0, 0, 0]
@@ -503,7 +523,7 @@ def test_labeled_counts_agree_with_point_sampler(thresholds8, counters):
     space = ra.VersionSpace.from_indices([1, 4, 6], 9)  # region {1, ..., 5}
     mask = ra.disagreement_mask(thresholds8, space)
     k = 40_000
-    c0, c1 = ra.sample_labeled_counts(thresholds8, m, space, k, np.random.default_rng(9), counters)
+    c0, c1 = ra.sample_labeled_counts(m, mask, k, np.random.default_rng(9), counters)
     assert int(c0.sum() + c1.sum()) == k
     assert counters.labels == k
     o0, o1 = _label_counts(*_point_sample(m, mask, k, np.random.default_rng(10)), 8)
@@ -522,8 +542,8 @@ def test_stream_accounting_charges_rejections(thresholds8, uniform8):
     space = ra.VersionSpace.from_indices([3, 4, 5], 9)  # region mass 2/8
     counters = ra.SampleCounters()
     ra.sample_labeled_counts(
-        thresholds8, uniform8, space, 100, np.random.default_rng(2), counters,
-        stream_accounting=True,
+        uniform8, ra.disagreement_mask(thresholds8, space), 100, np.random.default_rng(2),
+        counters, stream_accounting=True,
     )
     assert counters.labels == 100
     # roughly 3 rejections per hit at mass 1/4; just require a positive charge

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -316,9 +317,9 @@ def test_paired_batch_replays_exactly():
     assert first.to_jsonable() == second.to_jsonable()
 
 
-def _count_geometry(monkeypatch) -> list:
+def _count_calls(monkeypatch, name) -> list:
     calls = []
-    original = core.disagreement_coefficient
+    original = getattr(core, name)
 
     def counting(*args):
         calls.append(args)
@@ -326,12 +327,13 @@ def _count_geometry(monkeypatch) -> list:
 
     # every module that binds the name, so a learner calling it is counted too
     for module in (core, baselines, replicable, harness):
-        monkeypatch.setattr(module, "disagreement_coefficient", counting)
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_batch_computes_the_geometry_once(monkeypatch):
-    calls = _count_geometry(monkeypatch)
+    calls = _count_calls(monkeypatch, "disagreement_coefficient")
     cfg = _cal_cfg(trials=5)
     hclass, model = build_problem(cfg)
     outcomes = list(iter_paired_runs(cfg, hclass, model))
@@ -342,10 +344,23 @@ def test_batch_computes_the_geometry_once(monkeypatch):
 
 def test_run_paired_trials_computes_the_geometry_once(monkeypatch):
     # the report's theta and nu come from the same Problem the pairs use
-    calls = _count_geometry(monkeypatch)
+    calls = _count_calls(monkeypatch, "disagreement_coefficient")
     report = run_paired_trials(_cal_cfg(trials=5))
     assert report.pairs == 5 and not report.failure_counts
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("algo", ["cal", "a2", "replical", "replica2"])
+def test_learners_derive_one_region_per_version_space(monkeypatch, algo):
+    # the guard, the mass estimate and the sampler share one mask per version
+    # space; theta 1.0 puts replica2's loop guard 16 * theta * nu below 1
+    calls = _count_calls(monkeypatch, "disagreement_mask")
+    cfg = replace(GOLDEN_BATCHES[algo], theta_override=1.0)
+    problem = ra.Problem(*build_problem(cfg), cfg.theta_override)
+    shared, rng = ra.RandomString(cfg.b_seed), data_stream(cfg.data_seed, 0, 0)
+    result = harness.LEARNERS[algo](problem, cfg, shared, rng)
+    assert result.rounds >= 1
+    assert len(calls) == result.rounds + 1
 
 
 def test_invalid_theta_override_stops_the_batch():
