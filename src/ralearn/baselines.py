@@ -203,12 +203,10 @@ def run_passive_erm(
     hclass, model = problem.hclass, problem.model
     m = erm_sample_size(hclass.n_hypotheses, eps, delta, constants)
     # full version space: labels come from D itself, not a conditional region
-    counters.labels += m
-    point_counts = rng.multinomial(m, model.weights / model.weights.sum())
-    ones = rng.binomial(point_counts, model.label_one_probabilities())
-    errs = empirical_errors_from_counts(
-        hclass, (point_counts - ones).astype(np.int64), ones.astype(np.int64)
+    count0, count1 = sample_labeled_counts(
+        model, np.ones(hclass.domain_size, dtype=bool), m, rng, counters
     )
+    errs = empirical_errors_from_counts(hclass, count0, count1)
     best = int(np.argmin(errs))
     return _result(
         "erm",

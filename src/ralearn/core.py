@@ -6,7 +6,9 @@ hypothesis.  Because everything is finite and explicit, error rates,
 disagreement masses, and the disagreement coefficient are computed exactly by
 summation.  A version space's disagreement region is a boolean mask over the
 domain; learners derive it once per version space and hand it to
-``disagreement_mass`` and to the samplers.  The two samplers at the bottom
+``disagreement_mass`` and to the samplers.  Empirical errors are scored over
+the observed columns only when the sample is sparse, and exactly, since all
+their arithmetic is on integers below 2**53.  The two samplers at the bottom
 are the only stochastic piece; they draw counts from the model inside a given
 region through a caller-owned numpy Generator so every source of randomness
 in an experiment is explicit.
@@ -21,6 +23,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 PROB_TOL = 1e-12
+
+# the built-in generators refuse a class of more cells (bytes) than this
+MAX_CLASS_CELLS = 2**25
+
+# elimination casts the 0/1 class to float64 in row blocks of at most this
+# many cells (1 MB)
+_BLOCK_CELLS = 2**17
 
 
 class ParameterError(ValueError):
@@ -101,6 +110,7 @@ class DataModel:
     base_labels: np.ndarray
     flip_rates: np.ndarray
     target_index: Optional[int] = None
+    _label_one: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
@@ -119,7 +129,11 @@ class DataModel:
         # written as membership so a NaN rate is rejected too
         if not np.all((f >= 0) & (f <= 1)):
             raise ParameterError("flip rates must lie in [0, 1]")
-        for name, arr in (("weights", w), ("base_labels", b), ("flip_rates", f)):
+        bf = b.astype(np.float64)
+        p1 = bf * (1.0 - f) + (1.0 - bf) * f
+        for name, arr in (
+            ("weights", w), ("base_labels", b), ("flip_rates", f), ("_label_one", p1)
+        ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -157,9 +171,8 @@ class DataModel:
         return self.weights.shape[0]
 
     def label_one_probabilities(self) -> np.ndarray:
-        """P[label = 1 | x] for every domain point."""
-        b = self.base_labels.astype(np.float64)
-        return b * (1.0 - self.flip_rates) + (1.0 - b) * self.flip_rates
+        """P[label = 1 | x] for every domain point (read-only, computed once)."""
+        return self._label_one
 
 
 def uniform_weights(n: int) -> np.ndarray:
@@ -255,12 +268,29 @@ def empirical_errors_from_counts(
 
     A hypothesis errs on a draw when it predicts 1 where label 0 was seen or
     vice versa, so the mistake count is a single matrix-vector product.
+
+    A sample of ``total`` draws touches at most ``total`` points, so when
+    that is at most a quarter of the domain the product runs over the seen
+    columns only.  The 0/1 matrix is multiplied one row block at a time, so
+    numpy casts at most ``_BLOCK_CELLS`` cells to float64 at once, never the
+    whole class.  The result is exact: every operand is an integer and every
+    partial sum is at most ``total`` in magnitude, so for any sample of fewer
+    than 2**53 draws every column subset and summation order gives the same
+    bits.
     """
     total = int(count_zero.sum() + count_one.sum())
     if total == 0:
         raise ParameterError("empirical error of an empty sample is undefined")
-    pred = hclass.predictions.astype(np.float64)
-    mistakes = pred @ (count_zero - count_one).astype(np.float64) + float(count_one.sum())
+    pred = hclass.predictions
+    diff = (count_zero - count_one).astype(np.float64)
+    if 4 * total <= pred.shape[1]:
+        seen = np.flatnonzero(count_zero + count_one)
+        pred, diff = pred[:, seen], diff[seen]
+    rows = max(1, _BLOCK_CELLS // diff.size)
+    mistakes = np.empty(pred.shape[0])
+    for i in range(0, pred.shape[0], rows):
+        np.matmul(pred[i : i + rows], diff, out=mistakes[i : i + rows])
+    mistakes += float(count_one.sum())
     return mistakes / total
 
 
@@ -455,6 +485,15 @@ def sample_labeled_counts(
 # built-in class generators
 
 
+def _check_class_cells(rows: int, n: int) -> None:
+    # checked before anything is built, so an oversized request costs nothing
+    if rows * n > MAX_CLASS_CELLS:
+        raise ParameterError(
+            f"class of {rows} hypotheses on {n} points has {rows * n} cells, "
+            f"more than the cap of {MAX_CLASS_CELLS}"
+        )
+
+
 def thresholds(n: int) -> HypothesisClass:
     """Threshold rules on an ordered domain of ``n`` points.
 
@@ -464,6 +503,7 @@ def thresholds(n: int) -> HypothesisClass:
     """
     if n < 1:
         raise ParameterError("domain size must be positive")
+    _check_class_cells(n + 1, n)
     pred = np.triu(np.ones((n + 1, n), dtype=np.uint8))
     names = tuple(f"h{t}" for t in range(1, n + 2))
     return HypothesisClass(pred, names)
@@ -473,6 +513,7 @@ def intervals(n: int) -> HypothesisClass:
     """Interval rules on an ordered domain: 1 inside [a, b], plus the empty rule."""
     if n < 1:
         raise ParameterError("domain size must be positive")
+    _check_class_cells(n * (n + 1) // 2 + 1, n)
     rows = [np.zeros(n, dtype=np.uint8)]
     names = ["empty"]
     for a in range(1, n + 1):
@@ -493,6 +534,7 @@ def worst_case(n: int) -> HypothesisClass:
     """
     if n < 1:
         raise ParameterError("construction size must be positive")
+    _check_class_cells(n + 1, n)
     pred = np.vstack([np.zeros(n, dtype=np.uint8), np.eye(n, dtype=np.uint8)])
     names = ("target",) + tuple(f"flip{i}" for i in range(1, n + 1))
     return HypothesisClass(pred, names)

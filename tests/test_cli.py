@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -144,6 +145,20 @@ def test_negative_theta_is_parameter_error(capsys):
     assert code == 3
     assert out == ""
     assert "theta" in err
+
+
+def test_oversized_class_is_parameter_error(capsys):
+    # intervals(5000) would ask for about 62 GB; it is refused before any of it
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, ["theta", "--class", "intervals", "--domain-size", "5000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert "cells" in err
+    assert peak < 2**20
 
 
 def test_infinite_micro_spacing_is_parameter_error(capsys):

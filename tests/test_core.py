@@ -1,10 +1,14 @@
 """Exact-quantity oracles for classes, models, distances, and sampling."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ralearn as ra
+from ralearn import core
 from ralearn.core import PROB_TOL
 
 
@@ -19,6 +23,17 @@ def _point_sample(model, mask, k, rng):
     points = rng.choice(model.domain_size, size=k, p=ra.conditional_weights(model, mask))
     labels = (rng.random(k) < model.label_one_probabilities()[points]).astype(np.uint8)
     return points, labels
+
+
+def _peak_bytes(fn):
+    """``fn()`` and the peak traced allocation while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def _label_counts(points, labels, n):
@@ -59,6 +74,20 @@ def test_intervals_count():
     # empty concept plus one concept per pair a <= b
     assert h.n_hypotheses == 1 + 4 * 5 // 2
     assert h.row(0).sum() == 0
+
+
+@pytest.mark.parametrize(
+    "generator, n", [(ra.thresholds, 8192), (ra.intervals, 5000), (ra.worst_case, 8192)]
+)
+def test_oversized_class_is_refused_before_allocation(generator, n):
+    # each class would hold more than MAX_CLASS_CELLS cells (intervals(5000)
+    # about 62 GB); the refusal must come before any of it is built
+    def build():
+        with pytest.raises(ra.ParameterError, match="cells"):
+            generator(n)
+
+    _, peak = _peak_bytes(build)
+    assert peak < 2**20
 
 
 def test_explicit_rejects_non_binary():
@@ -203,6 +232,53 @@ def test_empirical_errors_from_counts_match_sample(thresholds8):
     # mistake rate of every hypothesis over the materialized sample
     via_sample = np.mean(thresholds8.predictions[:, pts] != labels, axis=1)
     assert np.allclose(via_counts, via_sample)
+
+
+def _integer_errors(hclass, c0, c1):
+    """Empirical errors recounted in int64, divided once at the end."""
+    total = int(c0.sum() + c1.sum())
+    return (hclass.predictions.astype(np.int64) @ (c0 - c1) + c1.sum()) / total
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_h=st.integers(1, 40),
+    n_x=st.integers(1, 300),
+    draws=st.one_of(st.none(), st.integers(1, 75), st.integers(76, 3000)),
+    block=st.sampled_from([1, 7, None]),
+)
+@settings(max_examples=150, deadline=None)
+def test_empirical_errors_equal_an_integer_recount(seed, n_h, n_x, draws, block):
+    # a sample of ``draws`` points lands on either side of the sparse
+    # cut-over (4 * draws <= n_x); ``draws=None`` puts counts near 2**40 in
+    # about half the cells; small blocks split the class into many row blocks,
+    # and ``block=None`` keeps the module's own block size
+    g = np.random.default_rng(seed)
+    h = _random_class(seed, n_h, n_x)
+    if draws is None:
+        c0, c1 = g.integers(0, 2, (2, n_x)) * (2**40 - g.integers(0, 2**20, (2, n_x)))
+        c0[0] += 1
+    else:
+        counts = g.multinomial(draws, np.full(n_x, 1.0 / n_x))
+        c1 = g.binomial(counts, 0.5)
+        c0 = counts - c1
+    with mock.patch.object(core, "_BLOCK_CELLS", block or core._BLOCK_CELLS):
+        errs = ra.empirical_errors_from_counts(h, c0, c1)
+    assert errs.tobytes() == _integer_errors(h, c0, c1).tobytes()
+
+
+@pytest.mark.parametrize("draws", [49, 1986])
+def test_elimination_casts_one_row_block_at_a_time(draws):
+    # 49 draws is a cal round (sparse columns), 1986 the erm sample (dense);
+    # a whole float64 copy of thresholds(1024) would be 8.4 MB
+    h = ra.thresholds(1024)
+    model = ra.DataModel.realizable(h, 512)
+    c0, c1 = ra.sample_labeled_counts(
+        model, np.ones(1024, dtype=bool), draws, np.random.default_rng(0), ra.SampleCounters()
+    )
+    errs, peak = _peak_bytes(lambda: ra.empirical_errors_from_counts(h, c0, c1))
+    assert peak < 2 * 2**20
+    assert errs.tobytes() == _integer_errors(h, c0, c1).tobytes()
 
 
 def test_empty_sample_rejected(thresholds8):
