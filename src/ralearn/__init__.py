@@ -33,9 +33,7 @@ from .core import (
     disagreement_mass,
     distances_from,
     empirical_errors_from_counts,
-    error_ball,
     explicit,
-    hypothesis_distance,
     intervals,
     noise_rate,
     region_hit_count,

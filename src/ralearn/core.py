@@ -308,26 +308,11 @@ def disagreement_mass(model: DataModel, region: np.ndarray) -> float:
     return float(model.weights[mask].sum())
 
 
-def hypothesis_distance(hclass: HypothesisClass, model: DataModel, h1: int, h2: int) -> float:
-    """Mass of the points where two hypotheses predict differently."""
-    return disagreement_mass(model, hclass.row(h1) != hclass.row(h2))
-
-
 def distances_from(hclass: HypothesisClass, model: DataModel, center: int) -> np.ndarray:
     """Distance of every hypothesis from ``center``."""
     _check_same_domain(hclass, model)
     diff = hclass.predictions != hclass.row(center)
     return diff.astype(np.float64) @ model.weights
-
-
-def error_ball(
-    hclass: HypothesisClass, model: DataModel, center: int, radius: float
-) -> VersionSpace:
-    """All hypotheses within ``radius`` of ``center`` (always contains it)."""
-    if radius < 0:
-        raise ParameterError("ball radius must be nonnegative")
-    d = distances_from(hclass, model, center)
-    return VersionSpace(d <= radius + PROB_TOL)
 
 
 def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: int) -> float:

@@ -12,10 +12,12 @@ import csv
 import io
 import json
 import math
+import numbers
+import operator
+import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
-import jsonschema
 import numpy as np
 
 from .baselines import Constants, RunResult, run_a2, run_cal, run_passive_erm
@@ -120,6 +122,68 @@ CONFIG_SCHEMA = {
     },
 }
 
+# JSON Schema's types; a bool is not a number, and 1.0 is an integer
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool)
+    and (isinstance(v, int) or (isinstance(v, float) and v.is_integer())),
+}
+# (keyword, violated(value, bound), wording); NaN violates none of them
+_BOUNDS = (
+    ("minimum", operator.lt, "less than the minimum of"),
+    ("maximum", operator.gt, "greater than the maximum of"),
+    ("exclusiveMinimum", operator.le, "less than or equal to the minimum of"),
+    ("exclusiveMaximum", operator.ge, "greater than or equal to the maximum of"),
+)
+
+
+def _schema_error(path: str, why: str) -> ParameterError:
+    return ParameterError(f"config does not match the schema: {path}: {why}")
+
+
+def _check_schema(value, schema: dict, path: str) -> None:
+    """Raise ParameterError naming ``path`` where ``value`` breaks ``schema``.
+
+    Covers the draft 2020-12 keywords CONFIG_SCHEMA uses and no others.
+    """
+    if "type" in schema:
+        names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if not any(_IS_TYPE[name](value) for name in names):
+            raise _schema_error(path, f"{value!r} is not of type {' or '.join(names)}")
+    # enum equality, except that a bool never equals 0 or 1
+    if "enum" in schema and not any(
+        value == e and isinstance(value, bool) == isinstance(e, bool) for e in schema["enum"]
+    ):
+        raise _schema_error(path, f"{value!r} is not one of {schema['enum']!r}")
+    if _IS_TYPE["number"](value):
+        for key, violated, wording in _BOUNDS:
+            if key in schema and violated(value, schema[key]):
+                raise _schema_error(path, f"{value!r} is {wording} {schema[key]!r}")
+    if isinstance(value, str) and "pattern" in schema and not re.search(schema["pattern"], value):
+        raise _schema_error(path, f"{value!r} does not match {schema['pattern']!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise _schema_error(path, f"{value!r} has fewer than {schema['minItems']} items")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check_schema(item, schema["items"], f"{path}[{i}]")
+    if isinstance(value, dict):
+        known = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            if key in known:
+                _check_schema(item, known[key], f"{path}.{key}")
+            elif extra is False:
+                raise _schema_error(f"{path}.{key}", "unknown key")
+            elif extra is not True:
+                _check_schema(item, extra, f"{path}.{key}")
+
+
 CSV_COLUMNS = (
     "trial",
     "algo",
@@ -196,11 +260,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Build from a schema-validated JSON document."""
-        try:
-            jsonschema.validate(doc, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as e:
-            raise ParameterError(f"config does not match the schema: {e.message}") from e
+        """Build from a JSON document that CONFIG_SCHEMA accepts.
+
+        The document is checked in-house with draft 2020-12 semantics for
+        exactly the keywords CONFIG_SCHEMA uses: ``type``, ``enum``,
+        ``minimum``, ``maximum``, ``exclusiveMinimum``, ``exclusiveMaximum``,
+        ``minItems``, ``items``, ``pattern``, ``properties`` and
+        ``additionalProperties``.  A mismatch raises ParameterError naming
+        the offending path, such as ``config.class.size``.
+        """
+        _check_schema(doc, CONFIG_SCHEMA, "config")
         # only the keys the document has, so the field defaults are the only copy
         renamed = {"generator": "class_name", "size": "domain_size", "epsilon": "eps"}
         items = {**doc.get("class", {}), **doc}.items()

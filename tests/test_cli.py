@@ -1,15 +1,19 @@
 """Command-line interface: exit codes, output formats, config plumbing."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from ralearn.cli import main
 from ralearn.harness import SWEEP_COLUMNS
 from ralearn.rstat import exact_agreement_probability
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, argv):
@@ -188,6 +192,34 @@ def test_nan_weight_in_config_is_parameter_error(tmp_path, command):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "weights" in proc.stderr
+
+
+def test_schema_error_is_parameter_error_in_a_child_process(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"epsilon": true}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "ralearn", "pair", "--config", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "epsilon" in proc.stderr
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    # configs are validated in-house; jsonschema is a test dependency only
+    proc = subprocess.run(
+        [sys.executable, "-c", "import ralearn.cli, sys; print('jsonschema' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_pair_stdout_is_bit_stable(capsys):

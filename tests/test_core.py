@@ -25,6 +25,16 @@ def _point_sample(model, mask, k, rng):
     return points, labels
 
 
+def _hypothesis_distance(hclass, model, h1, h2):
+    """Oracle: mass of the points where two hypotheses predict differently."""
+    return ra.disagreement_mass(model, hclass.row(h1) != hclass.row(h2))
+
+
+def _error_ball(hclass, model, center, radius):
+    """Oracle: all hypotheses within ``radius`` of ``center``."""
+    return ra.VersionSpace(ra.distances_from(hclass, model, center) <= radius + PROB_TOL)
+
+
 def _peak_bytes(fn):
     """``fn()`` and the peak traced allocation while it ran."""
     tracemalloc.start()
@@ -334,34 +344,34 @@ def test_version_space_from_indices_roundtrip():
 def test_distance_is_zero_on_equal_rows():
     h = ra.explicit([[0, 1, 0, 1], [0, 1, 0, 1]])
     m = ra.DataModel.realizable(h, 0)
-    assert ra.hypothesis_distance(h, m, 0, 1) == 0.0
+    assert _hypothesis_distance(h, m, 0, 1) == 0.0
 
 
 def test_distance_of_complementary_rows_is_one():
     h = ra.explicit([[0, 1, 0, 1], [1, 0, 1, 0]])
     m = ra.DataModel.realizable(h, 0)
-    assert ra.hypothesis_distance(h, m, 0, 1) == pytest.approx(1.0)
+    assert _hypothesis_distance(h, m, 0, 1) == pytest.approx(1.0)
 
 
 def test_distance_three_eighths(thresholds8, uniform8):
     # h3 and h6 differ on {3,4,5}
-    assert ra.hypothesis_distance(thresholds8, uniform8, 2, 5) == pytest.approx(3 / 8)
+    assert _hypothesis_distance(thresholds8, uniform8, 2, 5) == pytest.approx(3 / 8)
 
 
 def test_ball_at_zero_radius_is_exact_row_match(thresholds8, uniform8):
-    ball = ra.error_ball(thresholds8, uniform8, 4, 0.0)
+    ball = _error_ball(thresholds8, uniform8, 4, 0.0)
     assert ball.indices().tolist() == [4]
 
 
 def test_ball_at_radius_one_is_everything(thresholds8, uniform8):
-    ball = ra.error_ball(thresholds8, uniform8, 4, 1.0)
+    ball = _error_ball(thresholds8, uniform8, 4, 1.0)
     assert ball.size == 9
 
 
 def test_worst_case_ball_at_critical_radius():
     h = ra.worst_case(16)
     m = ra.DataModel.realizable(h, 0)
-    ball = ra.error_ball(h, m, 0, 1 / 16)
+    ball = _error_ball(h, m, 0, 1 / 16)
     assert ball.size == 17
 
 
@@ -389,7 +399,7 @@ def test_thresholds_coefficient_against_radius_scan():
     best = 0.0
     for k in range(1, 9):
         r = k / 8
-        ball = ra.error_ball(h, m, 4, r)
+        ball = _error_ball(h, m, 4, r)
         best = max(best, ra.disagreement_mass(m, ra.disagreement_mask(h, ball)) / r)
     assert ra.disagreement_coefficient(h, m, 4) == pytest.approx(best)
     assert best == pytest.approx(2.0)
@@ -423,7 +433,7 @@ def test_coefficient_matches_dense_radius_scan(seed):
     d = ra.distances_from(h, m, 0)
     best = 0.0
     for r in sorted(set(float(x) for x in d if x > PROB_TOL)):
-        ball = ra.error_ball(h, m, 0, r)
+        ball = _error_ball(h, m, 0, r)
         best = max(best, ra.disagreement_mass(m, ra.disagreement_mask(h, ball)) / r)
     assert ra.disagreement_coefficient(h, m, 0) == pytest.approx(best)
 
@@ -440,13 +450,13 @@ def test_distance_metric_axioms(seed):
     m = ra.DataModel.realizable(h, 0)
     n = h.n_hypotheses
     a, b, c = g.integers(0, n, size=3)
-    dab = ra.hypothesis_distance(h, m, a, b)
-    dba = ra.hypothesis_distance(h, m, b, a)
-    dac = ra.hypothesis_distance(h, m, a, c)
-    dcb = ra.hypothesis_distance(h, m, c, b)
+    dab = _hypothesis_distance(h, m, a, b)
+    dba = _hypothesis_distance(h, m, b, a)
+    dac = _hypothesis_distance(h, m, a, c)
+    dcb = _hypothesis_distance(h, m, c, b)
     assert dab == pytest.approx(dba)
     assert dab <= dac + dcb + 1e-12
-    assert ra.hypothesis_distance(h, m, a, a) == 0.0
+    assert _hypothesis_distance(h, m, a, a) == 0.0
 
 
 @given(seed=st.integers(0, 2**32 - 1), radius=st.floats(0, 1))
@@ -455,7 +465,7 @@ def test_ball_membership_is_distance_cut(seed, radius):
     g = np.random.default_rng(seed)
     h = _random_class(seed, int(g.integers(2, 8)), int(g.integers(2, 6)))
     m = ra.DataModel.realizable(h, 0)
-    ball = set(ra.error_ball(h, m, 0, radius).indices().tolist())
+    ball = set(_error_ball(h, m, 0, radius).indices().tolist())
     d = ra.distances_from(h, m, 0)
     for i in range(h.n_hypotheses):
         assert (i in ball) == (d[i] <= radius + PROB_TOL)

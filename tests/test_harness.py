@@ -2,16 +2,21 @@
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import replace
 from types import SimpleNamespace
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ralearn as ra
 from ralearn import baselines, core, harness, replicable
 from ralearn.harness import (
+    ALGORITHMS,
+    CONFIG_SCHEMA,
     CSV_COLUMNS,
     SWEEP_COLUMNS,
     ExperimentConfig,
@@ -135,6 +140,103 @@ def test_from_dict_rejects_zero_size():
 def test_from_dict_rejects_unknown_constant():
     with pytest.raises(ra.ParameterError):
         ExperimentConfig.from_dict({"constants": {"c_bogus": 1.0}})
+
+
+def test_schema_error_names_the_offending_path():
+    with pytest.raises(ra.ParameterError, match=r"class\.size"):
+        ExperimentConfig.from_dict({"class": {"size": 0}})
+
+
+# near-valid config documents: the default config with a few keys replaced by
+# values that sit on either side of a schema rule
+_OTHER = st.sampled_from([None, "", "1", [], [0], {}, {"c_cal": 1}, -0.5, 3, True])
+_EDGES = st.sampled_from(
+    [True, False, 0, 1, 0.0, 1.0, 0.5, -1, 2**60, 2.0**60, math.nan, math.inf, -math.inf]
+)
+_NUMBERS = _EDGES | st.integers(-9, 9) | st.integers(-9, 9).map(lambda i: i / 4)
+_SEEDS = st.sampled_from(["08", "0x", "0x1f", "0X1f", "1f\n", "zz", "", " 1"]) | st.text(
+    "0x1fgX\n ", max_size=4
+)
+_MATRICES = st.sampled_from(
+    [[], [[]], [[0, 1], [1]], [[0, 2]], [[0, 1], [1, 0]], [[1.0, 0]], [[True, 0]], [[0, 1], "01"]]
+)
+_NAMES = st.sampled_from([*ALGORITHMS, "nope", True, 1])
+_CLASS_VALUES = {
+    "generator": st.sampled_from(["thresholds", "explicit", "nope", 0]),
+    "size": _NUMBERS,
+    "eta": _NUMBERS,
+    "target": _NUMBERS | st.none(),
+    "weights": st.lists(_NUMBERS | st.text(max_size=1), max_size=3),
+    "matrix": _MATRICES,
+    "bogus": _OTHER,
+}
+_TOP_VALUES = {
+    "epsilon": _NUMBERS,
+    "delta": _NUMBERS,
+    "rho": _NUMBERS,
+    "trials": _NUMBERS,
+    "theta_override": _NUMBERS | st.none(),
+    "algo": _NAMES,
+    "algos": st.lists(_NAMES, max_size=2),
+    "b_seed": _SEEDS,
+    "data_seed": _SEEDS,
+    "b_policy": st.sampled_from(["per-trial", "fixed", "shared", None]),
+    "constants": st.dictionaries(
+        st.sampled_from(["c_cal", "c_bogus"]), _NUMBERS | st.text(max_size=2) | _OTHER, max_size=2
+    ),
+    "stream_accounting": st.booleans() | _EDGES,
+    "identical_sides": st.booleans() | _EDGES,
+    "bogus": _OTHER,
+}
+_EDITS = st.lists(
+    st.one_of(
+        *(
+            st.tuples(st.just(level), st.just(key), values[key] | _OTHER)
+            for level, values in (("class", _CLASS_VALUES), ("top", _TOP_VALUES))
+            for key in sorted(values)
+        )
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def _near_valid_docs(draw):
+    doc = ExperimentConfig().to_dict()
+    for level, key, value in draw(_EDITS):
+        (doc["class"] if level == "class" else doc)[key] = value
+    return draw(_OTHER) if draw(st.integers(0, 49)) == 0 else doc
+
+
+_REFERENCE = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
+@given(doc=_near_valid_docs())
+@settings(max_examples=2000, deadline=None)
+def test_schema_check_agrees_with_jsonschema(doc):
+    try:
+        harness._check_schema(doc, CONFIG_SCHEMA, "config")
+        accepted = True
+    except ra.ParameterError:
+        accepted = False
+    assert accepted == _REFERENCE.is_valid(doc)
+
+
+def test_schema_uses_only_checked_keywords():
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    checked = {
+        "$schema", "type", "enum", "minimum", "maximum", "exclusiveMinimum",
+        "exclusiveMaximum", "minItems", "items", "pattern", "properties",
+        "additionalProperties",
+    }
+    nodes, used = [CONFIG_SCHEMA], set()
+    while nodes:
+        node = nodes.pop()
+        used |= set(node)
+        nodes.extend(node.get("properties", {}).values())
+        subs = (node.get("items"), node.get("additionalProperties"))
+        nodes.extend(n for n in subs if isinstance(n, dict))
+    assert used <= checked
 
 
 def test_roundtrip_default_config():
