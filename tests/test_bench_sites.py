@@ -1,12 +1,19 @@
-"""The benchmark's patch points: every library name it wraps is bound, and
-wrapping then restoring leaves every name as it was."""
+"""The benchmark's patch points and its seed-0 results.
 
+Every library name the benchmark wraps is bound, and wrapping then restoring
+leaves every name as it was.  The report CSVs of two seed-0 workloads are
+pinned by sha256, so a change that claims the benchmark's results did not
+move is checked here.
+"""
+
+import hashlib
 import importlib
+import os
 from pathlib import Path
 
 import pytest
 
-from ralearn.harness import ExperimentConfig
+from ralearn.harness import ExperimentConfig, report_csv, run_paired_trials
 from ralearn.randomness import RandomString
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -55,3 +62,26 @@ def test_install_then_restore_gives_every_name_back(spans):
     finally:
         recorder.restore()
     assert _replaced(owners, before) == []
+
+
+# report CSV sha256 of each workload's seed-0 batch, as bench/run.py builds it
+BENCH_SEED0_DIGESTS = {
+    "cal-t1024": "792da83c466e6f9eacc73ed51492561954291b5938bc8d756465e4c34d03186a",
+    "replical-i48": "4b41392e9f7d57c52cc1989c624b8bd5c20477607afd2097a064dd0673e6fc7b",
+}
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    # importing run.py pins OPENBLAS_NUM_THREADS; the fixture puts it back
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("run")
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SEED0_DIGESTS))
+def test_bench_seed0_report_is_pinned(bench_run, name):
+    workload = bench_run.WORKLOADS[name]
+    cfg = ExperimentConfig.from_dict(bench_run.config_doc(workload, 0, workload.pairs))
+    text = report_csv(run_paired_trials(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCH_SEED0_DIGESTS[name]
