@@ -89,7 +89,6 @@ from .rstat import (
     pair_agreement_exact,
     replicability_failure_bound,
     required_sample_size,
-    rstat_answer,
     rstat_answer_from_mean,
     snap_to_grid,
 )

@@ -263,7 +263,7 @@ def run_cal(
     n_max = cal_round_bound(eps)
     k = cal_sample_size(hclass.n_hypotheses, problem.sizing_theta, eps, delta, constants)
     space = VersionSpace.full(hclass.n_hypotheses)
-    region = disagreement_mask(hclass, space)
+    region = problem.region
     trace: list[RoundRecord] = []
     rounds = 0
     while True:
@@ -278,7 +278,7 @@ def run_cal(
             RoundRecord(rounds, dmass, space.size, threshold=0.0, labels_so_far=counters.labels)
         )
         count0, count1 = sample_labeled_counts(model, region, k, rng, counters, stream_accounting)
-        errs = empirical_errors_from_counts(hclass, count0, count1)
+        errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
         # mistakes are integer counts, so any inconsistency puts the error at >= 1/k
         space = VersionSpace(space.members & (errs <= PROB_TOL))
         region = disagreement_mask(hclass, space)
@@ -328,7 +328,7 @@ def run_a2(
     k = int(math.ceil(constants.c_a2 * t_size**2 * math.log(n_c * n_loop / delta_round)))
     radius = math.sqrt(math.log(2.0 * n_c / delta_round) / (2.0 * k))
     space = VersionSpace.full(n_c)
-    region = disagreement_mask(hclass, space)
+    region = problem.region
     trace: list[RoundRecord] = []
     rounds = 0
     noisy = nu > PROB_TOL
@@ -345,7 +345,7 @@ def run_a2(
                 f"no exit after {rounds} rounds (bound {n_loop}); disagreement still {dmass}"
             )
         count0, count1 = sample_labeled_counts(model, region, k, rng, counters, stream_accounting)
-        errs = empirical_errors_from_counts(hclass, count0, count1)
+        errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
         floor_err = float(errs[space.members].min())
         cutoff = floor_err + 2.0 * radius
         trace.append(
@@ -367,7 +367,7 @@ def run_a2(
     # the loop only exits through a break, so dmass and region describe this space
     if k_final > 0 and dmass > PROB_TOL:
         count0, count1 = sample_labeled_counts(model, region, k_final, rng, counters, stream_accounting)
-        errs = empirical_errors_from_counts(hclass, count0, count1)
+        errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
         chosen = int(np.argmin(np.where(space.members, errs, np.inf)))
     else:
         chosen = int(space.indices()[0])

@@ -23,9 +23,7 @@ from .core import (
     PROB_TOL,
     ParameterError,
     Problem,
-    VersionSpace,
     conditional_true_errors,
-    disagreement_mask,
     true_errors,
 )
 from .diagnostics import bad_fraction, classify_thresholds, interval_profile
@@ -325,8 +323,7 @@ def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         problem.sizing_theta, cfg.rho, hclass.n_hypotheses, phase, shared, cfg.eps, nu,
         cfg.constants,
     )
-    full = VersionSpace.full(hclass.n_hypotheses)
-    mask = disagreement_mask(hclass, full)
+    mask = problem.region
     if mask.any():
         errs = conditional_true_errors(hclass, model, mask)
     else:

@@ -5,19 +5,21 @@ and a hypothesis class is a {0,1} prediction matrix with one row per
 hypothesis.  Because everything is finite and explicit, error rates,
 disagreement masses, and the disagreement coefficient are computed exactly by
 summation.  A version space's disagreement region is a boolean mask over the
-domain; learners derive it once per version space and hand it to
-``disagreement_mass`` and to the samplers.  Empirical errors are scored over
-the observed columns only when the sample is sparse, and exactly, since all
-their arithmetic is on integers below 2**53.  The two samplers at the bottom
-are the only stochastic piece; they draw counts from the model inside a given
-region through a caller-owned numpy Generator so every source of randomness
-in an experiment is explicit.
+domain; the full class's region is computed once per problem
+(``Problem.region``), and learners derive each later version space's region
+once and hand it to ``disagreement_mass`` and to the samplers.  Elimination
+scores the version space's members only, over the observed columns when the
+sample is sparse, and exactly, since all its arithmetic is on integers below
+2**53.  The two samplers at the bottom are the only stochastic piece; they
+draw counts from the model inside a given region through a caller-owned numpy
+Generator so every source of randomness in an experiment is explicit.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -30,6 +32,9 @@ MAX_CLASS_CELLS = 2**25
 # elimination casts the 0/1 class to float64 in row blocks of at most this
 # many cells (1 MB)
 _BLOCK_CELLS = 2**17
+
+# the samplers hand draw counts to numpy as int64
+_MAX_DRAWS = int(np.iinfo(np.int64).max)
 
 
 class ParameterError(ValueError):
@@ -262,36 +267,52 @@ def conditional_true_errors(
 
 
 def empirical_errors_from_counts(
-    hclass: HypothesisClass, count_zero: np.ndarray, count_one: np.ndarray
+    hclass: HypothesisClass,
+    count_zero: np.ndarray,
+    count_one: np.ndarray,
+    members: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-hypothesis empirical error given per-point counts of observed labels.
 
     A hypothesis errs on a draw when it predicts 1 where label 0 was seen or
     vice versa, so the mistake count is a single matrix-vector product.
 
+    With a boolean ``members`` mask (a version space's), only those rows are
+    scored, from a one-byte-per-cell copy of them, and every other row gets
+    ``+inf``, so no cut keeps it; without one every row is scored in place.
     A sample of ``total`` draws touches at most ``total`` points, so when
     that is at most a quarter of the domain the product runs over the seen
     columns only.  The 0/1 matrix is multiplied one row block at a time, so
     numpy casts at most ``_BLOCK_CELLS`` cells to float64 at once, never the
     whole class.  The result is exact: every operand is an integer and every
     partial sum is at most ``total`` in magnitude, so for any sample of fewer
-    than 2**53 draws every column subset and summation order gives the same
-    bits.
+    than 2**53 draws every row subset, column subset and summation order
+    gives the same bits.
     """
-    total = int(count_zero.sum() + count_one.sum())
+    counts = count_zero + count_one
+    total = int(counts.sum())
     if total == 0:
         raise ParameterError("empirical error of an empty sample is undefined")
-    pred = hclass.predictions
+    n_h = hclass.n_hypotheses
+    rows = None if members is None else np.flatnonzero(members)
+    if rows is not None and rows.size == n_h:
+        rows = None
+    pred = hclass.predictions if rows is None else hclass.predictions.take(rows, axis=0)
     diff = (count_zero - count_one).astype(np.float64)
     if 4 * total <= pred.shape[1]:
-        seen = np.flatnonzero(count_zero + count_one)
-        pred, diff = pred[:, seen], diff[seen]
-    rows = max(1, _BLOCK_CELLS // diff.size)
+        seen = np.flatnonzero(counts)
+        pred, diff = pred.take(seen, axis=1), diff[seen]
+    step = max(1, _BLOCK_CELLS // diff.size)
     mistakes = np.empty(pred.shape[0])
-    for i in range(0, pred.shape[0], rows):
-        np.matmul(pred[i : i + rows], diff, out=mistakes[i : i + rows])
+    for i in range(0, pred.shape[0], step):
+        np.matmul(pred[i : i + step], diff, out=mistakes[i : i + step])
     mistakes += float(count_one.sum())
-    return mistakes / total
+    mistakes /= total
+    if rows is None:
+        return mistakes
+    errs = np.full(n_h, np.inf)
+    errs[rows] = mistakes
+    return errs
 
 
 def disagreement_mask(hclass: HypothesisClass, space: VersionSpace) -> np.ndarray:
@@ -360,8 +381,11 @@ class Problem:
 
     ``nu`` is the best-in-class error and ``center`` the lowest index
     achieving it; ``theta`` is the disagreement coefficient at ``center``, or
-    ``theta_override`` when one is given.  Learners and the harness take a
-    Problem, so a batch computes the geometry once instead of once per run.
+    ``theta_override`` when one is given; ``region`` is the disagreement
+    region of the full class, the mask every learner starts from.  Learners
+    and the harness take a Problem, so a batch computes these once instead
+    of once per run.  ``region`` is computed on first use, so a batch whose
+    learner never asks for it (``erm``) does not pay for it.
     """
 
     hclass: HypothesisClass
@@ -385,6 +409,13 @@ class Problem:
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "theta", theta)
+
+    @cached_property
+    def region(self) -> np.ndarray:
+        """Read-only disagreement mask of the full class."""
+        mask = disagreement_mask(self.hclass, VersionSpace.full(self.hclass.n_hypotheses))
+        mask.setflags(write=False)
+        return mask
 
     @property
     def sizing_theta(self) -> float:
@@ -412,6 +443,13 @@ def conditional_weights(model: DataModel, region_mask: np.ndarray) -> np.ndarray
     return w / mass
 
 
+def _check_draws(m: int) -> None:
+    if m < 0:
+        raise ParameterError("sample size must be nonnegative")
+    if m > _MAX_DRAWS:
+        raise ParameterError(f"sample size {m} exceeds the largest drawable count {_MAX_DRAWS}")
+
+
 def region_hit_count(
     model: DataModel,
     region_mask: np.ndarray,
@@ -424,8 +462,7 @@ def region_hit_count(
     Distributionally identical to drawing the points and testing membership,
     since only the count matters to the caller; the draw is a single binomial.
     """
-    if m < 0:
-        raise ParameterError("sample size must be nonnegative")
+    _check_draws(m)
     counters.unlabeled += m
     if m == 0:
         return 0
@@ -452,8 +489,7 @@ def sample_labeled_counts(
     rejection cost of hitting the region from the unconditional stream is
     simulated and charged to the unlabeled counter.
     """
-    if k < 0:
-        raise ParameterError("sample size must be nonnegative")
+    _check_draws(k)
     w = conditional_weights(model, region)
     if stream_accounting and k > 0:
         mass = disagreement_mass(model, region)

@@ -92,15 +92,6 @@ class ThresholdGrid:
     def selectable_thresholds(self) -> np.ndarray:
         return self.origin + (np.arange(self.count) + 1.5) * self.spacing
 
-    def interval_edges(self) -> np.ndarray:
-        """Edges of the n_intervals partition cells, length n_intervals + 1."""
-        return self.origin + np.arange(self.n_intervals + 1) * self.spacing
-
-    def interval_of(self, value: float) -> int:
-        """Index of the partition cell containing ``value``, clamped to range."""
-        raw = int(math.floor((value - self.origin) / self.spacing))
-        return min(max(raw, 0), self.n_intervals - 1)
-
 
 def grid_interval_count(class_size: int, rho: float, constants: Optional[Constants] = None) -> int:
     """Number of selectable thresholds; grows with log of the class size."""
@@ -371,7 +362,7 @@ def run_replical(
     grid = build_grid(theta, rho, hclass.n_hypotheses, "realizable", shared, constants=constants)
     v = grid.threshold
     space = VersionSpace.full(hclass.n_hypotheses)
-    region = disagreement_mask(hclass, space)
+    region = problem.region
     trace: list[RoundRecord] = []
     rounds = 0
     while True:
@@ -394,7 +385,7 @@ def run_replical(
         count0, count1 = sample_labeled_counts(
             model, region, sched.k, rng, counters, stream_accounting
         )
-        errs = empirical_errors_from_counts(hclass, count0, count1)
+        errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
         trace.append(
             RoundRecord(rounds, est, space.size, threshold=v, labels_so_far=counters.labels)
         )
@@ -458,7 +449,7 @@ def run_replica2(
     )
     v = grid.threshold
     space = VersionSpace.full(hclass.n_hypotheses)
-    region = disagreement_mask(hclass, space)
+    region = problem.region
     trace: list[RoundRecord] = []
     flags: list[str] = []
     rounds = 0
@@ -489,7 +480,7 @@ def run_replica2(
             count0, count1 = sample_labeled_counts(
                 model, region, sched.k, rng, counters, stream_accounting
             )
-            errs = empirical_errors_from_counts(hclass, count0, count1)
+            errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
             trace.append(
                 RoundRecord(
                     rounds,
@@ -533,7 +524,7 @@ def run_replica2(
         count0, count1 = sample_labeled_counts(
             model, region, sched.k_final, rng, counters, stream_accounting
         )
-        errs = empirical_errors_from_counts(hclass, count0, count1)
+        errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
         # the cut is measured from the best member, so the shared threshold
         # bounds each survivor's excess over the floor, not its raw error
         floor_final = float(errs[space.members].min())

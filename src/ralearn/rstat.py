@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import ParameterError
 from .randomness import RandomString
 
@@ -86,20 +84,6 @@ def rstat_answer_from_mean(
     s = grid_spacing(params)
     offset = shared.derive_uniform(label) * s
     return snap_to_grid(mean, offset, s)
-
-
-def rstat_answer(params: SQParams, values, shared: RandomString, label: str) -> float:
-    """Replicable query answer from raw 0/1 evaluations of the query predicate."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ParameterError("query evaluations must form a 1d array")
-    if np.any((v < 0.0) | (v > 1.0)):
-        raise ParameterError("query evaluations must lie in [0, 1]")
-    if v.size < required_sample_size(params):
-        raise ParameterError(
-            f"query needs at least {required_sample_size(params)} evaluations, got {v.size}"
-        )
-    return rstat_answer_from_mean(params, float(v.mean()), shared, label)
 
 
 def replicability_failure_bound(params: SQParams) -> float:

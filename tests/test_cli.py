@@ -86,6 +86,32 @@ def test_out_of_range_epsilon_is_parameter_error(capsys):
     assert "epsilon" in err
 
 
+# draw counts past int64: replical's unlabeled region estimate, erm's labels
+OVERSIZED_DRAWS = {
+    "replical": ["--algo", "replical", "--epsilon", "1e-10", "--rho", "0.3"],
+    "erm": ["--algo", "erm", "--epsilon", "1e-19"],
+}
+_SMALL_PROBLEM = ["--class", "thresholds", "--domain-size", "8", "--delta", "0.05"]
+
+
+@pytest.mark.parametrize("algo", sorted(OVERSIZED_DRAWS))
+def test_oversized_draw_count_is_parameter_error(capsys, algo):
+    code, out, err = run_cli(capsys, ["run", *_SMALL_PROBLEM, *OVERSIZED_DRAWS[algo]])
+    assert code == 3
+    assert out == ""
+    assert "largest drawable count" in err
+
+
+@pytest.mark.parametrize("algo", sorted(OVERSIZED_DRAWS))
+def test_pair_counts_oversized_draws_as_failed_sides(capsys, algo):
+    argv = ["pair", *_SMALL_PROBLEM, *OVERSIZED_DRAWS[algo], "--trials", "3", "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pairs"] == 3
+    assert doc["failure_counts"] == {"ParameterError": 6}
+
+
 def test_runtime_failure_maps_to_exit_4(capsys):
     # untuned round-slack constants stall elimination on this problem; the
     # round cap fires and must surface as the runtime exit code

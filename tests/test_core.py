@@ -262,7 +262,8 @@ def test_empirical_errors_equal_an_integer_recount(seed, n_h, n_x, draws, block)
     # a sample of ``draws`` points lands on either side of the sparse
     # cut-over (4 * draws <= n_x); ``draws=None`` puts counts near 2**40 in
     # about half the cells; small blocks split the class into many row blocks,
-    # and ``block=None`` keeps the module's own block size
+    # and ``block=None`` keeps the module's own block size; a random member
+    # mask, from a single row to every row, is scored on its rows alone
     g = np.random.default_rng(seed)
     h = _random_class(seed, n_h, n_x)
     if draws is None:
@@ -272,9 +273,15 @@ def test_empirical_errors_equal_an_integer_recount(seed, n_h, n_x, draws, block)
         counts = g.multinomial(draws, np.full(n_x, 1.0 / n_x))
         c1 = g.binomial(counts, 0.5)
         c0 = counts - c1
+    members = g.random(n_h) < g.random()
+    members[g.integers(n_h)] = True
     with mock.patch.object(core, "_BLOCK_CELLS", block or core._BLOCK_CELLS):
         errs = ra.empirical_errors_from_counts(h, c0, c1)
-    assert errs.tobytes() == _integer_errors(h, c0, c1).tobytes()
+        member_errs = ra.empirical_errors_from_counts(h, c0, c1, members)
+    expected = _integer_errors(h, c0, c1)
+    assert errs.tobytes() == expected.tobytes()
+    assert member_errs[members].tobytes() == expected[members].tobytes()
+    assert np.all(member_errs[~members] == np.inf)
 
 
 @pytest.mark.parametrize("draws", [49, 1986])
@@ -541,6 +548,28 @@ def test_problem_rejects_bad_theta_override(thresholds8, uniform8, bad):
         ra.Problem(thresholds8, uniform8, bad)
 
 
+@pytest.mark.parametrize("make", [ra.thresholds, ra.intervals, ra.worst_case])
+def test_problem_region_is_the_full_class_mask(make):
+    h = make(12)
+    p = ra.Problem(h, ra.DataModel.realizable(h, 3))
+    expected = ra.disagreement_mask(h, ra.VersionSpace.full(h.n_hypotheses))
+    assert p.region.dtype == bool
+    assert np.array_equal(p.region, expected)
+    with pytest.raises(ValueError, match="read-only"):
+        p.region[0] = not p.region[0]
+    assert p.region is p.region
+
+
+def test_problem_region_is_computed_on_first_use(monkeypatch, thresholds8, uniform8):
+    calls = []
+    original = core.disagreement_mask
+    monkeypatch.setattr(core, "disagreement_mask", lambda *a: calls.append(a) or original(*a))
+    p = ra.Problem(thresholds8, uniform8)
+    assert calls == []
+    assert p.region is p.region
+    assert len(calls) == 1
+
+
 def test_problem_sizing_theta_stands_in_for_zero():
     h = ra.explicit([[0, 1, 0]])
     p = ra.Problem(h, ra.DataModel.realizable(h, 0))
@@ -574,6 +603,18 @@ def test_label_counter_tracks_draws(thresholds8, uniform8, counters):
 def test_unlabeled_counter_tracks_draws(uniform8, counters):
     ra.region_hit_count(uniform8, np.ones(8, dtype=bool), 33, np.random.default_rng(0), counters)
     assert counters.unlabeled == 33
+
+
+@pytest.mark.parametrize("count", [2**63, 10**30])
+def test_draw_counts_past_int64_are_parameter_errors(uniform8, counters, count):
+    # numpy would raise OverflowError, which no caller counts as a failed side
+    g = np.random.default_rng(0)
+    full = np.ones(8, dtype=bool)
+    with pytest.raises(ra.ParameterError, match="largest drawable count"):
+        ra.sample_labeled_counts(uniform8, full, count, g, counters)
+    with pytest.raises(ra.ParameterError, match="largest drawable count"):
+        ra.region_hit_count(uniform8, full, count, g, counters)
+    assert counters.labels == 0 and counters.unlabeled == 0
 
 
 def test_conditional_frequencies_match_renormalized_weights():

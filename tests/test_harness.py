@@ -444,6 +444,19 @@ def test_batch_computes_the_geometry_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_batch_computes_the_full_class_region_once(monkeypatch):
+    # every side starts from the problem's region instead of masking the full
+    # class again; later masks belong to smaller version spaces
+    calls = _count_calls(monkeypatch, "disagreement_mask")
+    cfg = _cal_cfg(trials=5)
+    outcomes = list(iter_paired_runs(cfg))
+    assert len(outcomes) == 5
+    assert all(o.result_first is not None and o.result_second is not None for o in outcomes)
+    full = [space for _, space in calls if space.members.all()]
+    assert len(full) == 1
+    assert len(calls) == 1 + sum(o.result_first.rounds + o.result_second.rounds for o in outcomes)
+
+
 def test_run_paired_trials_computes_the_geometry_once(monkeypatch):
     # the report's theta and nu come from the same Problem the pairs use
     calls = _count_calls(monkeypatch, "disagreement_coefficient")

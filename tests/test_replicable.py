@@ -7,6 +7,7 @@ import pytest
 
 import ralearn as ra
 from ralearn.baselines import Constants
+from ralearn.diagnostics import interval_profile
 from ralearn.replicable import (
     ThresholdGrid,
     _select_final,
@@ -90,17 +91,10 @@ def test_grid_reuse_index_skips_the_slot_draw():
 def test_grid_threshold_sits_inside_its_cell():
     grid = ThresholdGrid(0.1, 0.05, 3, 1, 0.2, "realizable")
     assert grid.n_intervals == 4
-    assert grid.interval_edges().tolist() == pytest.approx([0.1, 0.15, 0.2, 0.25, 0.3])
+    # cells are [0.1, 0.15), [0.15, 0.2), [0.2, 0.25), [0.25, 0.3)
+    assert interval_profile(grid, [0.125, 0.175, 0.225, 0.275]).counts == (1, 1, 1, 1)
     assert grid.threshold == pytest.approx(0.225)
-    assert grid.interval_of(grid.threshold) == 2
-
-
-def test_grid_interval_of_clamps():
-    grid = ThresholdGrid(0.1, 0.05, 3, 0, 0.2, "realizable")
-    assert grid.interval_of(0.0) == 0
-    assert grid.interval_of(0.12) == 0
-    assert grid.interval_of(0.16) == 1
-    assert grid.interval_of(0.9) == 3
+    assert interval_profile(grid, [grid.threshold]).counts == (0, 0, 1, 0)
 
 
 def test_grid_spacing_consistency_enforced():

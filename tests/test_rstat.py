@@ -14,7 +14,6 @@ from ralearn.rstat import (
     pair_agreement_exact,
     replicability_failure_bound,
     required_sample_size,
-    rstat_answer,
     rstat_answer_from_mean,
     snap_to_grid,
 )
@@ -132,21 +131,6 @@ def test_answer_rejects_out_of_range_mean():
     p = SQParams(0.2, 0.1, 0.01)
     with pytest.raises(ra.ParameterError):
         rstat_answer_from_mean(p, 1.2, ra.RandomString("01"), "q")
-
-
-def test_answer_requires_enough_values():
-    p = SQParams(0.3, 0.3, 0.05)  # small size so the test stays cheap
-    need = required_sample_size(p)
-    g = np.random.default_rng(0)
-    vals = g.integers(0, 2, size=need).astype(float)
-    ans = rstat_answer(p, vals, ra.RandomString("33"), "q")
-    assert 0.0 <= ans <= 1.0
-    with pytest.raises(ra.ParameterError):
-        rstat_answer(p, vals[:-1], ra.RandomString("33"), "q")
-    with pytest.raises(ra.ParameterError):
-        rstat_answer(p, vals.reshape(2, -1), ra.RandomString("33"), "q")
-    with pytest.raises(ra.ParameterError):
-        rstat_answer(p, vals - 2.0, ra.RandomString("33"), "q")
 
 
 def test_answers_within_tolerance_monte_carlo():
