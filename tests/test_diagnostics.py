@@ -32,10 +32,9 @@ def _profile_from_counts(counts, spacing=0.01, origin=0.0):
 
 def test_profile_binning_with_clamps():
     grid = _grid(3, spacing=0.05, origin=0.1)
-    # below the origin is cell 0, past the top the last cell
-    prof = interval_profile(grid, [0.0, 0.12, 0.12, 0.16, 0.9])
-    assert prof.counts == (3, 1, 0, 1)
-    assert prof.cumulative == (3, 4, 4, 5)
+    prof = interval_profile(grid, [0.0, 0.12, 0.12, 0.9])
+    assert prof.counts == (3, 0, 0, 1)
+    assert prof.cumulative == (3, 3, 3, 4)
 
 
 def test_profile_counts_always_cover_every_error():

@@ -97,6 +97,18 @@ def test_grid_threshold_sits_inside_its_cell():
     assert interval_profile(grid, [grid.threshold]).counts == (0, 0, 1, 0)
 
 
+def test_grid_interval_of_clamps():
+    grid = ThresholdGrid(0.1, 0.05, 3, 0, 0.2, "realizable")
+
+    def cell(error):
+        return interval_profile(grid, [error]).counts.index(1)
+
+    assert cell(0.0) == 0
+    assert cell(0.12) == 0
+    assert cell(0.16) == 1
+    assert cell(0.9) == 3
+
+
 def test_grid_spacing_consistency_enforced():
     with pytest.raises(ra.ParameterError):
         ThresholdGrid(0.1, 0.06, 3, 0, 0.2, "realizable")
