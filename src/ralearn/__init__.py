@@ -61,7 +61,6 @@ from .harness import (
     SweepTable,
     TrialRow,
     build_problem,
-    export,
     halving_fraction,
     iter_paired_runs,
     label_complexity_sweep,

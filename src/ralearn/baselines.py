@@ -194,12 +194,11 @@ def run_passive_erm(
     delta: float,
     rng: np.random.Generator,
     constants: Optional[Constants] = None,
-    counters: Optional[SampleCounters] = None,
 ) -> RunResult:
     """Draw one unconditional labeled sample and return its empirical minimizer."""
     _check_accuracy_params(eps, delta)
     constants = constants or Constants()
-    counters = counters if counters is not None else SampleCounters()
+    counters = SampleCounters()
     hclass, model = problem.hclass, problem.model
     m = erm_sample_size(hclass.n_hypotheses, eps, delta, constants)
     # full version space: labels come from D itself, not a conditional region
@@ -242,7 +241,6 @@ def run_cal(
     delta: float,
     rng: np.random.Generator,
     constants: Optional[Constants] = None,
-    counters: Optional[SampleCounters] = None,
     stream_accounting: bool = False,
 ) -> RunResult:
     """Disagreement-region consistency elimination for noiseless labels.
@@ -254,7 +252,7 @@ def run_cal(
     """
     _check_accuracy_params(eps, delta)
     constants = constants or Constants()
-    counters = counters if counters is not None else SampleCounters()
+    counters = SampleCounters()
     hclass, model = problem.hclass, problem.model
     if problem.nu > PROB_TOL:
         raise WrongSettingError(
@@ -307,7 +305,6 @@ def run_a2(
     delta: float,
     rng: np.random.Generator,
     constants: Optional[Constants] = None,
-    counters: Optional[SampleCounters] = None,
     stream_accounting: bool = False,
 ) -> RunResult:
     """Agnostic elimination by confidence intervals, then a final refit.
@@ -319,7 +316,7 @@ def run_a2(
     """
     _check_accuracy_params(eps, delta)
     constants = constants or Constants()
-    counters = counters if counters is not None else SampleCounters()
+    counters = SampleCounters()
     hclass, model, nu = problem.hclass, problem.model, problem.nu
     t_size = problem.sizing_theta
     n_loop = a2_round_bound(t_size, nu, eps)

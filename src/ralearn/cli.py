@@ -6,14 +6,17 @@ algorithm execution, JSON result), ``pair`` (paired replicability trials),
 (threshold-grid interval profile and badness flags, plus the exhaustive
 small-sample agreement oracle).
 
-A JSON config file is the source of truth; command-line flags override
-single fields after parsing.  Exit codes: 0 success, 2 usage error,
-3 parameter error, 4 algorithm runtime error.
+A JSON config file is the source of truth.  Each flag given is written into
+its document under the config key of the same name (``--class`` is
+``class.generator``, ``--domain-size`` ``class.size``, ``--nu``
+``class.eta``), so flags are validated exactly like config-file keys.
+``--out`` saves what was printed, except that ``pair``'s text summary saves
+the report CSV.  Exit codes: 0 success, 2 usage error, 3 parameter error,
+4 algorithm runtime error.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -29,12 +32,12 @@ from .core import (
 from .diagnostics import bad_fraction, classify_thresholds, interval_profile
 from .harness import (
     ALGORITHMS,
+    CONFIG_SCHEMA,
     GENERATORS,
     LEARNERS,
     ExperimentConfig,
     build_problem,
     data_stream,
-    export,
     json_text,
     label_complexity_sweep,
     report_csv,
@@ -59,17 +62,18 @@ def _constant_pair(text: str) -> tuple[str, float]:
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its fields")
+    p.add_argument("--config", help="JSON config file; flags override its keys")
     p.add_argument(
         "--class",
-        dest="class_name",
+        dest="generator",
         choices=GENERATORS,
         help="built-in hypothesis class generator",
     )
-    p.add_argument("--domain-size", type=int, help="generator size parameter")
+    p.add_argument("--domain-size", dest="size", type=int, help="generator size parameter")
     p.add_argument("--target", type=int, help="index of the label-source hypothesis")
     p.add_argument(
         "--nu",
+        dest="eta",
         type=float,
         help="constant per-point label flip rate; positive means the agnostic setting",
     )
@@ -90,7 +94,9 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
         help="charge rejection sampling to the unlabeled counter",
     )
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--out", help="write the primary output to this path")
+    p.add_argument(
+        "--out", help="save what is printed to this path (the report CSV for pair's text)"
+    )
 
 
 def _add_algo_flags(p: argparse.ArgumentParser) -> None:
@@ -156,47 +162,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _overlay(doc, given: dict):
+    """``doc`` with ``given`` written over it, into nested objects key by key.
+
+    A ``doc`` that is not an object is returned as it is, so the schema check
+    reports it.
+    """
+    if not isinstance(doc, dict):
+        return doc
+    merged = dict(doc)
+    for key, value in given.items():
+        merged[key] = _overlay(doc.get(key, {}), value) if isinstance(value, dict) else value
+    return merged
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's document, with each given flag written under the
+    schema key its dest names, checked once by ``ExperimentConfig.from_dict``."""
     doc = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as f:
             doc = json.load(f)
-    cfg = ExperimentConfig.from_dict(doc)
-    updates: dict = {}
-    for attr, field_name in (
-        ("class_name", "class_name"),
-        ("domain_size", "domain_size"),
-        ("target", "target"),
-        ("nu", "eta"),
-        ("b_seed", "b_seed"),
-        ("data_seed", "data_seed"),
-        ("algo", "algo"),
-        ("delta", "delta"),
-        ("rho", "rho"),
-        ("trials", "trials"),
-        ("b_policy", "b_policy"),
-        ("theta_override", "theta_override"),
-        ("stream_accounting", "stream_accounting"),
-        ("identical_sides", "identical_sides"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            updates[field_name] = value
-    eps_values = getattr(args, "epsilon", None)
-    if eps_values:
-        updates["eps"] = float(eps_values[-1])
-    if getattr(args, "constants", None):
-        updates["constants"] = cfg.constants.updated(dict(args.constants))
-    algos_text = getattr(args, "algos", None)
-    if algos_text:
-        updates["algos"] = tuple(a.strip() for a in algos_text.split(",") if a.strip())
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    if "epsilon" in flags:
+        flags["epsilon"] = flags["epsilon"][-1]
+    if "constants" in flags:
+        flags["constants"] = dict(flags["constants"])
+    if "algos" in flags:
+        flags["algos"] = [a.strip() for a in flags["algos"].split(",") if a.strip()]
+    keys = CONFIG_SCHEMA["properties"]
+    given = {"class": {k: flags[k] for k in keys["class"]["properties"] if k in flags}}
+    given.update((k, flags[k]) for k in keys if k in flags)
+    return ExperimentConfig.from_dict(_overlay(doc, given))
 
 
 def _out_path(args: argparse.Namespace) -> Optional[str]:
-    path = getattr(args, "out", None)
+    path = args.out
     if path is None:
         return None
     base = os.environ.get(OUTPUT_DIR_ENV)
@@ -213,7 +214,7 @@ def _problem(cfg: ExperimentConfig) -> Problem:
     return Problem(*build_problem(cfg), cfg.theta_override)
 
 
-def _cmd_theta(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_theta(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, str]:
     problem = _problem(cfg)
     hclass, theta, nu, center = problem.hclass, problem.theta, problem.nu, problem.center
     payload = {
@@ -226,78 +227,63 @@ def _cmd_theta(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if hclass.names is not None:
         payload["best_name"] = hclass.names[center]
     if args.format == "json":
-        text = json_text(payload)
+        text = json_text(payload) + "\n"
     else:
         lines = [f"theta={_fmt_number(theta)}", f"nu={_fmt_number(nu)}", f"best_index={center}"]
         if hclass.names is not None:
             lines.append(f"best_name={hclass.names[center]}")
-        text = "\n".join(lines)
-    print(text)
-    path = _out_path(args)
-    if path:
-        with open(path, "w") as f:
-            f.write(text + "\n")
-    return 0
+        text = "\n".join(lines) + "\n"
+    return text, text
 
 
-def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, str]:
     problem = _problem(cfg)
     shared = RandomString(cfg.b_seed)
     rng = data_stream(cfg.data_seed, 0, 0)
     result = LEARNERS[cfg.algo](problem, cfg, shared, rng)
-    text = json_text(result.to_jsonable())
-    print(text)
-    path = _out_path(args)
-    if path:
-        with open(path, "w") as f:
-            f.write(text + "\n")
-    return 0
+    text = json_text(result.to_jsonable()) + "\n"
+    return text, text
 
 
-def _cmd_pair(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_pair(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, str]:
     report = run_paired_trials(cfg)
     if args.format == "json":
-        print(json_text(report.to_jsonable()))
-    elif args.format == "csv":
-        sys.stdout.write(report_csv(report))
-    else:
-        lines = [
-            f"algo={report.algo}",
-            f"pairs={report.pairs}",
-            f"agreements={report.agreements}",
-            f"agreement_rate={report.agreement_rate!r}",
-            f"wilson_95=[{report.wilson_low!r}, {report.wilson_high!r}]",
-            f"error_mean={report.error_mean!r}",
-            f"error_max={report.error_max!r}",
-            f"labels_mean={report.labels_mean!r}",
-            f"unlabeled_mean={report.unlabeled_mean!r}",
-            f"halving_frequency={report.halving_frequency!r}",
-            f"b_seed={cfg.b_seed}",
-            f"data_seed={cfg.data_seed}",
-        ]
-        for name, count in report.failure_counts:
-            lines.append(f"failures[{name}]={count}")
-        print("\n".join(lines))
-    path = _out_path(args)
-    if path:
-        export(report, path, "json" if args.format == "json" else "csv")
-    return 0
+        text = json_text(report.to_jsonable()) + "\n"
+        return text, text
+    csv_text = report_csv(report)
+    if args.format == "csv":
+        return csv_text, csv_text
+    lines = [
+        f"algo={report.algo}",
+        f"pairs={report.pairs}",
+        f"agreements={report.agreements}",
+        f"agreement_rate={report.agreement_rate!r}",
+        f"wilson_95=[{report.wilson_low!r}, {report.wilson_high!r}]",
+        f"error_mean={report.error_mean!r}",
+        f"error_max={report.error_max!r}",
+        f"labels_mean={report.labels_mean!r}",
+        f"unlabeled_mean={report.unlabeled_mean!r}",
+        f"halving_frequency={report.halving_frequency!r}",
+        f"b_seed={cfg.b_seed}",
+        f"data_seed={cfg.data_seed}",
+    ]
+    for name, count in report.failure_counts:
+        lines.append(f"failures[{name}]={count}")
+    # the summary is for reading; the file keeps every row
+    return "\n".join(lines) + "\n", csv_text
 
 
-def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    eps_values = getattr(args, "epsilon", None) or [cfg.eps]
-    table = label_complexity_sweep(cfg, [float(e) for e in eps_values])
+def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, str]:
+    eps_values = args.epsilon or [cfg.eps]
+    table = label_complexity_sweep(cfg, eps_values)
     if args.format == "json":
-        print(json_text(table.to_jsonable()))
+        text = json_text(table.to_jsonable()) + "\n"
     else:
-        sys.stdout.write(sweep_csv(table))
-    path = _out_path(args)
-    if path:
-        export(table, path, "json" if args.format == "json" else "csv")
-    return 0
+        text = sweep_csv(table)
+    return text, text
 
 
-def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, str]:
     if args.micro_k:
         prob = exact_agreement_probability(args.micro_k, args.micro_p, args.micro_spacing)
         payload = {
@@ -307,14 +293,14 @@ def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             "exact_agreement_probability": prob,
         }
         if args.format == "json":
-            print(json_text(payload))
+            text = json_text(payload) + "\n"
         else:
-            print(
+            text = (
                 f"k={args.micro_k} p={_fmt_number(args.micro_p)} "
                 f"spacing={_fmt_number(args.micro_spacing)} "
-                f"exact_agreement_probability={prob!r}"
+                f"exact_agreement_probability={prob!r}\n"
             )
-        return 0
+        return text, text
     problem = _problem(cfg)
     hclass, model, nu = problem.hclass, problem.model, problem.nu
     phase = "agnostic-loop" if nu > PROB_TOL else "realizable"
@@ -342,23 +328,27 @@ def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             "bad_flags": list(flags),
             "bad_fraction": bad_fraction(profile, cfg.rho),
         }
-        print(json_text(payload))
-    else:
-        print(f"phase={phase} origin={grid.origin!r} spacing={grid.spacing!r} count={grid.count}")
-        print(f"selected_index={grid.selected_index} threshold={grid.threshold!r}")
-        print("slot\tthreshold\tcell_count\tbelow\tbad")
-        for j, threshold in enumerate(grid.selectable_thresholds()):
-            i = j + 1
-            print(
-                f"{j}\t{threshold:.6g}\t"
-                f"{profile.counts[i]}\t{profile.cumulative[i - 1]}\t"
-                f"{'BAD' if flags[j] else 'ok'}"
-            )
-        print(f"bad_fraction={bad_fraction(profile, cfg.rho)!r}")
-    return 0
+        text = json_text(payload) + "\n"
+        return text, text
+    lines = [
+        f"phase={phase} origin={grid.origin!r} spacing={grid.spacing!r} count={grid.count}",
+        f"selected_index={grid.selected_index} threshold={grid.threshold!r}",
+        "slot\tthreshold\tcell_count\tbelow\tbad",
+    ]
+    for j, threshold in enumerate(grid.selectable_thresholds()):
+        i = j + 1
+        lines.append(
+            f"{j}\t{threshold:.6g}\t"
+            f"{profile.counts[i]}\t{profile.cumulative[i - 1]}\t"
+            f"{'BAD' if flags[j] else 'ok'}"
+        )
+    lines.append(f"bad_fraction={bad_fraction(profile, cfg.rho)!r}")
+    text = "\n".join(lines) + "\n"
+    return text, text
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command: its text goes to stdout, then to ``--out`` if given."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -366,7 +356,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         cfg = load_config(args)
-        return args.handler(cfg, args)
+        shown, saved = args.handler(cfg, args)
+        sys.stdout.write(shown)
+        path = _out_path(args)
+        if path:
+            with open(path, "w") as f:
+                f.write(saved)
+        return 0
     except ParameterError as e:
         print(f"parameter error: {e}", file=sys.stderr)
         return 3

@@ -29,8 +29,8 @@ PROB_TOL = 1e-12
 # the built-in generators refuse a class of more cells (bytes) than this
 MAX_CLASS_CELLS = 2**25
 
-# elimination casts the 0/1 class to float64 in row blocks of at most this
-# many cells (1 MB)
+# products with the 0/1 class cast it to float64 in row blocks of at most
+# this many cells (1 MB)
 _BLOCK_CELLS = 2**17
 
 # the samplers hand draw counts to numpy as int64
@@ -236,11 +236,20 @@ def _check_same_domain(hclass: HypothesisClass, model: DataModel) -> None:
         raise ParameterError("hypothesis class and data model disagree on domain size")
 
 
+def _rows_times(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``matrix @ vector`` for a 0/1 ``matrix``, which numpy casts to float64
+    one row block of at most ``_BLOCK_CELLS`` cells at a time, never whole."""
+    step = max(1, _BLOCK_CELLS // vector.size)
+    out = np.empty(matrix.shape[0])
+    for i in range(0, matrix.shape[0], step):
+        np.matmul(matrix[i : i + step], vector, out=out[i : i + step])
+    return out
+
+
 def _errors_under(hclass: HypothesisClass, model: DataModel, weights: np.ndarray) -> np.ndarray:
     # err(h) = sum_x w(x) * P[label(x) != h(x)]
     p1 = model.label_one_probabilities()
-    pred = hclass.predictions.astype(np.float64)
-    return pred @ (weights * (1.0 - 2.0 * p1)) + float(weights @ p1)
+    return _rows_times(hclass.predictions, weights * (1.0 - 2.0 * p1)) + float(weights @ p1)
 
 
 def true_error(hclass: HypothesisClass, model: DataModel, h: int) -> float:
@@ -282,12 +291,11 @@ def empirical_errors_from_counts(
     ``+inf``, so no cut keeps it; without one every row is scored in place.
     A sample of ``total`` draws touches at most ``total`` points, so when
     that is at most a quarter of the domain the product runs over the seen
-    columns only.  The 0/1 matrix is multiplied one row block at a time, so
-    numpy casts at most ``_BLOCK_CELLS`` cells to float64 at once, never the
-    whole class.  The result is exact: every operand is an integer and every
-    partial sum is at most ``total`` in magnitude, so for any sample of fewer
-    than 2**53 draws every row subset, column subset and summation order
-    gives the same bits.
+    columns only.  The 0/1 matrix is multiplied one row block at a time
+    (``_rows_times``), never cast to float64 whole.  The result is exact:
+    every operand is an integer and every partial sum is at most ``total``
+    in magnitude, so for any sample of fewer than 2**53 draws every row
+    subset, column subset and summation order gives the same bits.
     """
     counts = count_zero + count_one
     total = int(counts.sum())
@@ -302,10 +310,7 @@ def empirical_errors_from_counts(
     if 4 * total <= pred.shape[1]:
         seen = np.flatnonzero(counts)
         pred, diff = pred.take(seen, axis=1), diff[seen]
-    step = max(1, _BLOCK_CELLS // diff.size)
-    mistakes = np.empty(pred.shape[0])
-    for i in range(0, pred.shape[0], step):
-        np.matmul(pred[i : i + step], diff, out=mistakes[i : i + step])
+    mistakes = _rows_times(pred, diff)
     mistakes += float(count_one.sum())
     mistakes /= total
     if rows is None:
@@ -332,8 +337,7 @@ def disagreement_mass(model: DataModel, region: np.ndarray) -> float:
 def distances_from(hclass: HypothesisClass, model: DataModel, center: int) -> np.ndarray:
     """Distance of every hypothesis from ``center``."""
     _check_same_domain(hclass, model)
-    diff = hclass.predictions != hclass.row(center)
-    return diff.astype(np.float64) @ model.weights
+    return _rows_times(hclass.predictions != hclass.row(center), model.weights)
 
 
 def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: int) -> float:

@@ -257,6 +257,9 @@ class ExperimentConfig:
                 raise ParameterError(f"{name} must lie in (0, 1), got {value}")
         if not 0.0 <= self.eta <= 1.0:
             raise ParameterError(f"eta must lie in [0, 1], got {self.eta}")
+        for name, seed in (("b_seed", self.b_seed), ("data_seed", self.data_seed)):
+            if not (isinstance(seed, str) and re.search(_SEED_PATTERN, seed)):
+                raise ParameterError(f"{name} must be hex text, got {seed!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -687,22 +690,3 @@ def json_text(payload) -> str:
     """
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
-
-def export(obj, path: str, fmt: str) -> None:
-    """Write a report or sweep table to disk, bit-stably."""
-    if fmt == "csv":
-        if isinstance(obj, ReplicabilityReport):
-            text = report_csv(obj)
-        elif isinstance(obj, SweepTable):
-            text = sweep_csv(obj)
-        else:
-            raise ParameterError(f"cannot serialize {type(obj).__name__} as CSV")
-        with open(path, "w", newline="") as f:
-            f.write(text)
-        return
-    if fmt == "json":
-        payload = obj.to_jsonable() if hasattr(obj, "to_jsonable") else obj
-        with open(path, "w") as f:
-            f.write(json_text(payload) + "\n")
-        return
-    raise ParameterError(f"unknown export format {fmt!r}; expected 'csv' or 'json'")

@@ -337,7 +337,6 @@ def run_replical(
     rs: RandomString,
     rng: np.random.Generator,
     constants: Optional[Constants] = None,
-    counters: Optional[SampleCounters] = None,
     stream_accounting: bool = False,
 ) -> RunResult:
     """Replicable consistency-style elimination for noiseless labels.
@@ -350,7 +349,7 @@ def run_replical(
     shared string (see ``_select_final``).
     """
     constants = constants or Constants()
-    counters = counters if counters is not None else SampleCounters()
+    counters = SampleCounters()
     hclass, model = problem.hclass, problem.model
     if problem.nu > PROB_TOL:
         raise WrongSettingError(
@@ -408,7 +407,6 @@ def run_replica2(
     rs: RandomString,
     rng: np.random.Generator,
     constants: Optional[Constants] = None,
-    counters: Optional[SampleCounters] = None,
     stream_accounting: bool = False,
 ) -> RunResult:
     """Replicable agnostic elimination, then a final cut relative to the best.
@@ -438,7 +436,7 @@ def run_replica2(
     is the usual shared-threshold argument.
     """
     constants = constants or Constants()
-    counters = counters if counters is not None else SampleCounters()
+    counters = SampleCounters()
     hclass, model, nu = problem.hclass, problem.model, problem.nu
     theta = problem.sizing_theta
     # raises ParameterError when nu is 0: the noise-scaled grids are undefined

@@ -9,8 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from ralearn.cli import main
-from ralearn.harness import SWEEP_COLUMNS
+from ralearn.cli import build_parser, load_config, main
+from ralearn.harness import (
+    CONFIG_SCHEMA,
+    SWEEP_COLUMNS,
+    ExperimentConfig,
+    report_csv,
+    run_paired_trials,
+)
 from ralearn.rstat import exact_agreement_probability
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -348,6 +354,72 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert payload["agreement_rate"] == 1.0
 
 
+def test_flags_are_written_over_the_config_document(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        json.dumps(
+            {
+                "class": {"generator": "intervals", "size": 6},
+                "constants": {"c_cal": 1.5},
+                "algos": ["erm"],
+            }
+        )
+    )
+    argv = [
+        "sweep", "--config", str(path), "--domain-size", "9", "--constants", "c_pass=2",
+        "--epsilon", "0.3", "--epsilon", "0.2", "--algos", "cal, a2",
+    ]
+    cfg = load_config(build_parser().parse_args(argv))
+    assert (cfg.class_name, cfg.domain_size) == ("intervals", 9)
+    assert (cfg.constants.c_cal, cfg.constants.c_pass) == (1.5, 2.0)
+    assert cfg.eps == 0.2
+    assert cfg.algos == ("cal", "a2")
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ([1, 2], "config:"),
+        ({"class": "thresholds"}, "config.class:"),
+        ({"constants": 4}, "config.constants:"),
+    ],
+)
+def test_config_that_is_not_an_object_stays_a_parameter_error_under_flags(
+    capsys, tmp_path, doc, path
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    argv = ["theta", "--config", str(cfg_path), "--domain-size", "4", "--constants", "c_pass=2"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert path in err
+
+
+@pytest.mark.parametrize("flag", ["--data-seed", "--b-seed"])
+@pytest.mark.parametrize("seed", ["zz", ""])
+def test_non_hex_seed_flag_is_parameter_error(capsys, flag, seed):
+    code, out, err = run_cli(capsys, ["pair", "--trials", "1", flag, seed])
+    assert code == 3
+    assert out == ""
+    assert f"config.{flag[2:].replace('-', '_')}" in err
+
+
+# argparse dests that are not config-document keys
+CLI_ONLY = {
+    "config", "format", "out", "command", "handler", "micro_k", "micro_p", "micro_spacing",
+}
+
+
+@pytest.mark.parametrize("command", ["theta", "run", "pair", "sweep", "gridcheck"])
+def test_every_flag_is_a_config_key_or_cli_only(command):
+    # load_config writes a flag under the schema key its dest names, so a
+    # dest that is neither would be dropped without a word
+    keys = CONFIG_SCHEMA["properties"]
+    known = set(keys) | set(keys["class"]["properties"]) | CLI_ONLY
+    assert set(vars(build_parser().parse_args([command]))) <= known
+
+
 def test_missing_config_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["theta", "--config", str(tmp_path / "absent.json")])
     assert code == 2
@@ -414,3 +486,38 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "theta=4" in proc.stdout
+
+
+_GRIDCHECK = ["gridcheck", *_PROBLEM, "--rho", "0.3"]
+_MICRO = ["gridcheck", "--micro-k", "4", "--micro-spacing", "0.25"]
+_PAIR = ["pair", "--algo", "cal", "--epsilon", "0.2", "--trials", "2"]
+_SWEEP = ["sweep", "--algo", "cal", "--epsilon", "0.2", "--trials", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_GRIDCHECK, "--format", "text"],
+        [*_GRIDCHECK, "--format", "json"],
+        [*_MICRO, "--format", "text"],
+        [*_MICRO, "--format", "json"],
+        [*_PAIR, "--format", "json"],
+        [*_SWEEP, "--format", "json"],
+    ],
+    ids=["gridcheck-text", "gridcheck-json", "micro-text", "micro-json", "pair-json", "sweep-json"],
+)
+def test_out_saves_what_was_printed(capsys, tmp_path, argv):
+    path = tmp_path / "saved"
+    code, out, _ = run_cli(capsys, [*argv, "--out", str(path)])
+    assert code == 0
+    assert out.endswith("\n")
+    assert path.read_text() == out
+
+
+def test_pair_text_summary_saves_the_report_csv(capsys, tmp_path):
+    path = tmp_path / "pairs.csv"
+    code, out, _ = run_cli(capsys, [*_PAIR, "--out", str(path)])
+    assert code == 0
+    assert out.startswith("algo=cal\n")
+    expected = report_csv(run_paired_trials(ExperimentConfig(algo="cal", eps=0.2, trials=2)))
+    assert path.read_text() == expected

@@ -22,9 +22,9 @@ from ralearn.harness import (
     ExperimentConfig,
     build_problem,
     data_stream,
-    export,
     halving_fraction,
     iter_paired_runs,
+    json_text,
     label_complexity_sweep,
     problem_stats,
     report_csv,
@@ -110,6 +110,10 @@ def test_config_defaults_construct():
         {"delta": -0.1},
         {"rho": 1.5},
         {"eta": 1.5},
+        {"b_seed": "zz"},
+        {"data_seed": "zz"},
+        {"data_seed": ""},
+        {"data_seed": 2},
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
@@ -551,41 +555,9 @@ def test_sweep_csv_shape():
     assert len(lines) == 1 + len(table.rows)
 
 
-def test_export_json_roundtrip(tmp_path):
-    report = run_paired_trials(_cal_cfg(trials=2))
-    path = tmp_path / "report.json"
-    export(report, str(path), "json")
-    assert json.loads(path.read_text()) == report.to_jsonable()
-    assert path.read_text().endswith("\n")
-
-
-def test_export_csv_matches_report_csv(tmp_path):
-    report = run_paired_trials(_cal_cfg(trials=2))
-    path = tmp_path / "report.csv"
-    export(report, str(path), "csv")
-    assert path.read_text() == report_csv(report)
-
-
-def test_export_plain_payload_as_json(tmp_path):
-    path = tmp_path / "doc.json"
-    export({"a": 1}, str(path), "json")
-    assert json.loads(path.read_text()) == {"a": 1}
-
-
-def test_export_json_rejects_non_finite_numbers(tmp_path):
+def test_export_json_rejects_non_finite_numbers():
     with pytest.raises(ValueError):
-        export({"a": float("inf")}, str(tmp_path / "doc.json"), "json")
-
-
-def test_export_rejects_unknown_format(tmp_path):
-    report = run_paired_trials(_cal_cfg(trials=1))
-    with pytest.raises(ra.ParameterError):
-        export(report, str(tmp_path / "x.bin"), "parquet")
-
-
-def test_export_rejects_csv_of_plain_payload(tmp_path):
-    with pytest.raises(ra.ParameterError):
-        export({"a": 1}, str(tmp_path / "x.csv"), "csv")
+        json_text({"a": float("inf")})
 
 
 def test_golden_report_csv_digest():
