@@ -1,9 +1,9 @@
 """The benchmark's patch points and its seed-0 results.
 
 Every library name the benchmark wraps is bound, and wrapping then restoring
-leaves every name as it was.  The report CSVs of two seed-0 workloads are
-pinned by sha256, so a change that claims the benchmark's results did not
-move is checked here.
+leaves every name as it was.  The report CSVs of the three in-process
+seed-0 workloads are pinned by sha256, so a change that claims the
+benchmark's results did not move is checked here.
 """
 
 import hashlib
@@ -67,6 +67,7 @@ def test_install_then_restore_gives_every_name_back(spans):
 # report CSV sha256 of each workload's seed-0 batch, as bench/run.py builds it
 BENCH_SEED0_DIGESTS = {
     "cal-t1024": "792da83c466e6f9eacc73ed51492561954291b5938bc8d756465e4c34d03186a",
+    "erm-t1024": "a3e93cc6600040c502f45f3407d5807a3c1d2d4bced9247f18db3c387073666d",
     "replical-i48": "4b41392e9f7d57c52cc1989c624b8bd5c20477607afd2097a064dd0673e6fc7b",
 }
 
