@@ -4,13 +4,15 @@ agnostic LB/UB elimination learner A².
 These set the accuracy and label-complexity baselines the replicable learners
 are compared against.  Loop guards use the exact disagreement mass (the
 simulator knows the distribution); sample sizes follow the standard finite
-class bounds with configurable leading constants.
+class bounds with configurable leading constants.  ``_eliminate`` is the one
+elimination loop of all four active learners, the replicable ones included;
+each supplies only its loop guard and its cut.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -63,11 +65,6 @@ class Constants:
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ParameterError(f"constant {f.name} must be a positive number, got {v!r}")
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, float]) -> "Constants":
-        """Build from a name/value mapping; unknown names are an error."""
-        return cls().updated(mapping)
-
     def updated(self, mapping: Mapping[str, float]) -> "Constants":
         known = {f.name for f in fields(self)}
         unknown = set(mapping) - known
@@ -86,6 +83,8 @@ class RoundRecord:
     widening on top of the base threshold (Hoeffding radius or noise term),
     except in ``replica2``'s final record, where it is the empirical floor
     the threshold is measured from (None when no final sample was drawn).
+    ``labels_so_far`` counts the labels drawn through this round, its own
+    draw included.
     """
 
     round: int
@@ -180,6 +179,49 @@ def _result(
     )
 
 
+def _eliminate(
+    problem: Problem,
+    k: int,
+    cap: int,
+    rng: np.random.Generator,
+    counters: SampleCounters,
+    stream_accounting: bool,
+    measure: Callable[[np.ndarray, int], tuple[float, bool]],
+    cut: Callable[[np.ndarray, float], tuple[float, float, Optional[float]]],
+    trace: list[RoundRecord],
+) -> tuple[VersionSpace, np.ndarray, float, int]:
+    """The elimination loop every active learner runs, from the full class.
+
+    Each round ``measure(region, rounds)`` gives the guard value and whether
+    to stop; otherwise ``k`` labels are drawn from the region, the members
+    are scored, and ``cut(errs, value)`` gives ``(keep_bound, threshold,
+    slack)``: members with error at most ``keep_bound`` survive, and the
+    other two go into the round's record.  Returns the last version space,
+    its region, the last guard value and the number of rounds run.
+    """
+    hclass = problem.hclass
+    space = VersionSpace.full(hclass.n_hypotheses)
+    region = problem.region
+    rounds = 0
+    while True:
+        value, done = measure(region, rounds)
+        if done:
+            return space, region, value, rounds
+        if rounds >= cap:
+            raise RoundCapExceededError(
+                f"no exit after {rounds} rounds (cap {cap}); disagreement still {value}"
+            )
+        count0, count1 = sample_labeled_counts(
+            problem.model, region, k, rng, counters, stream_accounting
+        )
+        errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
+        keep_bound, threshold, slack = cut(errs, value)
+        trace.append(RoundRecord(rounds, value, space.size, threshold, slack, counters.labels))
+        space = VersionSpace(space.members & (errs <= keep_bound + PROB_TOL))
+        region = disagreement_mask(hclass, space)
+        rounds += 1
+
+
 # ---------------------------------------------------------------------------
 # passive ERM
 
@@ -260,27 +302,20 @@ def run_cal(
         )
     n_max = cal_round_bound(eps)
     k = cal_sample_size(hclass.n_hypotheses, problem.sizing_theta, eps, delta, constants)
-    space = VersionSpace.full(hclass.n_hypotheses)
-    region = problem.region
-    trace: list[RoundRecord] = []
-    rounds = 0
-    while True:
+
+    def measure(region, rounds):
         dmass = disagreement_mass(model, region)
-        if dmass <= eps + PROB_TOL:
-            break
-        if rounds >= ROUND_CAP_FACTOR * n_max:
-            raise RoundCapExceededError(
-                f"no exit after {rounds} rounds (bound {n_max}); disagreement still {dmass}"
-            )
-        trace.append(
-            RoundRecord(rounds, dmass, space.size, threshold=0.0, labels_so_far=counters.labels)
-        )
-        count0, count1 = sample_labeled_counts(model, region, k, rng, counters, stream_accounting)
-        errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
+        return dmass, dmass <= eps + PROB_TOL
+
+    def consistent(errs, dmass):
         # mistakes are integer counts, so any inconsistency puts the error at >= 1/k
-        space = VersionSpace(space.members & (errs <= PROB_TOL))
-        region = disagreement_mask(hclass, space)
-        rounds += 1
+        return 0.0, 0.0, None
+
+    trace: list[RoundRecord] = []
+    space, _, dmass, rounds = _eliminate(
+        problem, k, ROUND_CAP_FACTOR * n_max, rng, counters, stream_accounting,
+        measure, consistent, trace
+    )
     chosen = int(space.indices()[0])
     return _result("cal", problem, chosen, space, counters, rounds, dmass, trace)
 
@@ -324,48 +359,27 @@ def run_a2(
     n_c = hclass.n_hypotheses
     k = int(math.ceil(constants.c_a2 * t_size**2 * math.log(n_c * n_loop / delta_round)))
     radius = math.sqrt(math.log(2.0 * n_c / delta_round) / (2.0 * k))
-    space = VersionSpace.full(n_c)
-    region = problem.region
-    trace: list[RoundRecord] = []
-    rounds = 0
-    noisy = nu > PROB_TOL
-    while True:
+
+    def measure(region, rounds):
         dmass = disagreement_mass(model, region)
-        if dmass <= PROB_TOL:
-            break
-        if noisy and dmass < 8.0 * t_size * nu:
-            break
-        if not noisy and rounds >= n_loop:
-            break
-        if rounds >= ROUND_CAP_FACTOR * n_loop:
-            raise RoundCapExceededError(
-                f"no exit after {rounds} rounds (bound {n_loop}); disagreement still {dmass}"
-            )
-        count0, count1 = sample_labeled_counts(model, region, k, rng, counters, stream_accounting)
-        errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
-        floor_err = float(errs[space.members].min())
-        cutoff = floor_err + 2.0 * radius
-        trace.append(
-            RoundRecord(
-                rounds,
-                dmass,
-                space.size,
-                threshold=cutoff,
-                slack=radius,
-                labels_so_far=counters.labels,
-            )
-        )
+        done = dmass < 8.0 * t_size * nu if nu > PROB_TOL else rounds >= n_loop
+        return dmass, dmass <= PROB_TOL or done
+
+    def cut(errs, dmass):
         # keep h iff its lower bound stays within the best upper bound; the
         # round's empirical minimizer always satisfies this, so V stays nonempty
-        space = VersionSpace(space.members & (errs <= cutoff + PROB_TOL))
-        region = disagreement_mask(hclass, space)
-        rounds += 1
+        cutoff = float(errs.min()) + 2.0 * radius
+        return cutoff, cutoff, radius
+
+    trace: list[RoundRecord] = []
+    space, region, dmass, rounds = _eliminate(
+        problem, k, ROUND_CAP_FACTOR * n_loop, rng, counters, stream_accounting, measure, cut, trace
+    )
     k_final = int(math.ceil(constants.c_a2_final * t_size**2 * (nu / eps) ** 2 * math.log(n_c / delta)))
-    # the loop only exits through a break, so dmass and region describe this space
     if k_final > 0 and dmass > PROB_TOL:
         count0, count1 = sample_labeled_counts(model, region, k_final, rng, counters, stream_accounting)
         errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
-        chosen = int(np.argmin(np.where(space.members, errs, np.inf)))
+        chosen = int(np.argmin(errs))
     else:
         chosen = int(space.indices()[0])
     return _result("a2", problem, chosen, space, counters, rounds, dmass, trace)

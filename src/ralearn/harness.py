@@ -15,7 +15,7 @@ import math
 import numbers
 import operator
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -283,42 +283,8 @@ class ExperimentConfig:
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
         if "constants" in kwargs:
-            kwargs["constants"] = Constants.from_mapping(kwargs["constants"])
+            kwargs["constants"] = Constants().updated(kwargs["constants"])
         return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        cspec: dict = {"generator": self.class_name, "size": self.domain_size, "eta": self.eta}
-        if self.matrix is not None:
-            cspec["matrix"] = [list(r) for r in self.matrix]
-        if self.weights is not None:
-            cspec["weights"] = list(self.weights)
-        if self.target is not None:
-            cspec["target"] = self.target
-        doc = {
-            "class": cspec,
-            "algo": self.algo,
-            "epsilon": self.eps,
-            "delta": self.delta,
-            "rho": self.rho,
-            "trials": self.trials,
-            "b_seed": self.b_seed,
-            "data_seed": self.data_seed,
-            "b_policy": self.b_policy,
-            "stream_accounting": self.stream_accounting,
-            "identical_sides": self.identical_sides,
-        }
-        if self.algos:
-            doc["algos"] = list(self.algos)
-        if self.theta_override is not None:
-            doc["theta_override"] = self.theta_override
-        overrides = {
-            f.name: getattr(self.constants, f.name)
-            for f in fields(self.constants)
-            if getattr(self.constants, f.name) != f.default
-        }
-        if overrides:
-            doc["constants"] = overrides
-        return doc
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[HypothesisClass, DataModel]:

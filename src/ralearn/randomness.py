@@ -34,6 +34,8 @@ class RandomString:
     def __init__(self, seed: str | bytes):
         if isinstance(seed, str):
             s = seed.lower().removeprefix("0x")
+            # odd-length hex is read left-padded with 0, as int(s, 16) reads it
+            s = "0" * (len(s) % 2) + s
             try:
                 raw = bytes.fromhex(s)
             except ValueError as exc:

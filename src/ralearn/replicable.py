@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .baselines import ROUND_CAP_FACTOR, Constants, RoundRecord, RunResult, _result
+from .baselines import ROUND_CAP_FACTOR, Constants, RoundRecord, RunResult, _eliminate, _result
 from .core import (
     PROB_TOL,
     DataModel,
@@ -32,11 +32,9 @@ from .core import (
     HypothesisClass,
     ParameterError,
     Problem,
-    RoundCapExceededError,
     SampleCounters,
     VersionSpace,
     WrongSettingError,
-    disagreement_mask,
     disagreement_mass,
     empirical_errors_from_counts,
     region_hit_count,
@@ -47,7 +45,7 @@ from .rstat import SQParams, required_sample_size, rstat_answer_from_mean
 
 # not called here since learners take a Problem; bench/spans.py wraps these
 # names at every module that imports them, this one included
-from .core import disagreement_coefficient, noise_rate  # noqa: F401
+from .core import disagreement_coefficient, disagreement_mask, noise_rate  # noqa: F401
 
 GRID_PHASES = ("realizable", "agnostic-loop", "agnostic-final")
 
@@ -304,6 +302,28 @@ def _replicable_region_estimate(
     return rstat_answer_from_mean(sq, hits / t_draws, rs, label)
 
 
+def _loop_estimate(
+    problem: Problem,
+    sched: ScheduleParams,
+    rs: RandomString,
+    rng: np.random.Generator,
+    counters: SampleCounters,
+    exit_below: float,
+) -> Callable[[np.ndarray, int], tuple[float, bool]]:
+    """The loop guard of both learners: a replicable estimate of the region's
+    mass under "region-estimate-{round}", done once it falls below
+    ``exit_below``."""
+
+    def measure(region: np.ndarray, rounds: int) -> tuple[float, bool]:
+        label = f"region-estimate-{rounds}"
+        est = _replicable_region_estimate(
+            problem.model, region, sched.sq_loop, sched.t_unlabeled, rs, label, rng, counters
+        )
+        return est, est < exit_below
+
+    return measure
+
+
 def _select_final(hclass: HypothesisClass, space: VersionSpace, rs: RandomString) -> int:
     """Shared-randomness pick among survivors, invariant to index accidents.
 
@@ -350,7 +370,7 @@ def run_replical(
     """
     constants = constants or Constants()
     counters = SampleCounters()
-    hclass, model = problem.hclass, problem.model
+    hclass = problem.hclass
     if problem.nu > PROB_TOL:
         raise WrongSettingError(
             f"this learner needs a zero-error hypothesis, best has error {problem.nu}"
@@ -360,37 +380,12 @@ def run_replical(
     shared = rs.clone()
     grid = build_grid(theta, rho, hclass.n_hypotheses, "realizable", shared, constants=constants)
     v = grid.threshold
-    space = VersionSpace.full(hclass.n_hypotheses)
-    region = problem.region
     trace: list[RoundRecord] = []
-    rounds = 0
-    while True:
-        est = _replicable_region_estimate(
-            model,
-            region,
-            sched.sq_loop,
-            sched.t_unlabeled,
-            shared,
-            f"region-estimate-{rounds}",
-            rng,
-            counters,
-        )
-        if est < eps / 2.0:
-            break
-        if rounds >= sched.round_cap:
-            raise RoundCapExceededError(
-                f"no exit after {rounds} rounds (bound {sched.n_max}); estimate still {est}"
-            )
-        count0, count1 = sample_labeled_counts(
-            model, region, sched.k, rng, counters, stream_accounting
-        )
-        errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
-        trace.append(
-            RoundRecord(rounds, est, space.size, threshold=v, labels_so_far=counters.labels)
-        )
-        space = VersionSpace(space.members & (errs <= v + PROB_TOL))
-        region = disagreement_mask(hclass, space)
-        rounds += 1
+    space, _, est, rounds = _eliminate(
+        problem, sched.k, sched.round_cap, rng, counters, stream_accounting,
+        _loop_estimate(problem, sched, shared, rng, counters, eps / 2.0),
+        lambda errs, est: (v, v, None), trace  # keep errors up to the shared threshold
+    )
     chosen = _select_final(hclass, space, shared)
     return _result("replical", problem, chosen, space, counters, rounds, est, trace)
 
@@ -446,52 +441,24 @@ def run_replica2(
         theta, rho, hclass.n_hypotheses, "agnostic-loop", shared, eps, nu, constants
     )
     v = grid.threshold
-    space = VersionSpace.full(hclass.n_hypotheses)
-    region = problem.region
     trace: list[RoundRecord] = []
     flags: list[str] = []
-    rounds = 0
     guard = 16.0 * theta * nu
+
+    def cut(errs, est):
+        slack = 2.0 * nu / est + 1.0 / (16.0 * theta)
+        return v + slack, v, slack
+
     if guard >= 1.0 or sched.sq_loop is None:
         # the loop can never run its guard meaningfully at this noise level;
         # fall through to the final phase alone
         flags.append("loop-guard-unsatisfiable")
+        space, region, rounds = VersionSpace.full(hclass.n_hypotheses), problem.region, 0
     else:
-        while True:
-            est = _replicable_region_estimate(
-                model,
-                region,
-                sched.sq_loop,
-                sched.t_unlabeled,
-                shared,
-                f"region-estimate-{rounds}",
-                rng,
-                counters,
-            )
-            if est < guard:
-                break
-            if rounds >= sched.round_cap:
-                raise RoundCapExceededError(
-                    f"no exit after {rounds} rounds (bound {sched.n_max}); estimate still {est}"
-                )
-            slack = 2.0 * nu / est + 1.0 / (16.0 * theta)
-            count0, count1 = sample_labeled_counts(
-                model, region, sched.k, rng, counters, stream_accounting
-            )
-            errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
-            trace.append(
-                RoundRecord(
-                    rounds,
-                    est,
-                    space.size,
-                    threshold=v,
-                    slack=slack,
-                    labels_so_far=counters.labels,
-                )
-            )
-            space = VersionSpace(space.members & (errs <= v + slack + PROB_TOL))
-            region = disagreement_mask(hclass, space)
-            rounds += 1
+        space, region, _, rounds = _eliminate(
+            problem, sched.k, sched.round_cap, rng, counters, stream_accounting,
+            _loop_estimate(problem, sched, shared, rng, counters, guard), cut, trace
+        )
     final_grid = build_grid(
         theta,
         rho,
@@ -525,7 +492,7 @@ def run_replica2(
         errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
         # the cut is measured from the best member, so the shared threshold
         # bounds each survivor's excess over the floor, not its raw error
-        floor_final = float(errs[space.members].min())
+        floor_final = float(errs.min())
         space = VersionSpace(space.members & (errs <= floor_final + v_final + PROB_TOL))
     else:
         flags.append("final-region-zero-mass")

@@ -31,12 +31,12 @@ def _rng(seed=0):
 
 def test_constants_reject_unknown_key():
     with pytest.raises(ra.ParameterError):
-        Constants.from_mapping({"c_mystery": 2.0})
+        Constants().updated({"c_mystery": 2.0})
 
 
 def test_constants_reject_nonpositive():
     with pytest.raises(ra.ParameterError):
-        Constants.from_mapping({"c_cal": 0.0})
+        Constants().updated({"c_cal": 0.0})
     with pytest.raises(ra.ParameterError):
         Constants(c_pass=-1.0)
 
@@ -223,3 +223,38 @@ def test_a2_trace_records_cutoffs():
     for rec in res.trace:
         assert rec.threshold is not None and rec.slack is not None
         assert rec.threshold >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the shared elimination loop
+
+
+def _problem(n, target, eta=0.0):
+    h = ra.thresholds(n)
+    model = ra.DataModel.agnostic(h, target, eta) if eta else ra.DataModel.realizable(h, target)
+    return ra.Problem(h, model)
+
+
+# one run per active learner that goes through at least one loop round
+_LOOP_RUNS = {
+    "cal": lambda: run_cal(_problem(128, 65), 0.01, 0.05, _rng(1)),
+    "a2": lambda: run_a2(_problem(64, 32, 0.01), 0.1, 0.1, _rng(1), A2_TUNED),
+    "replical": lambda: ra.run_replical(
+        _problem(128, 65), 0.05, 0.05, 0.3, ra.RandomString("0abc"), _rng(1)
+    ),
+    "replica2": lambda: ra.run_replica2(
+        _problem(64, 32, 0.01), 0.1, 0.1, 0.3, ra.RandomString("0abc"), _rng(1), A2_TUNED
+    ),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(_LOOP_RUNS))
+def test_loop_records_count_labels_through_their_round(algo):
+    res = _LOOP_RUNS[algo]()
+    assert res.rounds >= 1
+    k = res.trace[0].labels_so_far
+    assert k > 0
+    loop = [rec.labels_so_far for rec in res.trace[: res.rounds]]
+    assert loop == [(r + 1) * k for r in range(res.rounds)]
+    if algo in ("cal", "replical"):
+        assert res.trace[-1].labels_so_far == res.labels_used == res.rounds * k

@@ -405,6 +405,13 @@ def test_non_hex_seed_flag_is_parameter_error(capsys, flag, seed):
     assert f"config.{flag[2:].replace('-', '_')}" in err
 
 
+def test_odd_length_b_seed_reads_as_left_padded(capsys):
+    argv = ["pair", "--trials", "1", "--format", "csv", "--b-seed"]
+    code, out, err = run_cli(capsys, argv + ["abc"])
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, argv + ["0abc"])[1]
+
+
 # argparse dests that are not config-document keys
 CLI_ONLY = {
     "config", "format", "out", "command", "handler", "micro_k", "micro_p", "micro_spacing",

@@ -204,9 +204,25 @@ _EDITS = st.lists(
 )
 
 
+# the document of ExperimentConfig(), every key spelled out
+_DEFAULT_DOC = {
+    "class": {"generator": "thresholds", "size": 16, "eta": 0.0},
+    "algo": "cal",
+    "epsilon": 0.05,
+    "delta": 0.05,
+    "rho": 0.1,
+    "trials": 10,
+    "b_seed": "01",
+    "data_seed": "02",
+    "b_policy": "per-trial",
+    "stream_accounting": False,
+    "identical_sides": False,
+}
+
+
 @st.composite
 def _near_valid_docs(draw):
-    doc = ExperimentConfig().to_dict()
+    doc = {**_DEFAULT_DOC, "class": dict(_DEFAULT_DOC["class"])}
     for level, key, value in draw(_EDITS):
         (doc["class"] if level == "class" else doc)[key] = value
     return draw(_OTHER) if draw(st.integers(0, 49)) == 0 else doc
@@ -243,13 +259,35 @@ def test_schema_uses_only_checked_keywords():
     assert used <= checked
 
 
-def test_roundtrip_default_config():
-    cfg = ExperimentConfig()
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+def test_empty_and_default_documents_give_the_default_config():
+    assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+    assert ExperimentConfig.from_dict(_DEFAULT_DOC) == ExperimentConfig()
 
 
-def test_roundtrip_rich_config():
-    cfg = ExperimentConfig(
+def test_from_dict_rich_config():
+    doc = {
+        "class": {
+            "generator": "thresholds",
+            "size": 32,
+            "target": 7,
+            "eta": 0.1,
+            "weights": [1.0 / 32] * 32,
+        },
+        "algo": "a2",
+        "algos": ["cal", "erm"],
+        "epsilon": 0.1,
+        "delta": 0.2,
+        "rho": 0.3,
+        "trials": 4,
+        "b_seed": "0abc",
+        "data_seed": "ff",
+        "b_policy": "fixed",
+        "theta_override": 3.0,
+        "constants": {"c_a2": 24.0},
+        "stream_accounting": True,
+        "identical_sides": True,
+    }
+    assert ExperimentConfig.from_dict(doc) == ExperimentConfig(
         class_name="thresholds",
         domain_size=32,
         target=7,
@@ -269,13 +307,6 @@ def test_roundtrip_rich_config():
         stream_accounting=True,
         identical_sides=True,
     )
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-
-
-def test_to_dict_omits_default_constants():
-    assert "constants" not in ExperimentConfig().to_dict()
-    doc = ExperimentConfig(constants=ra.Constants().updated({"c_k2": 5.0})).to_dict()
-    assert doc["constants"] == {"c_k2": 5.0}
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +636,7 @@ GOLDEN_REPORT_DIGESTS = {
 
 GOLDEN_RESULT_DIGESTS = {
     "erm": "a86f92d0604c0d813013dace05da6023c59f5cc636e3283b59d79ad9efddbd9d",
-    "cal": "9cdd1e5f3f98c367460537982533cc084ceec38896494a2ac10563adae70f174",
+    "cal": "d7b9af168564e1cf3e0594ed6f8a5dfc13af44420d6046fee6ca9776e7e4c160",
     "a2": "558500e5b5491f54b62baa865a1b270ef4fa811b9b36f86a7af6c023ca5178e2",
     "replical": "888f3436ccec598ae7877d9296770495bbdfa71e471f8bbc533c638717845dbb",
     "replica2": "ea4f29ec4bf7da9a40fb533aee372fead4216d48cfbf13d093f31c35cdb2b843",

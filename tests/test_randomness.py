@@ -28,6 +28,13 @@ def test_hex_prefix_is_accepted():
     assert a.derive_uniform("q") == b.derive_uniform("q")
 
 
+def test_odd_length_hex_is_left_padded():
+    a = ra.RandomString("abc")
+    b = ra.RandomString("0x0ABC")
+    assert a.derive_uniform("q") == b.derive_uniform("q")
+    assert a.seed_hex == b.seed_hex == "0abc"
+
+
 def test_bad_seeds_rejected():
     with pytest.raises(ra.ParameterError):
         ra.RandomString("zz")
