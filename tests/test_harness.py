@@ -663,11 +663,28 @@ def test_golden_run_result_digest(algo):
     assert _sha256(json.dumps(result.to_jsonable(), sort_keys=True)) == GOLDEN_RESULT_DIGESTS[algo]
 
 
-def test_golden_sweep_csv_digest():
-    cfg = ExperimentConfig(
-        domain_size=32, algos=("erm", "cal", "replical"), **{**_GOLDEN_COMMON, "trials": 2}
+def test_golden_report_json_digest():
+    """Pinned report JSON, every field and row, of the replical batch."""
+    report = run_paired_trials(GOLDEN_BATCHES["replical"])
+    assert _sha256(json_text(report.to_jsonable())) == (
+        "5e2b4f9bec7cb6a338bb8cedfc03534887acc70ea2c527006c5c2a0484abb576"
     )
-    table = label_complexity_sweep(cfg, [0.2, 0.1])
+
+
+_GOLDEN_SWEEP = ExperimentConfig(
+    domain_size=32, algos=("erm", "cal", "replical"), **{**_GOLDEN_COMMON, "trials": 2}
+)
+
+
+def test_golden_sweep_csv_digest():
+    table = label_complexity_sweep(_GOLDEN_SWEEP, [0.2, 0.1])
     assert _sha256(sweep_csv(table)) == (
         "5f28aa5f9286c3fb263cf07544eb75b2099f28eab8a4037534ccccdf1e42ef0a"
+    )
+
+
+def test_golden_sweep_json_digest():
+    table = label_complexity_sweep(_GOLDEN_SWEEP, [0.2, 0.1])
+    assert _sha256(json_text(table.to_jsonable())) == (
+        "0796de27e4690cc8887562d667e7ef71d8a6bc04898b56f81671fd73e913df36"
     )
