@@ -46,8 +46,6 @@ from .core import (
 )
 from .diagnostics import (
     IntervalProfile,
-    PairedSets,
-    SetDivergence,
     bad_fraction,
     classify_thresholds,
     interval_profile,

@@ -95,6 +95,9 @@ class RoundRecord:
     labels_so_far: int = 0
 
 
+_ROUND_FIELDS = tuple(f.name for f in fields(RoundRecord))
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of one learner execution.
@@ -117,30 +120,12 @@ class RunResult:
     flags: tuple[str, ...] = ()
 
     def to_jsonable(self) -> dict:
-        return {
-            "algo": self.algo,
-            "hypothesis_index": self.hypothesis_index,
-            "signature": self.signature.hex(),
-            "signature_hash": self.signature_hash,
-            "labels_used": self.labels_used,
-            "unlabeled_used": self.unlabeled_used,
-            "rounds": self.rounds,
-            "final_disagreement_estimate": self.final_disagreement_estimate,
-            "error": self.error,
-            "survivors": list(self.survivors),
-            "trace": [
-                {
-                    "round": r.round,
-                    "disagreement": r.disagreement,
-                    "version_size": r.version_size,
-                    "threshold": r.threshold,
-                    "slack": r.slack,
-                    "labels_so_far": r.labels_so_far,
-                }
-                for r in self.trace
-            ],
-            "flags": list(self.flags),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["signature"] = self.signature.hex()
+        doc["survivors"] = list(self.survivors)
+        doc["trace"] = [{col: getattr(r, col) for col in _ROUND_FIELDS} for r in self.trace]
+        doc["flags"] = list(self.flags)
+        return doc
 
 
 def _check_accuracy_params(eps: float, delta: float) -> None:

@@ -3,8 +3,7 @@
 Subcommands: ``theta`` (exact geometry of a problem), ``run`` (one
 algorithm execution, JSON result), ``pair`` (paired replicability trials),
 ``sweep`` (label complexity across accuracy targets), ``gridcheck``
-(threshold-grid interval profile and badness flags, plus the exhaustive
-small-sample agreement oracle).
+(threshold-grid interval profile and badness flags).
 
 A JSON config file is the source of truth.  Each flag given is written into
 its document under the config key of the same name (``--class`` is
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -46,9 +44,6 @@ from .harness import (
 )
 from .randomness import RandomString
 from .replicable import build_grid
-from .rstat import exact_agreement_probability
-
-OUTPUT_DIR_ENV = "RALEARN_OUT_DIR"
 
 
 def _constant_pair(text: str) -> tuple[str, float]:
@@ -131,13 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p_pair)
     _add_algo_flags(p_pair)
     p_pair.add_argument("--trials", type=int, help="number of paired trials")
-    p_pair.add_argument("--b-policy", choices=["per-trial", "fixed"])
-    p_pair.add_argument(
-        "--identical-sides",
-        action="store_true",
-        default=None,
-        help="give both sides the same data stream (smoke test)",
-    )
     p_pair.set_defaults(handler=_cmd_pair)
 
     p_sweep = sub.add_parser("sweep", help="label complexity across accuracy targets")
@@ -155,9 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_problem_flags(p_grid)
     _add_algo_flags(p_grid)
-    p_grid.add_argument("--micro-k", type=int, help="exhaustive agreement oracle: sample size")
-    p_grid.add_argument("--micro-p", type=float, default=0.5, help="oracle success probability")
-    p_grid.add_argument("--micro-spacing", type=float, default=0.05, help="oracle grid spacing")
     p_grid.set_defaults(handler=_cmd_gridcheck)
     return parser
 
@@ -194,16 +179,6 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     given = {"class": {k: flags[k] for k in keys["class"]["properties"] if k in flags}}
     given.update((k, flags[k]) for k in keys if k in flags)
     return ExperimentConfig.from_dict(_overlay(doc, given))
-
-
-def _out_path(args: argparse.Namespace) -> Optional[str]:
-    path = args.out
-    if path is None:
-        return None
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
 
 
 def _fmt_number(x: float) -> str:
@@ -284,23 +259,6 @@ def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, st
 
 
 def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, str]:
-    if args.micro_k:
-        prob = exact_agreement_probability(args.micro_k, args.micro_p, args.micro_spacing)
-        payload = {
-            "k": args.micro_k,
-            "p": args.micro_p,
-            "spacing": args.micro_spacing,
-            "exact_agreement_probability": prob,
-        }
-        if args.format == "json":
-            text = json_text(payload) + "\n"
-        else:
-            text = (
-                f"k={args.micro_k} p={_fmt_number(args.micro_p)} "
-                f"spacing={_fmt_number(args.micro_spacing)} "
-                f"exact_agreement_probability={prob!r}\n"
-            )
-        return text, text
     problem = _problem(cfg)
     hclass, model, nu = problem.hclass, problem.model, problem.nu
     phase = "agnostic-loop" if nu > PROB_TOL else "realizable"
@@ -358,9 +316,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = load_config(args)
         shown, saved = args.handler(cfg, args)
         sys.stdout.write(shown)
-        path = _out_path(args)
-        if path:
-            with open(path, "w") as f:
+        if args.out:
+            with open(args.out, "w") as f:
                 f.write(saved)
         return 0
     except ParameterError as e:

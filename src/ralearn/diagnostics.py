@@ -5,7 +5,7 @@ hypothesis class against a grid counts how many hypotheses' reference errors
 fall in each cell.  A selectable threshold is "bad" when the cell it cuts
 through is crowded relative to everything below it, or when the cells above
 it fill up faster than an exponential; both runs of a pair can then land on
-opposite sides of the cut.  The paired-set helpers quantify how far two
+opposite sides of the cut.  ``set_divergence`` quantifies how far two
 survivor sets actually drifted.
 """
 from __future__ import annotations
@@ -106,28 +106,9 @@ def bad_fraction(profile: IntervalProfile, rho: float) -> float:
 # paired survivor sets
 
 
-@dataclass(frozen=True)
-class PairedSets:
-    """Survivor identity sets from the two sides of one paired run."""
-
-    first: frozenset
-    second: frozenset
-
-    @classmethod
-    def of(cls, first: Iterable, second: Iterable) -> "PairedSets":
-        return cls(frozenset(first), frozenset(second))
-
-
-@dataclass(frozen=True)
-class SetDivergence:
-    """Symmetric difference over union; 0 means the sides agree exactly."""
-
-    value: float
-    both_empty: bool
-
-
-def set_divergence(p: PairedSets) -> SetDivergence:
-    union = p.first | p.second
-    if not union:
-        return SetDivergence(0.0, True)
-    return SetDivergence(len(p.first ^ p.second) / len(union), False)
+def set_divergence(first: Iterable, second: Iterable) -> float:
+    """Symmetric difference over union of two survivor sets; 0 means the
+    sides agree exactly, two empty sets included."""
+    first, second = frozenset(first), frozenset(second)
+    union = first | second
+    return len(first ^ second) / len(union) if union else 0.0

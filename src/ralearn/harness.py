@@ -15,7 +15,7 @@ import math
 import numbers
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -114,11 +114,9 @@ CONFIG_SCHEMA = {
         "trials": {"type": "integer", "minimum": 1},
         "b_seed": {"type": "string", "pattern": _SEED_PATTERN},
         "data_seed": {"type": "string", "pattern": _SEED_PATTERN},
-        "b_policy": {"enum": ["per-trial", "fixed"]},
         "constants": {"type": "object", "additionalProperties": {"type": "number"}},
         "theta_override": {"type": ["number", "null"], "exclusiveMinimum": 0},
         "stream_accounting": {"type": "boolean"},
-        "identical_sides": {"type": "boolean"},
     },
 }
 
@@ -184,36 +182,6 @@ def _check_schema(value, schema: dict, path: str) -> None:
                 _check_schema(item, extra, f"{path}.{key}")
 
 
-CSV_COLUMNS = (
-    "trial",
-    "algo",
-    "epsilon",
-    "delta",
-    "rho",
-    "nu",
-    "theta",
-    "labels_used",
-    "unlabeled_used",
-    "rounds",
-    "err_final",
-    "signature_hash",
-    "b_seed",
-    "data_seed",
-    "agreed",
-)
-
-SWEEP_COLUMNS = (
-    "algo",
-    "epsilon",
-    "trials",
-    "labels_mean",
-    "labels_max",
-    "unlabeled_mean",
-    "error_mean",
-    "within_target_fraction",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one experiment batch."""
@@ -232,11 +200,9 @@ class ExperimentConfig:
     trials: int = 10
     b_seed: str = "01"
     data_seed: str = "02"
-    b_policy: str = "per-trial"
     constants: Constants = field(default_factory=Constants)
     theta_override: Optional[float] = None
     stream_accounting: bool = False
-    identical_sides: bool = False
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
@@ -248,8 +214,6 @@ class ExperimentConfig:
             raise ParameterError(
                 f"unknown class generator {self.class_name!r}; expected one of {GENERATORS}"
             )
-        if self.b_policy not in ("per-trial", "fixed"):
-            raise ParameterError(f"b_policy must be 'per-trial' or 'fixed', got {self.b_policy!r}")
         if self.trials < 1:
             raise ParameterError("trials must be at least 1")
         for name, value in (("epsilon", self.eps), ("delta", self.delta), ("rho", self.rho)):
@@ -360,6 +324,9 @@ class TrialRow:
     agreed: bool
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRow))
+
+
 @dataclass(frozen=True)
 class ReplicabilityReport:
     """Aggregate statistics over a batch of paired runs."""
@@ -381,23 +348,10 @@ class ReplicabilityReport:
     rows: tuple[TrialRow, ...]
 
     def to_jsonable(self) -> dict:
-        return {
-            "algo": self.algo,
-            "pairs": self.pairs,
-            "agreements": self.agreements,
-            "agreement_rate": self.agreement_rate,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-            "error_mean": self.error_mean,
-            "error_max": self.error_max,
-            "labels_mean": self.labels_mean,
-            "labels_max": self.labels_max,
-            "unlabeled_mean": self.unlabeled_mean,
-            "unlabeled_max": self.unlabeled_max,
-            "halving_frequency": self.halving_frequency,
-            "failure_counts": {name: n for name, n in self.failure_counts},
-            "rows": [{col: getattr(r, col) for col in CSV_COLUMNS} for r in self.rows],
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["failure_counts"] = dict(self.failure_counts)
+        doc["rows"] = [{col: getattr(r, col) for col in CSV_COLUMNS} for r in self.rows]
+        return doc
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -438,9 +392,8 @@ def iter_paired_runs(
     geometry is computed once, before the first pair; an invalid theta
     override raises there.  Each pair derives one shared string from the
     master seed and the pair index; the two sides draw data from independent
-    streams (or the same stream when the config pins identical sides for
-    smoke testing).  A failing side is recorded by exception type
-    instead of aborting the batch.
+    streams.  A failing side is recorded by exception type instead of
+    aborting the batch.
     """
     if problem is None:
         if hclass is None or model is None:
@@ -449,14 +402,13 @@ def iter_paired_runs(
     learner = LEARNERS[cfg.algo]
     master = RandomString(cfg.b_seed)
     for i in range(cfg.trials):
-        b = master if cfg.b_policy == "fixed" else master.spawn(f"pair/{i}")
+        b = master.spawn(f"pair/{i}")
         sides: list[Optional[RunResult]] = []
         failures: list[Optional[str]] = []
         seeds: list[str] = []
         for side in (0, 1):
-            side_key = 0 if cfg.identical_sides else side
-            rng = data_stream(cfg.data_seed, i, side_key)
-            seeds.append(f"{cfg.data_seed}:{i}:{side_key}")
+            rng = data_stream(cfg.data_seed, i, side)
+            seeds.append(f"{cfg.data_seed}:{i}:{side}")
             try:
                 sides.append(learner(problem, cfg, b, rng))
                 failures.append(None)
@@ -569,6 +521,9 @@ class SweepRow:
     unlabeled_mean: float
     error_mean: float
     within_target_fraction: float
+
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)

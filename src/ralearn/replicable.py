@@ -449,7 +449,7 @@ def run_replica2(
         slack = 2.0 * nu / est + 1.0 / (16.0 * theta)
         return v + slack, v, slack
 
-    if guard >= 1.0 or sched.sq_loop is None:
+    if guard >= 1.0:
         # the loop can never run its guard meaningfully at this noise level;
         # fall through to the final phase alone
         flags.append("loop-guard-unsatisfiable")

@@ -243,11 +243,11 @@ def test_criterion_13_divergence_link(criterion, replical_batch):
     for outcome in outcomes:
         if outcome.result_first is None or outcome.result_second is None:
             continue
-        sets = ra.PairedSets.of(
+        divergence = ra.set_divergence(
             (hclass.signature(i) for i in outcome.result_first.survivors),
             (hclass.signature(i) for i in outcome.result_second.survivors),
         )
-        if ra.set_divergence(sets).value <= 0.075:
+        if divergence <= 0.075:
             qualifying += 1
             agree += outcome.agreed
     rate = agree / qualifying if qualifying else 0.0

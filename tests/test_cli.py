@@ -14,10 +14,10 @@ from ralearn.harness import (
     CONFIG_SCHEMA,
     SWEEP_COLUMNS,
     ExperimentConfig,
+    json_text,
     report_csv,
     run_paired_trials,
 )
-from ralearn.rstat import exact_agreement_probability
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -197,15 +197,6 @@ def test_oversized_class_is_parameter_error(capsys):
     assert peak < 2**20
 
 
-def test_infinite_micro_spacing_is_parameter_error(capsys):
-    code, out, err = run_cli(
-        capsys, ["gridcheck", "--micro-k", "5", "--micro-spacing", "inf", "--format", "json"]
-    )
-    assert code == 3
-    assert out == ""
-    assert "spacing" in err
-
-
 @pytest.mark.parametrize("command", ["theta", "pair"])
 def test_nan_weight_in_config_is_parameter_error(tmp_path, command):
     # json reads NaN and the schema's minimum lets it through; a NaN weight
@@ -268,15 +259,10 @@ def test_pair_stdout_is_bit_stable(capsys):
 
 
 def test_pair_text_format_reports_rate(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        [
-            "pair", "--algo", "cal", "--epsilon", "0.2",
-            "--trials", "2", "--identical-sides",
-        ],
-    )
+    code, out, _ = run_cli(capsys, ["pair", "--algo", "cal", "--epsilon", "0.2", "--trials", "2"])
     assert code == 0
-    assert "agreement_rate=1.0" in out
+    report = run_paired_trials(ExperimentConfig(algo="cal", eps=0.2, trials=2))
+    assert f"agreement_rate={report.agreement_rate!r}\n" in out
 
 
 def test_sweep_csv_header(capsys):
@@ -302,21 +288,6 @@ def test_sweep_algos_flag(capsys):
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["erm", "cal"]
 
 
-def test_gridcheck_micro_oracle(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        [
-            "gridcheck", "--micro-k", "4", "--micro-p", "0.5",
-            "--micro-spacing", "0.25", "--format", "json",
-        ],
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["exact_agreement_probability"] == pytest.approx(
-        exact_agreement_probability(4, 0.5, 0.25)
-    )
-
-
 def test_gridcheck_full_profile(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -339,7 +310,7 @@ def test_config_file_with_flag_override(capsys, tmp_path):
         "epsilon": 0.2,
         "delta": 0.2,
         "trials": 5,
-        "identical_sides": True,
+        "stream_accounting": True,
         "class": {"generator": "thresholds", "size": 8},
     }
     path = tmp_path / "cfg.json"
@@ -349,9 +320,11 @@ def test_config_file_with_flag_override(capsys, tmp_path):
         ["pair", "--config", str(path), "--trials", "1", "--format", "json"],
     )
     assert code == 0
-    payload = json.loads(out)
-    assert payload["pairs"] == 1
-    assert payload["agreement_rate"] == 1.0
+    cfg = ExperimentConfig(
+        domain_size=8, algo="cal", eps=0.2, delta=0.2, trials=1, stream_accounting=True
+    )
+    assert out == json_text(run_paired_trials(cfg).to_jsonable()) + "\n"
+    assert json.loads(out)["pairs"] == 1
 
 
 def test_flags_are_written_over_the_config_document(tmp_path):
@@ -413,9 +386,7 @@ def test_odd_length_b_seed_reads_as_left_padded(capsys):
 
 
 # argparse dests that are not config-document keys
-CLI_ONLY = {
-    "config", "format", "out", "command", "handler", "micro_k", "micro_p", "micro_spacing",
-}
+CLI_ONLY = {"config", "format", "out", "command", "handler"}
 
 
 @pytest.mark.parametrize("command", ["theta", "run", "pair", "sweep", "gridcheck"])
@@ -425,6 +396,31 @@ def test_every_flag_is_a_config_key_or_cli_only(command):
     keys = CONFIG_SCHEMA["properties"]
     known = set(keys) | set(keys["class"]["properties"]) | CLI_ONLY
     assert set(vars(build_parser().parse_args([command]))) <= known
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pair", "--identical-sides"],
+        ["pair", "--b-policy", "fixed"],
+        ["gridcheck", "--micro-k", "4"],
+    ],
+    ids=["identical-sides", "b-policy", "micro-k"],
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("key, value", [("b_policy", "fixed"), ("identical_sides", True)])
+def test_config_with_a_removed_key_is_parameter_error(capsys, tmp_path, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(capsys, ["pair", "--config", str(path), "--trials", "1"])
+    assert code == 3
+    assert out == ""
+    assert f"config.{key}: unknown key" in err
 
 
 def test_missing_config_file(capsys, tmp_path):
@@ -451,25 +447,19 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert path.read_text() == out
 
 
-def test_out_dir_env_joins_relative_paths(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("RALEARN_OUT_DIR", str(tmp_path))
-    code, _, _ = run_cli(
+def test_relative_out_path_is_read_from_the_working_directory(capsys, tmp_path, monkeypatch):
+    # the output path is taken as given; no environment variable moves it
+    (tmp_path / "cwd").mkdir()
+    (tmp_path / "env").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    monkeypatch.setenv("RALEARN_OUT_DIR", str(tmp_path / "env"))
+    code, out, _ = run_cli(
         capsys,
         ["theta", "--class", "worst_case", "--domain-size", "4", "--out", "geometry.txt"],
     )
     assert code == 0
-    assert (tmp_path / "geometry.txt").exists()
-
-
-def test_out_dir_env_leaves_absolute_paths(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("RALEARN_OUT_DIR", str(tmp_path / "unused"))
-    target = tmp_path / "direct.txt"
-    code, _, _ = run_cli(
-        capsys,
-        ["theta", "--class", "worst_case", "--domain-size", "4", "--out", str(target)],
-    )
-    assert code == 0
-    assert target.exists()
+    assert (tmp_path / "cwd" / "geometry.txt").read_text() == out
+    assert list((tmp_path / "env").iterdir()) == []
 
 
 def test_pair_out_csv(capsys, tmp_path):
@@ -496,7 +486,6 @@ def test_module_entry_point():
 
 
 _GRIDCHECK = ["gridcheck", *_PROBLEM, "--rho", "0.3"]
-_MICRO = ["gridcheck", "--micro-k", "4", "--micro-spacing", "0.25"]
 _PAIR = ["pair", "--algo", "cal", "--epsilon", "0.2", "--trials", "2"]
 _SWEEP = ["sweep", "--algo", "cal", "--epsilon", "0.2", "--trials", "2"]
 
@@ -506,12 +495,10 @@ _SWEEP = ["sweep", "--algo", "cal", "--epsilon", "0.2", "--trials", "2"]
     [
         [*_GRIDCHECK, "--format", "text"],
         [*_GRIDCHECK, "--format", "json"],
-        [*_MICRO, "--format", "text"],
-        [*_MICRO, "--format", "json"],
         [*_PAIR, "--format", "json"],
         [*_SWEEP, "--format", "json"],
     ],
-    ids=["gridcheck-text", "gridcheck-json", "micro-text", "micro-json", "pair-json", "sweep-json"],
+    ids=["gridcheck-text", "gridcheck-json", "pair-json", "sweep-json"],
 )
 def test_out_saves_what_was_printed(capsys, tmp_path, argv):
     path = tmp_path / "saved"

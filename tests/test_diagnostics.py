@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import ralearn as ra
 from ralearn.diagnostics import (
-    PairedSets,
     bad_fraction,
     classify_thresholds,
     interval_profile,
@@ -125,31 +124,23 @@ def test_bad_fraction_is_within_unit_interval():
 
 
 def test_divergence_zero_for_equal_sets():
-    d = set_divergence(PairedSets.of({1, 2, 3}, {3, 2, 1}))
-    assert d.value == 0.0
-    assert not d.both_empty
+    assert set_divergence({1, 2, 3}, {3, 2, 1}) == 0.0
 
 
 def test_divergence_one_for_disjoint_sets():
-    d = set_divergence(PairedSets.of({1, 2}, {3}))
-    assert d.value == pytest.approx(1.0)
+    assert set_divergence({1, 2}, {3}) == pytest.approx(1.0)
 
 
 def test_divergence_half_by_direct_count():
-    d = set_divergence(PairedSets.of({"a", "b", "c"}, {"b", "c", "d"}))
-    assert d.value == pytest.approx(0.5)
+    assert set_divergence({"a", "b", "c"}, {"b", "c", "d"}) == pytest.approx(0.5)
 
 
 def test_divergence_of_two_empty_sets_is_flagged():
-    d = set_divergence(PairedSets.of([], []))
-    assert d.value == 0.0
-    assert d.both_empty
+    assert set_divergence([], []) == 0.0
 
 
 def test_divergence_is_symmetric():
-    a = set_divergence(PairedSets.of({1, 4}, {4, 9, 16}))
-    b = set_divergence(PairedSets.of({4, 9, 16}, {1, 4}))
-    assert a.value == pytest.approx(b.value)
+    assert set_divergence({1, 4}, {4, 9, 16}) == pytest.approx(set_divergence({4, 9, 16}, {1, 4}))
 
 
 @given(
@@ -158,9 +149,9 @@ def test_divergence_is_symmetric():
 )
 @settings(max_examples=100, deadline=None)
 def test_divergence_counts_directly(first, second):
-    d = set_divergence(PairedSets.of(first, second))
+    d = set_divergence(first, second)
     union = first | second
     if not union:
-        assert d.value == 0.0 and d.both_empty
+        assert d == 0.0
     else:
-        assert d.value == pytest.approx(len(first ^ second) / len(union))
+        assert d == pytest.approx(len(first ^ second) / len(union))

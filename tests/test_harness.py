@@ -94,7 +94,6 @@ def test_config_defaults_construct():
     cfg = ExperimentConfig()
     assert cfg.algo == "cal"
     assert cfg.class_name == "thresholds"
-    assert cfg.b_policy == "per-trial"
 
 
 @pytest.mark.parametrize(
@@ -103,7 +102,6 @@ def test_config_defaults_construct():
         {"algo": "svm"},
         {"algos": ("cal", "svm")},
         {"class_name": "worst-case"},
-        {"b_policy": "shared"},
         {"trials": 0},
         {"eps": 0.0},
         {"eps": 1.0},
@@ -124,6 +122,14 @@ def test_config_rejects_bad_fields(kwargs):
 def test_from_dict_rejects_unknown_key():
     with pytest.raises(ra.ParameterError):
         ExperimentConfig.from_dict({"bogus": 1})
+
+
+@pytest.mark.parametrize("key, value", [("b_policy", "fixed"), ("identical_sides", True)])
+def test_from_dict_rejects_removed_keys(key, value):
+    # both keys once switched off what a pair measures: a fresh shared string
+    # per pair, and independent data on the two sides
+    with pytest.raises(ra.ParameterError, match=rf"config\.{key}: unknown key"):
+        ExperimentConfig.from_dict({key: value})
 
 
 def test_from_dict_rejects_wrong_type():
@@ -184,12 +190,10 @@ _TOP_VALUES = {
     "algos": st.lists(_NAMES, max_size=2),
     "b_seed": _SEEDS,
     "data_seed": _SEEDS,
-    "b_policy": st.sampled_from(["per-trial", "fixed", "shared", None]),
     "constants": st.dictionaries(
         st.sampled_from(["c_cal", "c_bogus"]), _NUMBERS | st.text(max_size=2) | _OTHER, max_size=2
     ),
     "stream_accounting": st.booleans() | _EDGES,
-    "identical_sides": st.booleans() | _EDGES,
     "bogus": _OTHER,
 }
 _EDITS = st.lists(
@@ -214,9 +218,7 @@ _DEFAULT_DOC = {
     "trials": 10,
     "b_seed": "01",
     "data_seed": "02",
-    "b_policy": "per-trial",
     "stream_accounting": False,
-    "identical_sides": False,
 }
 
 
@@ -281,11 +283,9 @@ def test_from_dict_rich_config():
         "trials": 4,
         "b_seed": "0abc",
         "data_seed": "ff",
-        "b_policy": "fixed",
         "theta_override": 3.0,
         "constants": {"c_a2": 24.0},
         "stream_accounting": True,
-        "identical_sides": True,
     }
     assert ExperimentConfig.from_dict(doc) == ExperimentConfig(
         class_name="thresholds",
@@ -300,12 +300,10 @@ def test_from_dict_rich_config():
         trials=4,
         b_seed="0abc",
         data_seed="ff",
-        b_policy="fixed",
         weights=tuple([1.0 / 32] * 32),
         theta_override=3.0,
         constants=ra.Constants().updated({"c_a2": 24.0}),
         stream_accounting=True,
-        identical_sides=True,
     )
 
 
@@ -384,18 +382,7 @@ def _cal_cfg(**kwargs):
     return ExperimentConfig(**base)
 
 
-def test_identical_sides_always_agree():
-    report = run_paired_trials(_cal_cfg(identical_sides=True))
-    assert report.pairs == 6
-    assert report.agreements == 6
-    assert report.agreement_rate == 1.0
-    assert report.failure_counts == ()
-    assert all(row.agreed for row in report.rows)
-
-
-def test_identical_sides_share_the_stream_key():
-    outcomes = list(iter_paired_runs(_cal_cfg(trials=2, identical_sides=True)))
-    assert outcomes[0].data_seed_first == outcomes[0].data_seed_second == "02:0:0"
+def test_sides_draw_from_their_own_stream_keys():
     outcomes = list(iter_paired_runs(_cal_cfg(trials=1)))
     assert outcomes[0].data_seed_first == "02:0:0"
     assert outcomes[0].data_seed_second == "02:0:1"
@@ -417,9 +404,7 @@ def test_singleton_class_trivially_replicates():
     assert len(sigs) == 1
 
 
-def test_b_policy_fixed_reuses_one_string():
-    fixed = list(iter_paired_runs(_cal_cfg(trials=3, b_policy="fixed")))
-    assert len({o.b_hex for o in fixed}) == 1
+def test_each_pair_spawns_its_own_string():
     per_trial = list(iter_paired_runs(_cal_cfg(trials=3)))
     assert len({o.b_hex for o in per_trial}) == 3
 
