@@ -413,16 +413,6 @@ def test_removed_flags_are_usage_errors(capsys, argv):
     assert out == ""
 
 
-@pytest.mark.parametrize("key, value", [("b_policy", "fixed"), ("identical_sides", True)])
-def test_config_with_a_removed_key_is_parameter_error(capsys, tmp_path, key, value):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({key: value}))
-    code, out, err = run_cli(capsys, ["pair", "--config", str(path), "--trials", "1"])
-    assert code == 3
-    assert out == ""
-    assert f"config.{key}: unknown key" in err
-
-
 def test_missing_config_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["theta", "--config", str(tmp_path / "absent.json")])
     assert code == 2

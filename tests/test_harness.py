@@ -126,8 +126,8 @@ def test_from_dict_rejects_unknown_key():
 
 @pytest.mark.parametrize("key, value", [("b_policy", "fixed"), ("identical_sides", True)])
 def test_from_dict_rejects_removed_keys(key, value):
-    # both keys once switched off what a pair measures: a fresh shared string
-    # per pair, and independent data on the two sides
+    # every pair spawns its own shared string and gives its two sides
+    # independent data; no key switches either off
     with pytest.raises(ra.ParameterError, match=rf"config\.{key}: unknown key"):
         ExperimentConfig.from_dict({key: value})
 
@@ -382,7 +382,8 @@ def _cal_cfg(**kwargs):
     return ExperimentConfig(**base)
 
 
-def test_sides_draw_from_their_own_stream_keys():
+def test_identical_sides_share_the_stream_key():
+    """No two sides share a stream: pair i's sides draw from keys (i, 0) and (i, 1)."""
     outcomes = list(iter_paired_runs(_cal_cfg(trials=1)))
     assert outcomes[0].data_seed_first == "02:0:0"
     assert outcomes[0].data_seed_second == "02:0:1"
@@ -404,7 +405,8 @@ def test_singleton_class_trivially_replicates():
     assert len(sigs) == 1
 
 
-def test_each_pair_spawns_its_own_string():
+def test_b_policy_fixed_reuses_one_string():
+    """No string is reused: every pair spawns its own shared string."""
     per_trial = list(iter_paired_runs(_cal_cfg(trials=3)))
     assert len({o.b_hex for o in per_trial}) == 3
 

@@ -393,21 +393,22 @@ def test_replica2_replays_bit_identically():
     assert a == b
 
 
-@pytest.mark.parametrize("eta, loop_query", [(0.05, True), (0.1, False)])
-def test_replica2_flags_unsatisfiable_loop_guard(eta, loop_query):
+def test_replica2_flags_unsatisfiable_loop_guard():
     # a centered base doubles the coefficient, pushing the loop exit level
     # 16 theta nu past one, so the loop cannot run at all; at eta 0.1 the
     # schedule's own guard 8 theta nu passes one too and it sizes no loop query
     h = ra.thresholds(16)
-    m = ra.DataModel.agnostic(h, 8, eta)
-    theta = ra.disagreement_coefficient(h, m, 8)
-    assert theta == pytest.approx(2.0)
-    problem = ra.Problem(h, m)
-    sched = ra.size_schedule(problem.sizing_theta, 0.1, 0.1, 0.3, problem.nu, 16, "agnostic")
-    assert (sched.sq_loop is not None) == loop_query
-    res = run_replica2(problem, 0.1, 0.1, 0.3, ra.RandomString("33"), _rng(2))
-    assert "loop-guard-unsatisfiable" in res.flags
-    assert res.rounds == 0
+    for eta, loop_query in ((0.05, True), (0.1, False)):
+        m = ra.DataModel.agnostic(h, 8, eta)
+        assert ra.disagreement_coefficient(h, m, 8) == pytest.approx(2.0)
+        problem = ra.Problem(h, m)
+        sched = ra.size_schedule(
+            problem.sizing_theta, 0.1, 0.1, 0.3, problem.nu, 16, "agnostic"
+        )
+        assert (sched.sq_loop is not None) == loop_query
+        res = run_replica2(problem, 0.1, 0.1, 0.3, ra.RandomString("33"), _rng(2))
+        assert "loop-guard-unsatisfiable" in res.flags
+        assert res.rounds == 0
 
 
 def test_replica2_best_hypothesis_usually_survives():
