@@ -31,7 +31,6 @@ cfg = ExperimentConfig(
     trials=60,
     b_seed="51",
     data_seed="15",
-    constants=ra.Constants().updated({"c_a2": 24.0, "c_a2_final": 200.0}),
 )
 
 hclass, model = build_problem(cfg)

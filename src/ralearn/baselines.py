@@ -51,8 +51,8 @@ class Constants:
 
     c_pass: float = 2.0
     c_cal: float = 2.0
-    c_a2: float = 1.0
-    c_a2_final: float = 1.0
+    c_a2: float = 24.0
+    c_a2_final: float = 200.0
     c_k1: float = 2.0
     c_k2: float = 1.0
     c_k3: float = 1.0

@@ -43,7 +43,7 @@ from .harness import (
     sweep_csv,
 )
 from .randomness import RandomString
-from .replicable import build_grid
+from .replicable import build_grid, grid_interval_count, grid_range_top
 
 
 def _constant_pair(text: str) -> tuple[str, float]:
@@ -100,7 +100,7 @@ def _add_algo_flags(p: argparse.ArgumentParser) -> None:
         "--epsilon",
         action="append",
         type=float,
-        help="accuracy target; repeat to sweep several values",
+        help="accuracy target; sweep takes it repeated, to sweep several values",
     )
     p.add_argument("--delta", type=float, help="failure budget")
     p.add_argument("--rho", type=float, help="replicability budget")
@@ -262,10 +262,11 @@ def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str
     problem = _problem(cfg)
     hclass, model, nu = problem.hclass, problem.model, problem.nu
     phase = "agnostic-loop" if nu > PROB_TOL else "realizable"
-    shared = RandomString(cfg.b_seed)
     grid = build_grid(
-        problem.sizing_theta, cfg.rho, hclass.n_hypotheses, phase, shared, cfg.eps, nu,
-        cfg.constants,
+        grid_range_top(problem.sizing_theta, phase, cfg.eps, nu),
+        grid_interval_count(hclass.n_hypotheses, cfg.rho, cfg.constants),
+        phase,
+        RandomString(cfg.b_seed),
     )
     mask = problem.region
     if mask.any():
@@ -310,13 +311,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command != "sweep" and len(getattr(args, "epsilon", None) or ()) > 1:
+            parser.error("--epsilon takes one value; repeat it only under sweep")
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
         cfg = load_config(args)
         shown, saved = args.handler(cfg, args)
         sys.stdout.write(shown)
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w") as f:
                 f.write(saved)
         return 0

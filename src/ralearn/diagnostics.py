@@ -30,13 +30,10 @@ class IntervalProfile:
     grid: ThresholdGrid
     counts: tuple[int, ...]
     cumulative: tuple[int, ...]
-    reference_errors: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.counts) != self.grid.n_intervals:
             raise ParameterError("profile must have one count per grid interval")
-        if sum(self.counts) != len(self.reference_errors):
-            raise ParameterError("counts must cover every profiled error exactly once")
 
 
 def interval_profile(grid: ThresholdGrid, reference_errors: Iterable[float]) -> IntervalProfile:
@@ -57,7 +54,6 @@ def interval_profile(grid: ThresholdGrid, reference_errors: Iterable[float]) -> 
         grid=grid,
         counts=tuple(int(c) for c in counts),
         cumulative=tuple(int(c) for c in np.cumsum(counts)),
-        reference_errors=tuple(float(e) for e in errs),
     )
 
 

@@ -24,7 +24,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .baselines import ROUND_CAP_FACTOR, Constants, RoundRecord, RunResult, _eliminate, _result
+from .baselines import (
+    ROUND_CAP_FACTOR,
+    Constants,
+    RoundRecord,
+    RunResult,
+    _eliminate,
+    _result,
+    cal_round_bound,
+)
 from .core import (
     PROB_TOL,
     DataModel,
@@ -55,15 +63,15 @@ class ThresholdGrid:
     """A randomly placed uniform grid of candidate error thresholds.
 
     The usable error range [origin, origin + range_top) is split into
-    count + 1 equal intervals; the selectable thresholds are the midpoints of
-    intervals 1..count, and ``selected_index`` names the one in use.
+    count + 1 equal intervals of width ``spacing``; the selectable thresholds
+    are the midpoints of intervals 1..count, and ``selected_index`` names the
+    one in use.  ``phase`` names the learner phase the grid was sized for.
     """
 
     origin: float
-    spacing: float
+    range_top: float
     count: int
     selected_index: int
-    range_top: float
     phase: str
 
     def __post_init__(self):
@@ -73,10 +81,12 @@ class ThresholdGrid:
             raise ParameterError(
                 f"selected index {self.selected_index} out of range for count {self.count}"
             )
-        if self.spacing <= 0.0:
-            raise ParameterError("grid spacing must be positive")
-        if abs(self.spacing * (self.count + 1) - self.range_top) > PROB_TOL:
-            raise ParameterError("spacing must divide the range exactly")
+        if not self.range_top > 0.0:
+            raise ParameterError("grid range must be positive")
+
+    @property
+    def spacing(self) -> float:
+        return self.range_top / (self.count + 1)
 
     @property
     def threshold(self) -> float:
@@ -123,35 +133,25 @@ def grid_range_top(
 
 
 def build_grid(
-    theta: float,
-    rho: float,
-    class_size: int,
+    range_top: float,
+    count: int,
     phase: str,
     rs: RandomString,
-    eps: Optional[float] = None,
-    nu: Optional[float] = None,
-    constants: Optional[Constants] = None,
     reuse_index: Optional[int] = None,
 ) -> ThresholdGrid:
-    """Draw a threshold grid for one learner phase from the shared string.
+    """Place a grid of ``count`` selectable thresholds over a range of width
+    ``range_top``, both sized by the caller (``size_schedule`` for the
+    learners), drawing only its origin and slot from the shared string.
 
     The origin is uniform over [0, 2 * range_top), so thresholds can land
-    anywhere in (0, 3 * range_top).  All phases share one interval count, so
-    the final grid can reuse the loop grid's selected slot via
-    ``reuse_index``.
+    anywhere in (0, 3 * range_top).  All phases of a run share one interval
+    count, so the final grid can reuse the loop grid's selected slot via
+    ``reuse_index`` instead of drawing one.
     """
-    top = float(grid_range_top(theta, phase, eps, nu))
-    m = grid_interval_count(class_size, rho, constants)
-    spacing = top / (m + 1)
     label = "grid-origin-final" if phase == "agnostic-final" else "grid-origin"
-    origin = rs.derive_uniform(label) * 2.0 * top
-    if reuse_index is None:
-        index = rs.derive_choice("grid-index", m)
-    else:
-        if not 0 <= reuse_index < m:
-            raise ParameterError(f"reused index {reuse_index} out of range for count {m}")
-        index = reuse_index
-    return ThresholdGrid(origin, spacing, m, index, top, phase)
+    origin = rs.derive_uniform(label) * 2.0 * range_top
+    index = rs.derive_choice("grid-index", count) if reuse_index is None else reuse_index
+    return ThresholdGrid(origin, range_top, count, index, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +160,16 @@ def build_grid(
 
 @dataclass(frozen=True)
 class ScheduleParams:
-    """Every deterministic size used by one replicable run.
+    """Every deterministic size used by one replicable run, its grids
+    included: the loop and final grids span ``top_loop`` and ``top_final``
+    (0.0 without a final phase) with ``interval_count`` selectable
+    thresholds each.
 
     ``sq_loop`` is None when the loop phase is infeasible (the loop query
     tolerance 8 * theta * nu reaches 1); the learner then skips straight to
     the final phase.
     """
 
-    setting: str
     n_max: int
     round_cap: int
     k: int
@@ -178,12 +180,14 @@ class ScheduleParams:
     t_final: int
     sq_loop: Optional[SQParams]
     sq_final: Optional[SQParams]
-    spacing_loop: float
-    spacing_final: float
+    top_loop: float
+    top_final: float
     interval_count: int
 
 
-def _unlabeled_draws(sq: SQParams, constants: Constants) -> int:
+def _unlabeled_draws(sq: Optional[SQParams], constants: Constants) -> int:
+    if sq is None:
+        return 0
     need = required_sample_size(sq)
     return max(need, int(math.ceil(constants.c_t * need / 2.0)))
 
@@ -215,71 +219,60 @@ def size_schedule(
     if theta <= 0.0:
         raise ParameterError("schedule needs a positive disagreement coefficient")
     if setting == "realizable":
-        n_max = int(math.ceil(math.log2(2.0 / eps)))
-        m = grid_interval_count(class_size, rho, constants)
-        spacing = grid_range_top(theta, "realizable") / (m + 1)
-        sq = SQParams(rho / (2.0 * n_max), eps / 2.0, delta / (2.0 * n_max))
-        k_err = int(math.ceil(constants.c_k1 * theta * math.log(class_size * n_max / delta)))
-        k_rep = int(
-            math.ceil(constants.c_k2 * math.log(n_max / rho) / (theta * spacing**2))
-        )
-        return ScheduleParams(
-            setting="realizable",
-            n_max=n_max,
-            round_cap=ROUND_CAP_FACTOR * n_max,
-            k=max(k_err, k_rep),
-            k_err=k_err,
-            k_rep=k_rep,
-            k_final=0,
-            t_unlabeled=_unlabeled_draws(sq, constants),
-            t_final=0,
-            sq_loop=sq,
-            sq_final=None,
-            spacing_loop=spacing,
-            spacing_final=0.0,
-            interval_count=m,
-        )
-    if setting == "agnostic":
+        n_max = cal_round_bound(eps)
+        sq_loop = SQParams(rho / (2.0 * n_max), eps / 2.0, delta / (2.0 * n_max))
+        sq_final = None
+        top_loop, top_final = grid_range_top(theta, "realizable"), 0.0
+        # the accuracy leg grows with theta, the agreement leg shrinks with it
+        err_scale, rep_scale = theta, theta
+    elif setting == "agnostic":
         if nu <= 0.0:
             raise ParameterError("agnostic schedule needs a positive noise rate")
         guard = 8.0 * theta * nu
         n_max = max(1, int(math.ceil(math.log2(1.0 / guard))) + 1) if guard < 1.0 else 1
-        m = grid_interval_count(class_size, rho, constants)
-        spacing = grid_range_top(theta, "agnostic-loop", eps, nu) / (m + 1)
-        spacing_final = grid_range_top(theta, "agnostic-final", eps, nu) / (m + 1)
         budget = rho / (2.0 * (n_max + 1))
         fail = delta / (2.0 * (n_max + 1))
         sq_loop = SQParams(budget, guard, fail) if guard < 1.0 else None
         sq_final = SQParams(budget, eps / 2.0, fail)
-        k_err = int(
-            math.ceil(constants.c_k1 * theta**2 * math.log(class_size * n_max / delta))
-        )
-        k_rep = int(math.ceil(constants.c_k2 * math.log(n_max / rho) / spacing**2))
+        top_loop = grid_range_top(theta, "agnostic-loop", eps, nu)
+        top_final = grid_range_top(theta, "agnostic-final", eps, nu)
+        err_scale, rep_scale = theta**2, 1.0
+    else:
+        raise ParameterError(f"unknown setting {setting!r}; expected 'realizable' or 'agnostic'")
+    m = grid_interval_count(class_size, rho, constants)
+
+    def rep_labels(top: float) -> int:
+        # enough labels that the errors' deviation stays small against the spacing
+        spacing = top / (m + 1)
+        return int(math.ceil(constants.c_k2 * math.log(n_max / rho) / (rep_scale * spacing**2)))
+
+    k_err = int(math.ceil(constants.c_k1 * err_scale * math.log(class_size * n_max / delta)))
+    k_rep = rep_labels(top_loop)
+    k_final = 0
+    if sq_final is not None:
         k_final = max(
             int(
                 math.ceil(
                     constants.c_k3 * theta**2 * (nu / eps) ** 2 * math.log(class_size / delta)
                 )
             ),
-            int(math.ceil(constants.c_k2 * math.log(n_max / rho) / spacing_final**2)),
+            rep_labels(top_final),
         )
-        return ScheduleParams(
-            setting="agnostic",
-            n_max=n_max,
-            round_cap=ROUND_CAP_FACTOR * n_max,
-            k=max(k_err, k_rep),
-            k_err=k_err,
-            k_rep=k_rep,
-            k_final=k_final,
-            t_unlabeled=_unlabeled_draws(sq_loop, constants) if sq_loop is not None else 0,
-            t_final=_unlabeled_draws(sq_final, constants),
-            sq_loop=sq_loop,
-            sq_final=sq_final,
-            spacing_loop=spacing,
-            spacing_final=spacing_final,
-            interval_count=m,
-        )
-    raise ParameterError(f"unknown setting {setting!r}; expected 'realizable' or 'agnostic'")
+    return ScheduleParams(
+        n_max=n_max,
+        round_cap=ROUND_CAP_FACTOR * n_max,
+        k=max(k_err, k_rep),
+        k_err=k_err,
+        k_rep=k_rep,
+        k_final=k_final,
+        t_unlabeled=_unlabeled_draws(sq_loop, constants),
+        t_final=_unlabeled_draws(sq_final, constants),
+        sq_loop=sq_loop,
+        sq_final=sq_final,
+        top_loop=top_loop,
+        top_final=top_final,
+        interval_count=m,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +361,17 @@ def run_replical(
     and the returned survivor is the one of least keyed-hash rank on the
     shared string (see ``_select_final``).
     """
-    constants = constants or Constants()
     counters = SampleCounters()
     hclass = problem.hclass
     if problem.nu > PROB_TOL:
         raise WrongSettingError(
             f"this learner needs a zero-error hypothesis, best has error {problem.nu}"
         )
-    theta = problem.sizing_theta
-    sched = size_schedule(theta, eps, delta, rho, 0.0, hclass.n_hypotheses, "realizable", constants)
+    sched = size_schedule(
+        problem.sizing_theta, eps, delta, rho, 0.0, hclass.n_hypotheses, "realizable", constants
+    )
     shared = rs.clone()
-    grid = build_grid(theta, rho, hclass.n_hypotheses, "realizable", shared, constants=constants)
-    v = grid.threshold
+    v = build_grid(sched.top_loop, sched.interval_count, "realizable", shared).threshold
     trace: list[RoundRecord] = []
     space, _, est, rounds = _eliminate(
         problem, sched.k, sched.round_cap, rng, counters, stream_accounting,
@@ -430,16 +422,13 @@ def run_replica2(
     when v_final falls between their two values of errs[h] - floor, which
     is the usual shared-threshold argument.
     """
-    constants = constants or Constants()
     counters = SampleCounters()
     hclass, model, nu = problem.hclass, problem.model, problem.nu
     theta = problem.sizing_theta
     # raises ParameterError when nu is 0: the noise-scaled grids are undefined
     sched = size_schedule(theta, eps, delta, rho, nu, hclass.n_hypotheses, "agnostic", constants)
     shared = rs.clone()
-    grid = build_grid(
-        theta, rho, hclass.n_hypotheses, "agnostic-loop", shared, eps, nu, constants
-    )
+    grid = build_grid(sched.top_loop, sched.interval_count, "agnostic-loop", shared)
     v = grid.threshold
     trace: list[RoundRecord] = []
     flags: list[str] = []
@@ -459,26 +448,11 @@ def run_replica2(
             problem, sched.k, sched.round_cap, rng, counters, stream_accounting,
             _loop_estimate(problem, sched, shared, rng, counters, guard), cut, trace
         )
-    final_grid = build_grid(
-        theta,
-        rho,
-        hclass.n_hypotheses,
-        "agnostic-final",
-        shared,
-        eps,
-        nu,
-        constants,
-        reuse_index=grid.selected_index,
-    )
-    v_final = final_grid.threshold
+    v_final = build_grid(
+        sched.top_final, sched.interval_count, "agnostic-final", shared, grid.selected_index
+    ).threshold
     est_final = _replicable_region_estimate(
-        model,
-        region,
-        sched.sq_final,
-        sched.t_final,
-        shared,
-        "region-estimate-final",
-        rng,
+        model, region, sched.sq_final, sched.t_final, shared, "region-estimate-final", rng,
         counters,
     )
     if est_final <= PROB_TOL:
@@ -498,23 +472,11 @@ def run_replica2(
         flags.append("final-region-zero-mass")
     trace.append(
         RoundRecord(
-            rounds,
-            est_final,
-            pre_size,
-            threshold=v_final,
-            slack=floor_final,
+            rounds, est_final, pre_size, threshold=v_final, slack=floor_final,
             labels_so_far=counters.labels,
         )
     )
     chosen = _select_final(hclass, space, shared)
     return _result(
-        "replica2",
-        problem,
-        chosen,
-        space,
-        counters,
-        rounds,
-        est_final,
-        trace,
-        flags=tuple(flags),
+        "replica2", problem, chosen, space, counters, rounds, est_final, trace, flags=tuple(flags)
     )

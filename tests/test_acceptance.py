@@ -26,8 +26,6 @@ from ralearn.harness import (
     summarize_pairs,
 )
 
-A2_TUNED = ra.Constants().updated({"c_a2": 24.0, "c_a2_final": 200.0})
-
 
 # ---------------------------------------------------------------------------
 # geometry
@@ -276,14 +274,13 @@ def test_criterion_09_replay(criterion):
         if algo == "cal":
             return ra.run_cal(real, 0.1, 0.1, data_stream(seed, 1))
         if algo == "a2":
-            return ra.run_a2(agn, 0.1, 0.1, data_stream(seed, 2), constants=A2_TUNED)
+            return ra.run_a2(agn, 0.1, 0.1, data_stream(seed, 2))
         if algo == "replical":
             return ra.run_replical(
                 real, 0.1, 0.1, 0.3, ra.RandomString(seed), data_stream(seed, 3)
             )
         return ra.run_replica2(
-            agn, 0.1, 0.1, 0.3, ra.RandomString(seed), data_stream(seed, 4),
-            constants=A2_TUNED,
+            agn, 0.1, 0.1, 0.3, ra.RandomString(seed), data_stream(seed, 4)
         )
 
     checks = mismatches = 0
@@ -355,7 +352,10 @@ def test_criterion_10_bad_threshold_fraction(criterion):
         for rho in (0.05, 0.1, 0.3):
             shared = ra.RandomString(f"{0xa000 + classes:04x}")
             grid = ra.build_grid(
-                sizing, rho, hclass.n_hypotheses, "realizable", shared, 0.1, nu
+                ra.grid_range_top(sizing, "realizable"),
+                ra.grid_interval_count(hclass.n_hypotheses, rho),
+                "realizable",
+                shared,
             )
             profile = ra.interval_profile(grid, errs)
             flags = ra.classify_thresholds(profile, rho)
@@ -389,7 +389,7 @@ def test_criterion_11_a2_agnostic_correctness(criterion, agnostic_problem):
     problem = ra.Problem(hclass, model)
     hits = 0
     for t in range(200):
-        result = ra.run_a2(problem, 0.1, 0.1, data_stream("11", t), constants=A2_TUNED)
+        result = ra.run_a2(problem, 0.1, 0.1, data_stream("11", t))
         hits += result.error <= nu + 0.1 + 1e-9
     rate = hits / 200
     assert criterion(
@@ -420,7 +420,6 @@ def test_criterion_12_replica2(criterion, agnostic_problem):
         trials=300,
         b_seed="12",
         data_seed="2112",
-        constants=A2_TUNED,
     )
     theta, nu_cfg, _ = problem_stats(hclass, model, cfg)
     outcomes = list(iter_paired_runs(cfg, hclass, model))

@@ -17,9 +17,6 @@ from ralearn.baselines import (
     run_passive_erm,
 )
 
-# tuned sizes that make the agnostic baseline informative at desk scale
-A2_TUNED = Constants().updated({"c_a2": 24.0, "c_a2_final": 200.0})
-
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
@@ -179,7 +176,7 @@ def test_a2_round_bound_cases():
 def test_a2_runs_in_realizable_limit():
     h = ra.thresholds(32)
     m = ra.DataModel.realizable(h, 16)
-    res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(5), constants=A2_TUNED)
+    res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(5))
     assert res.error <= 0.1 + 1e-12
     assert res.algo == "a2"
 
@@ -191,7 +188,7 @@ def test_a2_agnostic_accuracy_with_tuned_sizes():
     assert best == 128 and nu == pytest.approx(0.05)
     good = 0
     for t in range(30):
-        res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(t), constants=A2_TUNED)
+        res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(t))
         good += res.error <= nu + 0.1 + 1e-12
     assert good >= 25
 
@@ -201,24 +198,24 @@ def test_a2_best_hypothesis_survives_elimination():
     m = ra.DataModel.agnostic(h, 128, 0.05)
     kept = 0
     for t in range(30):
-        res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(100 + t), constants=A2_TUNED)
+        res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(100 + t))
         kept += 128 in res.survivors
     assert kept >= 27
 
 
 def test_a2_default_sizes_hit_round_cap():
-    # at the default leading constants the confidence radius never separates
-    # anything at this scale, so the loop must abort rather than spin
+    # at c_a2 = 1 the confidence radius never separates anything at this
+    # scale, so the loop must abort rather than spin
     h = ra.thresholds(128)
     m = ra.DataModel.agnostic(h, 128, 0.05)
     with pytest.raises(ra.RoundCapExceededError):
-        run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(0))
+        run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(0), Constants().updated({"c_a2": 1.0}))
 
 
 def test_a2_trace_records_cutoffs():
     h = ra.thresholds(128)
     m = ra.DataModel.agnostic(h, 128, 0.05)
-    res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(2), constants=A2_TUNED)
+    res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(2))
     assert len(res.trace) == res.rounds
     for rec in res.trace:
         assert rec.threshold is not None and rec.slack is not None
@@ -238,12 +235,12 @@ def _problem(n, target, eta=0.0):
 # one run per active learner that goes through at least one loop round
 _LOOP_RUNS = {
     "cal": lambda: run_cal(_problem(128, 65), 0.01, 0.05, _rng(1)),
-    "a2": lambda: run_a2(_problem(64, 32, 0.01), 0.1, 0.1, _rng(1), A2_TUNED),
+    "a2": lambda: run_a2(_problem(64, 32, 0.01), 0.1, 0.1, _rng(1)),
     "replical": lambda: ra.run_replical(
         _problem(128, 65), 0.05, 0.05, 0.3, ra.RandomString("0abc"), _rng(1)
     ),
     "replica2": lambda: ra.run_replica2(
-        _problem(64, 32, 0.01), 0.1, 0.1, 0.3, ra.RandomString("0abc"), _rng(1), A2_TUNED
+        _problem(64, 32, 0.01), 0.1, 0.1, 0.3, ra.RandomString("0abc"), _rng(1)
     ),
 }
 

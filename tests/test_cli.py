@@ -119,13 +119,14 @@ def test_pair_counts_oversized_draws_as_failed_sides(capsys, algo):
 
 
 def test_runtime_failure_maps_to_exit_4(capsys):
-    # untuned round-slack constants stall elimination on this problem; the
+    # at c_a2 = 1 the round slack stalls elimination on this problem; the
     # round cap fires and must surface as the runtime exit code
     code, _, err = run_cli(
         capsys,
         [
             "run", "--algo", "a2", "--class", "thresholds", "--domain-size", "128",
             "--target", "128", "--nu", "0.05", "--epsilon", "0.1", "--delta", "0.1",
+            "--constants", "c_a2=1",
         ],
     )
     assert code == 4
@@ -208,6 +209,7 @@ def test_nan_weight_in_config_is_parameter_error(tmp_path, command):
     )
     proc = subprocess.run(
         [sys.executable, "-m", "ralearn", command, "--config", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         timeout=60,
@@ -452,6 +454,26 @@ def test_relative_out_path_is_read_from_the_working_directory(capsys, tmp_path, 
     assert list((tmp_path / "env").iterdir()) == []
 
 
+@pytest.mark.parametrize("where", ["empty", "missing-dir"])
+def test_unopenable_out_path_is_an_io_error(capsys, tmp_path, where):
+    # an empty path is a path that cannot be opened, not an absent --out
+    path = "" if where == "empty" else str(tmp_path / "missing" / "saved")
+    code, _, err = run_cli(capsys, ["gridcheck", "--domain-size", "8", "--out", path])
+    assert code == 2
+    assert "i/o error" in err
+
+
+@pytest.mark.parametrize("command", ["run", "pair", "gridcheck"])
+def test_repeated_epsilon_outside_sweep_is_a_usage_error(capsys, command):
+    # only sweep reads more than one accuracy target, so anywhere else all
+    # but one value would be dropped
+    argv = [command, "--domain-size", "8", "--algo", "cal", "--epsilon", "0.3", "--epsilon", "0.2"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "sweep" in err
+
+
 def test_pair_out_csv(capsys, tmp_path):
     path = tmp_path / "pairs.csv"
     code, out, _ = run_cli(
@@ -468,8 +490,10 @@ def test_pair_out_csv(capsys, tmp_path):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ralearn", "theta", "--class", "worst_case", "--domain-size", "4"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
+        timeout=60,
     )
     assert proc.returncode == 0
     assert "theta=4" in proc.stdout

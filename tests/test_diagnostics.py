@@ -17,7 +17,7 @@ from ralearn.replicable import ThresholdGrid
 
 
 def _grid(count, spacing=0.01, origin=0.0):
-    return ThresholdGrid(origin, spacing, count, 0, spacing * (count + 1), "realizable")
+    return ThresholdGrid(origin, spacing * (count + 1), count, 0, "realizable")
 
 
 def _profile_from_counts(counts, spacing=0.01, origin=0.0):

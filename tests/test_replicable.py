@@ -30,8 +30,9 @@ def _rng(seed=0):
 
 def test_grid_with_three_selectable_thresholds():
     """Spacing forced to 1/64 puts the candidate cuts at odd half-steps."""
-    consts = Constants().updated({"c_grid": 0.28})
-    grid = build_grid(2.0, 0.5, 16, "realizable", ra.RandomString("0badf00d"), constants=consts)
+    count = grid_interval_count(16, 0.5, Constants().updated({"c_grid": 0.28}))
+    top = grid_range_top(2.0, "realizable")
+    grid = build_grid(top, count, "realizable", ra.RandomString("0badf00d"))
     assert grid.count == 3
     assert grid.range_top == pytest.approx(1 / 16)
     assert grid.spacing == pytest.approx(1 / 64)
@@ -42,15 +43,14 @@ def test_grid_with_three_selectable_thresholds():
 
 
 def test_grid_redraw_is_identical():
-    consts = Constants().updated({"c_grid": 0.28})
-    a = build_grid(2.0, 0.5, 16, "realizable", ra.RandomString("42aa"), constants=consts)
-    b = build_grid(2.0, 0.5, 16, "realizable", ra.RandomString("42aa"), constants=consts)
+    a = build_grid(1 / 16, 3, "realizable", ra.RandomString("42aa"))
+    b = build_grid(1 / 16, 3, "realizable", ra.RandomString("42aa"))
     assert (a.origin, a.selected_index) == (b.origin, b.selected_index)
 
 
 def test_grid_single_interval_forces_slot_zero():
-    consts = Constants().updated({"c_grid": 0.01})
-    grid = build_grid(2.0, 0.5, 16, "realizable", ra.RandomString("05"), constants=consts)
+    count = grid_interval_count(16, 0.5, Constants().updated({"c_grid": 0.01}))
+    grid = build_grid(1 / 16, count, "realizable", ra.RandomString("05"))
     assert grid.count == 1
     assert grid.selected_index == 0
     assert grid.selectable_thresholds().shape == (1,)
@@ -78,18 +78,16 @@ def test_grid_range_top_rejects_degenerate_inputs():
 
 def test_grid_reuse_index_skips_the_slot_draw():
     rs = ra.RandomString("aa01")
-    loop = build_grid(1.0, 0.3, 129, "agnostic-loop", rs, eps=0.1, nu=0.05)
-    final = build_grid(
-        1.0, 0.3, 129, "agnostic-final", rs, eps=0.1, nu=0.05, reuse_index=loop.selected_index
-    )
+    loop = build_grid(1 / 32, 53, "agnostic-loop", rs)
+    final = build_grid(1 / 32, 53, "agnostic-final", rs, reuse_index=loop.selected_index)
     assert final.selected_index == loop.selected_index
     assert rs.draws_made("grid-index") == 1  # only the loop grid consumed a slot draw
     with pytest.raises(ra.ParameterError):
-        build_grid(1.0, 0.3, 129, "agnostic-final", rs, eps=0.1, nu=0.05, reuse_index=999)
+        build_grid(1 / 32, 53, "agnostic-final", rs, reuse_index=999)
 
 
 def test_grid_threshold_sits_inside_its_cell():
-    grid = ThresholdGrid(0.1, 0.05, 3, 1, 0.2, "realizable")
+    grid = ThresholdGrid(0.1, 0.2, 3, 1, "realizable")
     assert grid.n_intervals == 4
     # cells are [0.1, 0.15), [0.15, 0.2), [0.2, 0.25), [0.25, 0.3)
     assert interval_profile(grid, [0.125, 0.175, 0.225, 0.275]).counts == (1, 1, 1, 1)
@@ -98,7 +96,7 @@ def test_grid_threshold_sits_inside_its_cell():
 
 
 def test_grid_interval_of_clamps():
-    grid = ThresholdGrid(0.1, 0.05, 3, 0, 0.2, "realizable")
+    grid = ThresholdGrid(0.1, 0.2, 3, 0, "realizable")
 
     def cell(error):
         return interval_profile(grid, [error]).counts.index(1)
@@ -109,14 +107,26 @@ def test_grid_interval_of_clamps():
     assert cell(0.9) == 3
 
 
-def test_grid_spacing_consistency_enforced():
+def test_grid_spacing_splits_the_range_into_count_plus_one_cells():
+    assert ThresholdGrid(0.1, 0.2, 3, 0, "realizable").spacing == 0.2 / 4
+    assert ThresholdGrid(0.0, 1 / 16, 53, 0, "realizable").spacing == (1 / 16) / 54
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [(0.1, 0.0, 3, 0, "realizable"), (0.1, -0.2, 3, 0, "realizable"),
+     (0.1, float("nan"), 3, 0, "realizable"), (0.1, 0.2, 0, 0, "realizable"),
+     (0.1, 0.2, 3, 3, "realizable")],
+)
+def test_grid_rejects_inconsistent_fields(fields):
     with pytest.raises(ra.ParameterError):
-        ThresholdGrid(0.1, 0.06, 3, 0, 0.2, "realizable")
+        ThresholdGrid(*fields)
 
 
 @pytest.mark.parametrize("seed", ["01", "02", "beef", "1c0e"])
 def test_grid_threshold_is_strictly_positive(seed):
-    grid = build_grid(1.0, 0.3, 64, "realizable", ra.RandomString(seed))
+    top, count = grid_range_top(1.0, "realizable"), grid_interval_count(64, 0.3)
+    grid = build_grid(top, count, "realizable", ra.RandomString(seed))
     assert 0.0 < grid.threshold <= 3.0 * grid.range_top
 
 
@@ -130,8 +140,8 @@ def test_realizable_schedule_hand_evaluation():
     assert sched.n_max == 6
     assert sched.round_cap == 24
     assert sched.interval_count == 53
+    assert sched.top_loop == 1 / 16 and sched.top_final == 0.0
     spacing = (1 / 16) / 54
-    assert sched.spacing_loop == pytest.approx(spacing)
     assert sched.k_err == math.ceil(2 * 2 * math.log(129 * 6 / 0.1))
     assert sched.k_err == 36
     assert sched.k_rep == math.ceil(math.log(6 / 0.3) / (2 * spacing**2))
@@ -149,13 +159,14 @@ def test_agnostic_schedule_hand_evaluation():
     sched = size_schedule(1.0, 0.1, 0.1, 0.3, 0.05, 129, "agnostic")
     assert sched.n_max == 3  # ceil(log2(1/0.4)) + 1
     assert sched.interval_count == 53
+    assert sched.top_loop == 1 / 32
+    assert sched.top_final == pytest.approx(0.1 / (64 * 0.05))
     spacing = (1 / 32) / 54
-    assert sched.spacing_loop == pytest.approx(spacing)
-    assert sched.spacing_final == pytest.approx((0.1 / (64 * 0.05)) / 54)
+    spacing_final = sched.top_final / 54
     assert sched.k_err == math.ceil(2 * math.log(129 * 3 / 0.1))
     assert sched.k_rep == math.ceil(math.log(3 / 0.3) / spacing**2)
     k_final_err = math.ceil(1 * (0.05 / 0.1) ** 2 * math.log(129 / 0.1))
-    k_final_rep = math.ceil(math.log(3 / 0.3) / sched.spacing_final**2)
+    k_final_rep = math.ceil(math.log(3 / 0.3) / spacing_final**2)
     assert sched.k_final == max(k_final_err, k_final_rep)
     assert sched.sq_loop is not None and sched.sq_final is not None
     assert sched.sq_loop.tau == pytest.approx(0.4)
@@ -336,6 +347,32 @@ def test_replical_label_accounting_matches_schedule():
     assert res.labels_used == sched.k * res.rounds
     assert res.unlabeled_used == sched.t_unlabeled * (res.rounds + 1)
     assert res.rounds <= sched.n_max
+
+
+def test_learners_place_the_schedule_grids():
+    """Each learner cuts at the grids its schedule sized, placed on a clone of
+    the shared string: one loop grid, and for replica2 a final grid that
+    reuses the loop grid's slot."""
+    h = ra.thresholds(32)
+    rs = ra.RandomString("0c0c")
+    real = ra.Problem(h, ra.DataModel.realizable(h, 16))
+    res = run_replical(real, 0.1, 0.1, 0.3, rs, _rng(1))
+    sched = size_schedule(real.sizing_theta, 0.1, 0.1, 0.3, 0.0, 33, "realizable")
+    grid = build_grid(sched.top_loop, sched.interval_count, "realizable", rs.clone())
+    assert res.rounds >= 1
+    assert {rec.threshold for rec in res.trace} == {grid.threshold}
+
+    noisy = ra.Problem(h, ra.DataModel.agnostic(h, 32, 0.01))
+    res = run_replica2(noisy, 0.1, 0.1, 0.3, rs, _rng(1))
+    sched = size_schedule(noisy.sizing_theta, 0.1, 0.1, 0.3, noisy.nu, 33, "agnostic")
+    shared = rs.clone()
+    loop = build_grid(sched.top_loop, sched.interval_count, "agnostic-loop", shared)
+    final = build_grid(
+        sched.top_final, sched.interval_count, "agnostic-final", shared, loop.selected_index
+    )
+    assert res.rounds >= 1
+    assert {rec.threshold for rec in res.trace[:-1]} == {loop.threshold}
+    assert res.trace[-1].threshold == final.threshold
 
 
 def test_replical_trace_is_monotone():
