@@ -100,7 +100,7 @@ def _add_algo_flags(p: argparse.ArgumentParser) -> None:
         "--epsilon",
         action="append",
         type=float,
-        help="accuracy target; sweep takes it repeated, to sweep several values",
+        help="accuracy target (sweep: repeat it to sweep several values)",
     )
     p.add_argument("--delta", type=float, help="failure budget")
     p.add_argument("--rho", type=float, help="replicability budget")

@@ -250,14 +250,8 @@ def size_schedule(
     k_rep = rep_labels(top_loop)
     k_final = 0
     if sq_final is not None:
-        k_final = max(
-            int(
-                math.ceil(
-                    constants.c_k3 * theta**2 * (nu / eps) ** 2 * math.log(class_size / delta)
-                )
-            ),
-            rep_labels(top_final),
-        )
+        k_acc = constants.c_k3 * theta**2 * (nu / eps) ** 2 * math.log(class_size / delta)
+        k_final = max(int(math.ceil(k_acc)), rep_labels(top_final))
     return ScheduleParams(
         n_max=n_max,
         round_cap=ROUND_CAP_FACTOR * n_max,
