@@ -600,16 +600,14 @@ def test_golden_report_csv_digest():
 
 
 # Small batches for the other four learners, pinned the same way.  The
-# noisy ones use the tuned A² constants; ``cal`` charges rejection sampling
-# to the unlabeled counter and ``a2`` runs under a theta override, so both
-# options reach the digests.
-_GOLDEN_A2_TUNED = ra.Constants().updated({"c_a2": 24.0, "c_a2_final": 200.0})
+# noiseless ones run on thresholds(32); the noisy ones flip each label of
+# hypothesis 32 with probability 0.05 and run at the default A² constants.
 _GOLDEN_COMMON = dict(eps=0.1, delta=0.1, rho=0.3, trials=4, b_seed="1234", data_seed="abcd")
-_GOLDEN_NOISY = dict(domain_size=32, target=32, eta=0.05, constants=_GOLDEN_A2_TUNED)
+_GOLDEN_NOISY = dict(domain_size=32, target=32, eta=0.05)
 GOLDEN_BATCHES = {
     "erm": ExperimentConfig(domain_size=32, algo="erm", **_GOLDEN_COMMON),
-    "cal": ExperimentConfig(domain_size=32, algo="cal", stream_accounting=True, **_GOLDEN_COMMON),
-    "a2": ExperimentConfig(algo="a2", theta_override=1.5, **_GOLDEN_NOISY, **_GOLDEN_COMMON),
+    "cal": ExperimentConfig(domain_size=32, algo="cal", **_GOLDEN_COMMON),
+    "a2": ExperimentConfig(algo="a2", **_GOLDEN_NOISY, **_GOLDEN_COMMON),
     "replical": ExperimentConfig(domain_size=32, algo="replical", **_GOLDEN_COMMON),
     "replica2": ExperimentConfig(algo="replica2", **_GOLDEN_NOISY, **_GOLDEN_COMMON),
 }
@@ -617,14 +615,14 @@ GOLDEN_BATCHES = {
 GOLDEN_REPORT_DIGESTS = {
     "erm": "cdc9fa77a35fa62422200b85fbb61edfa520fffeb21dba5ab05455682b0d9807",
     "cal": "b8f1ad7fd428e9c33ebd4f85f18783f3288082694289c8330defdaa46626a818",
-    "a2": "c63d9edfab0bb7a4b1d1e1b509b9aa83502b40bdfe04cb54b8be01feb0dd2e9b",
+    "a2": "4d8b17162f32ef7e9a91cc5380a9865ccaade39a066e9d8372a438329fe17758",
     "replica2": "a3a5c0c1f6e28c78978812f302ff8242562324e7febbbda0645bde8ef103c2fb",
 }
 
 GOLDEN_RESULT_DIGESTS = {
     "erm": "a86f92d0604c0d813013dace05da6023c59f5cc636e3283b59d79ad9efddbd9d",
     "cal": "d7b9af168564e1cf3e0594ed6f8a5dfc13af44420d6046fee6ca9776e7e4c160",
-    "a2": "558500e5b5491f54b62baa865a1b270ef4fa811b9b36f86a7af6c023ca5178e2",
+    "a2": "920e7aef1f1254549177bf6030488a44938780859d890422f92b20e98f6fab0f",
     "replical": "888f3436ccec598ae7877d9296770495bbdfa71e471f8bbc533c638717845dbb",
     "replica2": "ea4f29ec4bf7da9a40fb533aee372fead4216d48cfbf13d093f31c35cdb2b843",
 }
