@@ -170,7 +170,6 @@ def _eliminate(
     cap: int,
     rng: np.random.Generator,
     counters: SampleCounters,
-    stream_accounting: bool,
     measure: Callable[[np.ndarray, int], tuple[float, bool]],
     cut: Callable[[np.ndarray, float], tuple[float, float, Optional[float]]],
     trace: list[RoundRecord],
@@ -196,9 +195,7 @@ def _eliminate(
             raise RoundCapExceededError(
                 f"no exit after {rounds} rounds (cap {cap}); disagreement still {value}"
             )
-        count0, count1 = sample_labeled_counts(
-            problem.model, region, k, rng, counters, stream_accounting
-        )
+        count0, count1 = sample_labeled_counts(problem.model, region, k, rng, counters)
         errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
         keep_bound, threshold, slack = cut(errs, value)
         trace.append(RoundRecord(rounds, value, space.size, threshold, slack, counters.labels))
@@ -268,7 +265,6 @@ def run_cal(
     delta: float,
     rng: np.random.Generator,
     constants: Optional[Constants] = None,
-    stream_accounting: bool = False,
 ) -> RunResult:
     """Disagreement-region consistency elimination for noiseless labels.
 
@@ -298,8 +294,7 @@ def run_cal(
 
     trace: list[RoundRecord] = []
     space, _, dmass, rounds = _eliminate(
-        problem, k, ROUND_CAP_FACTOR * n_max, rng, counters, stream_accounting,
-        measure, consistent, trace
+        problem, k, ROUND_CAP_FACTOR * n_max, rng, counters, measure, consistent, trace
     )
     chosen = int(space.indices()[0])
     return _result("cal", problem, chosen, space, counters, rounds, dmass, trace)
@@ -325,7 +320,6 @@ def run_a2(
     delta: float,
     rng: np.random.Generator,
     constants: Optional[Constants] = None,
-    stream_accounting: bool = False,
 ) -> RunResult:
     """Agnostic elimination by confidence intervals, then a final refit.
 
@@ -358,11 +352,11 @@ def run_a2(
 
     trace: list[RoundRecord] = []
     space, region, dmass, rounds = _eliminate(
-        problem, k, ROUND_CAP_FACTOR * n_loop, rng, counters, stream_accounting, measure, cut, trace
+        problem, k, ROUND_CAP_FACTOR * n_loop, rng, counters, measure, cut, trace
     )
     k_final = int(math.ceil(constants.c_a2_final * t_size**2 * (nu / eps) ** 2 * math.log(n_c / delta)))
     if k_final > 0 and dmass > PROB_TOL:
-        count0, count1 = sample_labeled_counts(model, region, k_final, rng, counters, stream_accounting)
+        count0, count1 = sample_labeled_counts(model, region, k_final, rng, counters)
         errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
         chosen = int(np.argmin(errs))
     else:

@@ -81,13 +81,6 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
         metavar="KEY=VAL",
         help="override a sample-size constant (repeatable)",
     )
-    p.add_argument("--theta", type=float, dest="theta_override", help="override the computed disagreement coefficient")
-    p.add_argument(
-        "--stream-accounting",
-        action="store_true",
-        default=None,
-        help="charge rejection sampling to the unlabeled counter",
-    )
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument(
         "--out", help="save what is printed to this path (the report CSV for pair's text)"
@@ -185,12 +178,8 @@ def _fmt_number(x: float) -> str:
     return f"{x:g}"
 
 
-def _problem(cfg: ExperimentConfig) -> Problem:
-    return Problem(*build_problem(cfg), cfg.theta_override)
-
-
 def _cmd_theta(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, str]:
-    problem = _problem(cfg)
+    problem = Problem(*build_problem(cfg))
     hclass, theta, nu, center = problem.hclass, problem.theta, problem.nu, problem.center
     payload = {
         "theta": theta,
@@ -212,7 +201,7 @@ def _cmd_theta(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, st
 
 
 def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, str]:
-    problem = _problem(cfg)
+    problem = Problem(*build_problem(cfg))
     shared = RandomString(cfg.b_seed)
     rng = data_stream(cfg.data_seed, 0, 0)
     result = LEARNERS[cfg.algo](problem, cfg, shared, rng)
@@ -259,7 +248,7 @@ def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, st
 
 
 def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, str]:
-    problem = _problem(cfg)
+    problem = Problem(*build_problem(cfg))
     hclass, model, nu = problem.hclass, problem.model, problem.nu
     phase = "agnostic-loop" if nu > PROB_TOL else "realizable"
     grid = build_grid(

@@ -17,7 +17,6 @@ Generator so every source of randomness in an experiment is explicit.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
@@ -384,35 +383,25 @@ class Problem:
     """A class and a label model with their invariants, computed once.
 
     ``nu`` is the best-in-class error and ``center`` the lowest index
-    achieving it; ``theta`` is the disagreement coefficient at ``center``, or
-    ``theta_override`` when one is given; ``region`` is the disagreement
-    region of the full class, the mask every learner starts from.  Learners
-    and the harness take a Problem, so a batch computes these once instead
-    of once per run.  ``region`` is computed on first use, so a batch whose
-    learner never asks for it (``erm``) does not pay for it.
+    achieving it; ``theta`` is the disagreement coefficient at ``center``;
+    ``region`` is the disagreement region of the full class, the mask every
+    learner starts from.  Learners and the harness take a Problem, so a
+    batch computes these once instead of once per run.  ``region`` is
+    computed on first use, so a batch whose learner never asks for it
+    (``erm``) does not pay for it.
     """
 
     hclass: HypothesisClass
     model: DataModel
-    theta_override: Optional[float] = None
     nu: float = field(init=False)
     center: int = field(init=False)
     theta: float = field(init=False)
 
     def __post_init__(self):
-        override = self.theta_override
-        if override is not None and not (math.isfinite(override) and override > 0.0):
-            raise ParameterError(
-                f"theta override must be a finite positive number, got {override!r}"
-            )
         nu, center = noise_rate(self.hclass, self.model)
-        if override is None:
-            theta = disagreement_coefficient(self.hclass, self.model, center)
-        else:
-            theta = float(override)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", disagreement_coefficient(self.hclass, self.model, center))
 
     @cached_property
     def region(self) -> np.ndarray:
@@ -480,7 +469,6 @@ def sample_labeled_counts(
     k: int,
     rng: np.random.Generator,
     counters: SampleCounters,
-    stream_accounting: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``k`` labeled draws from the model conditioned on a region.
 
@@ -489,16 +477,11 @@ def sample_labeled_counts(
     counts of observed 0-labels and 1-labels.  The joint law of the counts
     matches drawing the points one by one (multinomial cells, then a binomial
     label split per cell), so downstream empirical errors are distributed
-    exactly as with a materialized sample.  With ``stream_accounting`` the
-    rejection cost of hitting the region from the unconditional stream is
-    simulated and charged to the unlabeled counter.
+    exactly as with a materialized sample.  Only ``counters.labels`` is
+    charged; the unlabeled draws that would find the region are not.
     """
     _check_draws(k)
     w = conditional_weights(model, region)
-    if stream_accounting and k > 0:
-        mass = disagreement_mass(model, region)
-        if mass < 1.0:
-            counters.unlabeled += int(rng.negative_binomial(k, mass))
     counters.labels += k
     counts = rng.multinomial(k, w)
     p1 = model.label_one_probabilities()

@@ -46,20 +46,16 @@ LEARNERS = {
         p, cfg.eps, cfg.delta, rng, constants=cfg.constants
     ),
     "cal": lambda p, cfg, shared, rng: run_cal(
-        p, cfg.eps, cfg.delta, rng, constants=cfg.constants,
-        stream_accounting=cfg.stream_accounting,
+        p, cfg.eps, cfg.delta, rng, constants=cfg.constants
     ),
     "a2": lambda p, cfg, shared, rng: run_a2(
-        p, cfg.eps, cfg.delta, rng, constants=cfg.constants,
-        stream_accounting=cfg.stream_accounting,
+        p, cfg.eps, cfg.delta, rng, constants=cfg.constants
     ),
     "replical": lambda p, cfg, shared, rng: run_replical(
-        p, cfg.eps, cfg.delta, cfg.rho, shared, rng, constants=cfg.constants,
-        stream_accounting=cfg.stream_accounting,
+        p, cfg.eps, cfg.delta, cfg.rho, shared, rng, constants=cfg.constants
     ),
     "replica2": lambda p, cfg, shared, rng: run_replica2(
-        p, cfg.eps, cfg.delta, cfg.rho, shared, rng, constants=cfg.constants,
-        stream_accounting=cfg.stream_accounting,
+        p, cfg.eps, cfg.delta, cfg.rho, shared, rng, constants=cfg.constants
     ),
 }
 ALGORITHMS = tuple(LEARNERS)
@@ -115,8 +111,6 @@ CONFIG_SCHEMA = {
         "b_seed": {"type": "string", "pattern": _SEED_PATTERN},
         "data_seed": {"type": "string", "pattern": _SEED_PATTERN},
         "constants": {"type": "object", "additionalProperties": {"type": "number"}},
-        "theta_override": {"type": ["number", "null"], "exclusiveMinimum": 0},
-        "stream_accounting": {"type": "boolean"},
     },
 }
 
@@ -195,14 +189,12 @@ class ExperimentConfig:
     algo: str = "cal"
     algos: tuple[str, ...] = ()
     eps: float = 0.05
-    delta: float = 0.05
+    delta: float = 0.01
     rho: float = 0.1
     trials: int = 10
     b_seed: str = "01"
     data_seed: str = "02"
     constants: Constants = field(default_factory=Constants)
-    theta_override: Optional[float] = None
-    stream_accounting: bool = False
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
@@ -273,8 +265,8 @@ def build_problem(cfg: ExperimentConfig) -> tuple[HypothesisClass, DataModel]:
 def problem_stats(
     hclass: HypothesisClass, model: DataModel, cfg: ExperimentConfig
 ) -> tuple[float, float, int]:
-    """(theta, nu, best-index) for reporting; honors the theta override."""
-    problem = Problem(hclass, model, cfg.theta_override)
+    """(theta, nu, best-index) for reporting; ``cfg`` is not read."""
+    problem = Problem(hclass, model)
     return problem.theta, problem.nu, problem.center
 
 
@@ -389,16 +381,15 @@ def iter_paired_runs(
 
     A caller that already holds the batch's ``problem`` passes it, and
     ``hclass`` and ``model`` are then ignored.  Otherwise the problem's
-    geometry is computed once, before the first pair; an invalid theta
-    override raises there.  Each pair derives one shared string from the
-    master seed and the pair index; the two sides draw data from independent
-    streams.  A failing side is recorded by exception type instead of
+    geometry is computed once, before the first pair.  Each pair derives one
+    shared string from the master seed and the pair index; the two sides draw
+    data from independent streams.  A failing side is recorded by exception type instead of
     aborting the batch.
     """
     if problem is None:
         if hclass is None or model is None:
             hclass, model = build_problem(cfg)
-        problem = Problem(hclass, model, cfg.theta_override)
+        problem = Problem(hclass, model)
     learner = LEARNERS[cfg.algo]
     master = RandomString(cfg.b_seed)
     for i in range(cfg.trials):
@@ -502,7 +493,7 @@ def summarize_pairs(
 
 def run_paired_trials(cfg: ExperimentConfig) -> ReplicabilityReport:
     """Full paired-replicability experiment for one config."""
-    problem = Problem(*build_problem(cfg), cfg.theta_override)
+    problem = Problem(*build_problem(cfg))
     outcomes = list(iter_paired_runs(cfg, problem=problem))
     return summarize_pairs(cfg, outcomes, problem.theta, problem.nu)
 
@@ -543,7 +534,7 @@ def label_complexity_sweep(cfg: ExperimentConfig, eps_list: Sequence[float]) -> 
     """
     if not eps_list:
         raise ParameterError("sweep needs at least one accuracy target")
-    problem = Problem(*build_problem(cfg), cfg.theta_override)
+    problem = Problem(*build_problem(cfg))
     algos = cfg.algos or (cfg.algo,)
     master = RandomString(cfg.b_seed)
     rows: list[SweepRow] = []

@@ -344,7 +344,6 @@ def run_replical(
     rs: RandomString,
     rng: np.random.Generator,
     constants: Optional[Constants] = None,
-    stream_accounting: bool = False,
 ) -> RunResult:
     """Replicable consistency-style elimination for noiseless labels.
 
@@ -368,7 +367,7 @@ def run_replical(
     v = build_grid(sched.top_loop, sched.interval_count, "realizable", shared).threshold
     trace: list[RoundRecord] = []
     space, _, est, rounds = _eliminate(
-        problem, sched.k, sched.round_cap, rng, counters, stream_accounting,
+        problem, sched.k, sched.round_cap, rng, counters,
         _loop_estimate(problem, sched, shared, rng, counters, eps / 2.0),
         lambda errs, est: (v, v, None), trace  # keep errors up to the shared threshold
     )
@@ -388,7 +387,6 @@ def run_replica2(
     rs: RandomString,
     rng: np.random.Generator,
     constants: Optional[Constants] = None,
-    stream_accounting: bool = False,
 ) -> RunResult:
     """Replicable agnostic elimination, then a final cut relative to the best.
 
@@ -439,7 +437,7 @@ def run_replica2(
         space, region, rounds = VersionSpace.full(hclass.n_hypotheses), problem.region, 0
     else:
         space, region, _, rounds = _eliminate(
-            problem, sched.k, sched.round_cap, rng, counters, stream_accounting,
+            problem, sched.k, sched.round_cap, rng, counters,
             _loop_estimate(problem, sched, shared, rng, counters, guard), cut, trace
         )
     v_final = build_grid(
@@ -454,9 +452,7 @@ def run_replica2(
     pre_size = space.size
     floor_final: Optional[float] = None
     if disagreement_mass(model, region) > PROB_TOL:
-        count0, count1 = sample_labeled_counts(
-            model, region, sched.k_final, rng, counters, stream_accounting
-        )
+        count0, count1 = sample_labeled_counts(model, region, sched.k_final, rng, counters)
         errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
         # the cut is measured from the best member, so the shared threshold
         # bounds each survivor's excess over the floor, not its raw error

@@ -3,7 +3,8 @@
 Every library name the benchmark wraps is bound, and wrapping then restoring
 leaves every name as it was.  The report CSVs of the three in-process
 seed-0 workloads are pinned by sha256, so a change that claims the
-benchmark's results did not move is checked here.
+benchmark's results did not move is checked here, and the benchmark's own
+full pass over each of them, at its smoke size, must pass its checks.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from ralearn import harness
 from ralearn.harness import ExperimentConfig, report_csv, run_paired_trials
 from ralearn.randomness import RandomString
 
@@ -86,3 +88,15 @@ def test_bench_seed0_report_is_pinned(bench_run, name):
     cfg = ExperimentConfig.from_dict(bench_run.config_doc(workload, 0, workload.pairs))
     text = report_csv(run_paired_trials(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == BENCH_SEED0_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SEED0_DIGESTS))
+def test_bench_full_pass_passes_its_checks(bench_run, name):
+    # the library calls the benchmark makes, at its --smoke batch size:
+    # problem_stats, iter_paired_runs and summarize_pairs in their shapes
+    workload = bench_run.WORKLOADS[name]
+    doc = bench_run.config_doc(workload, 0, workload.tiny_pairs)
+    cfg, (outcomes, report, text) = bench_run.full_pass(harness, doc)
+    oracle = bench_run.ClassOracle(doc["class"]["generator"], doc["class"]["size"])
+    assert bench_run.check_batch(workload, cfg, oracle, outcomes, report) == []
+    assert text == report_csv(run_paired_trials(cfg))

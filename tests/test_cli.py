@@ -157,31 +157,6 @@ def test_run_replica2_zero_final_region_prints_strict_json(capsys):
 
 
 _PROBLEM = ["--class", "thresholds", "--domain-size", "16"]
-_QUICK = [*_PROBLEM, "--epsilon", "0.2", "--delta", "0.1"]
-
-
-@pytest.mark.parametrize("command", ["run", "pair"])
-def test_nan_theta_is_parameter_error(capsys, command):
-    code, out, err = run_cli(
-        capsys, [command, *_QUICK, "--algo", "replical", "--rho", "0.3", "--theta", "nan"]
-    )
-    assert code == 3
-    assert out == ""
-    assert "theta" in err
-
-
-def test_infinite_theta_is_parameter_error(capsys):
-    code, out, err = run_cli(capsys, ["theta", *_PROBLEM, "--theta", "inf", "--format", "json"])
-    assert code == 3
-    assert out == ""
-    assert "theta" in err
-
-
-def test_negative_theta_is_parameter_error(capsys):
-    code, out, err = run_cli(capsys, ["run", *_QUICK, "--algo", "cal", "--theta", "-3"])
-    assert code == 3
-    assert out == ""
-    assert "theta" in err
 
 
 def test_oversized_class_is_parameter_error(capsys):
@@ -312,7 +287,7 @@ def test_config_file_with_flag_override(capsys, tmp_path):
         "epsilon": 0.2,
         "delta": 0.2,
         "trials": 5,
-        "stream_accounting": True,
+        "data_seed": "7f",
         "class": {"generator": "thresholds", "size": 8},
     }
     path = tmp_path / "cfg.json"
@@ -323,7 +298,7 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     )
     assert code == 0
     cfg = ExperimentConfig(
-        domain_size=8, algo="cal", eps=0.2, delta=0.2, trials=1, stream_accounting=True
+        domain_size=8, algo="cal", eps=0.2, delta=0.2, trials=1, data_seed="7f"
     )
     assert out == json_text(run_paired_trials(cfg).to_jsonable()) + "\n"
     assert json.loads(out)["pairs"] == 1
@@ -406,8 +381,10 @@ def test_every_flag_is_a_config_key_or_cli_only(command):
         ["pair", "--identical-sides"],
         ["pair", "--b-policy", "fixed"],
         ["gridcheck", "--micro-k", "4"],
+        ["theta", "--theta", "2"],
+        ["pair", "--stream-accounting"],
     ],
-    ids=["identical-sides", "b-policy", "micro-k"],
+    ids=["identical-sides", "b-policy", "micro-k", "theta", "stream-accounting"],
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
     code, out, _ = run_cli(capsys, argv)

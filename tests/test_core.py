@@ -536,18 +536,6 @@ def test_problem_holds_the_geometry(thresholds8, uniform8):
     assert p.hclass is thresholds8 and p.model is uniform8
 
 
-def test_problem_honors_theta_override(thresholds8, uniform8):
-    p = ra.Problem(thresholds8, uniform8, 3)
-    assert p.theta == p.sizing_theta == 3.0
-    assert p.center == 4
-
-
-@pytest.mark.parametrize("bad", [0.0, -3.0, float("inf"), float("nan")])
-def test_problem_rejects_bad_theta_override(thresholds8, uniform8, bad):
-    with pytest.raises(ra.ParameterError):
-        ra.Problem(thresholds8, uniform8, bad)
-
-
 @pytest.mark.parametrize("make", [ra.thresholds, ra.intervals, ra.worst_case])
 def test_problem_region_is_the_full_class_mask(make):
     h = make(12)
@@ -663,18 +651,6 @@ def test_labeled_counts_agree_with_point_sampler(thresholds8, counters):
         assert np.all(counts[~mask] == 0) and np.all(oracle[~mask] == 0)
         assert np.all(np.abs(counts - k * q) <= 4 * sd + 1)
         assert np.all(np.abs(counts - oracle) <= 4 * np.sqrt(2) * sd + 1)
-
-
-def test_stream_accounting_charges_rejections(thresholds8, uniform8):
-    space = ra.VersionSpace.from_indices([3, 4, 5], 9)  # region mass 2/8
-    counters = ra.SampleCounters()
-    ra.sample_labeled_counts(
-        uniform8, ra.disagreement_mask(thresholds8, space), 100, np.random.default_rng(2),
-        counters, stream_accounting=True,
-    )
-    assert counters.labels == 100
-    # roughly 3 rejections per hit at mass 1/4; just require a positive charge
-    assert counters.unlabeled > 100
 
 
 def test_region_hit_count_binomial_bounds(uniform8, counters):

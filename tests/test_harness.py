@@ -124,10 +124,19 @@ def test_from_dict_rejects_unknown_key():
         ExperimentConfig.from_dict({"bogus": 1})
 
 
-@pytest.mark.parametrize("key, value", [("b_policy", "fixed"), ("identical_sides", True)])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("b_policy", "fixed"),
+        ("identical_sides", True),
+        ("stream_accounting", True),
+        ("theta_override", 1.5),
+    ],
+)
 def test_from_dict_rejects_removed_keys(key, value):
     # every pair spawns its own shared string and gives its two sides
-    # independent data; no key switches either off
+    # independent data, and every problem reports its own theta; no key
+    # switches any of these off
     with pytest.raises(ra.ParameterError, match=rf"config\.{key}: unknown key"):
         ExperimentConfig.from_dict({key: value})
 
@@ -185,7 +194,6 @@ _TOP_VALUES = {
     "delta": _NUMBERS,
     "rho": _NUMBERS,
     "trials": _NUMBERS,
-    "theta_override": _NUMBERS | st.none(),
     "algo": _NAMES,
     "algos": st.lists(_NAMES, max_size=2),
     "b_seed": _SEEDS,
@@ -193,7 +201,6 @@ _TOP_VALUES = {
     "constants": st.dictionaries(
         st.sampled_from(["c_cal", "c_bogus"]), _NUMBERS | st.text(max_size=2) | _OTHER, max_size=2
     ),
-    "stream_accounting": st.booleans() | _EDGES,
     "bogus": _OTHER,
 }
 _EDITS = st.lists(
@@ -213,12 +220,11 @@ _DEFAULT_DOC = {
     "class": {"generator": "thresholds", "size": 16, "eta": 0.0},
     "algo": "cal",
     "epsilon": 0.05,
-    "delta": 0.05,
+    "delta": 0.01,
     "rho": 0.1,
     "trials": 10,
     "b_seed": "01",
     "data_seed": "02",
-    "stream_accounting": False,
 }
 
 
@@ -283,9 +289,7 @@ def test_from_dict_rich_config():
         "trials": 4,
         "b_seed": "0abc",
         "data_seed": "ff",
-        "theta_override": 3.0,
         "constants": {"c_a2": 24.0},
-        "stream_accounting": True,
     }
     assert ExperimentConfig.from_dict(doc) == ExperimentConfig(
         class_name="thresholds",
@@ -301,9 +305,7 @@ def test_from_dict_rich_config():
         b_seed="0abc",
         data_seed="ff",
         weights=tuple([1.0 / 32] * 32),
-        theta_override=3.0,
         constants=ra.Constants().updated({"c_a2": 24.0}),
-        stream_accounting=True,
     )
 
 
@@ -339,13 +341,6 @@ def test_build_problem_eta_becomes_flip_rates():
     _, model = build_problem(cfg)
     assert model.flip_rates.max() == pytest.approx(0.1)
     assert model.target_index == 3
-
-
-def test_problem_stats_honors_theta_override():
-    cfg = ExperimentConfig(domain_size=8, theta_override=7.5)
-    hclass, model = build_problem(cfg)
-    theta, _, _ = problem_stats(hclass, model, cfg)
-    assert theta == 7.5
 
 
 # ---------------------------------------------------------------------------
@@ -490,20 +485,24 @@ def test_run_paired_trials_computes_the_geometry_once(monkeypatch):
 @pytest.mark.parametrize("algo", ["cal", "a2", "replical", "replica2"])
 def test_learners_derive_one_region_per_version_space(monkeypatch, algo):
     # the guard, the mass estimate and the sampler share one mask per version
-    # space; theta 1.0 puts replica2's loop guard 16 * theta * nu below 1
+    # space; on thresholds(128) at epsilon 0.02 (noise 0.01 for the agnostic
+    # learners) every learner runs at least two loop rounds, so the count
+    # covers regions re-derived from a cut version space
     calls = _count_calls(monkeypatch, "disagreement_mask")
-    cfg = replace(GOLDEN_BATCHES[algo], theta_override=1.0)
-    problem = ra.Problem(*build_problem(cfg), cfg.theta_override)
+    noisy = dict(target=128, eta=0.01) if GOLDEN_BATCHES[algo].eta else {}
+    cfg = replace(GOLDEN_BATCHES[algo], domain_size=128, eps=0.02, **noisy)
+    problem = ra.Problem(*build_problem(cfg))
     shared, rng = ra.RandomString(cfg.b_seed), data_stream(cfg.data_seed, 0, 0)
     result = harness.LEARNERS[algo](problem, cfg, shared, rng)
-    assert result.rounds >= 1
+    assert result.rounds >= 2
     assert len(calls) == result.rounds + 1
 
 
-def test_invalid_theta_override_stops_the_batch():
-    # a config error, not a failed side: it must reach the caller
-    with pytest.raises(ra.ParameterError):
-        list(iter_paired_runs(_cal_cfg(theta_override=float("nan"))))
+def test_replical_runs_at_the_default_budgets():
+    # the schedule needs rho > 2 * delta; the defaults 0.1 and 0.01 meet it
+    report = run_paired_trials(ExperimentConfig(algo="replical", trials=2))
+    assert report.pairs == 2
+    assert report.failure_counts == ()
 
 
 def test_summarize_is_order_insensitive():
