@@ -598,9 +598,9 @@ def test_golden_report_csv_digest():
     assert digest == "15ffcf420f4f0651982527a7527e7b23c87d614398b572b41d55c0870af6278f"
 
 
-# Small batches for the other four learners, pinned the same way.  The
-# noiseless ones run on thresholds(32); the noisy ones flip each label of
-# hypothesis 32 with probability 0.05 and run at the default A² constants.
+# Small batches for the other four learners, pinned the same way, all on
+# thresholds(32); the noisy ones flip each label of hypothesis 32 with
+# probability 0.05 and run at the default A² constants.
 _GOLDEN_COMMON = dict(eps=0.1, delta=0.1, rho=0.3, trials=4, b_seed="1234", data_seed="abcd")
 _GOLDEN_NOISY = dict(domain_size=32, target=32, eta=0.05)
 GOLDEN_BATCHES = {
