@@ -318,7 +318,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError,) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"config parse error: {e}", file=sys.stderr)
         return 2
     except RuntimeError as e:

@@ -9,9 +9,10 @@ domain; the full class's region is computed once per problem
 (``Problem.region``), and learners derive each later version space's region
 once and hand it to ``disagreement_mass`` and to the samplers.  Elimination
 scores the version space's members only, over the observed columns when the
-sample is sparse, and exactly, since all its arithmetic is on integers below
-2**53.  The two samplers at the bottom are the only stochastic piece; they
-draw counts from the model inside a given region through a caller-owned numpy
+sample is sparse, and exactly, since all its arithmetic is on integers no
+larger than the draw count: in float32 below 2**24 draws, in float64 above.
+The two samplers at the bottom are the only stochastic piece; they draw
+counts from the model inside a given region through a caller-owned numpy
 Generator so every source of randomness in an experiment is explicit.
 """
 from __future__ import annotations
@@ -28,9 +29,13 @@ PROB_TOL = 1e-12
 # the built-in generators refuse a class of more cells (bytes) than this
 MAX_CLASS_CELLS = 2**25
 
-# products with the 0/1 class cast it to float64 in row blocks of at most
-# this many cells (1 MB)
+# products with the 0/1 class cast it to the vector's dtype in row blocks of
+# at most this many cells (1 MB in float64, 512 KB in float32)
 _BLOCK_CELLS = 2**17
+
+# float32 holds every integer up to 2**24 exactly, so elimination multiplies
+# in float32 when the sample has fewer draws than this
+_FLOAT32_DRAWS = 2**24
 
 # the samplers hand draw counts to numpy as int64
 _MAX_DRAWS = int(np.iinfo(np.int64).max)
@@ -236,10 +241,11 @@ def _check_same_domain(hclass: HypothesisClass, model: DataModel) -> None:
 
 
 def _rows_times(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """``matrix @ vector`` for a 0/1 ``matrix``, which numpy casts to float64
-    one row block of at most ``_BLOCK_CELLS`` cells at a time, never whole."""
+    """``matrix @ vector`` for a 0/1 ``matrix``, which numpy casts to the
+    vector's dtype one row block of at most ``_BLOCK_CELLS`` cells at a time,
+    never whole; the result has the vector's dtype too."""
     step = max(1, _BLOCK_CELLS // vector.size)
-    out = np.empty(matrix.shape[0])
+    out = np.empty(matrix.shape[0], dtype=vector.dtype)
     for i in range(0, matrix.shape[0], step):
         np.matmul(matrix[i : i + step], vector, out=out[i : i + step])
     return out
@@ -291,10 +297,13 @@ def empirical_errors_from_counts(
     A sample of ``total`` draws touches at most ``total`` points, so when
     that is at most a quarter of the domain the product runs over the seen
     columns only.  The 0/1 matrix is multiplied one row block at a time
-    (``_rows_times``), never cast to float64 whole.  The result is exact:
-    every operand is an integer and every partial sum is at most ``total``
-    in magnitude, so for any sample of fewer than 2**53 draws every row
-    subset, column subset and summation order gives the same bits.
+    (``_rows_times``), never cast whole, in float32 when ``total`` is below
+    2**24 and in float64 otherwise; the mistake counts are widened to
+    float64 before the division.  The result is exact either way: every
+    operand is an integer and every partial sum is at most ``total`` in
+    magnitude, which float32 holds exactly below 2**24 and float64 below
+    2**53, so every row subset, column subset, summation order and dtype
+    gives the same bits.
     """
     counts = count_zero + count_one
     total = int(counts.sum())
@@ -305,11 +314,12 @@ def empirical_errors_from_counts(
     if rows is not None and rows.size == n_h:
         rows = None
     pred = hclass.predictions if rows is None else hclass.predictions.take(rows, axis=0)
-    diff = (count_zero - count_one).astype(np.float64)
+    dtype = np.float32 if total < _FLOAT32_DRAWS else np.float64
+    diff = (count_zero - count_one).astype(dtype)
     if 4 * total <= pred.shape[1]:
         seen = np.flatnonzero(counts)
         pred, diff = pred.take(seen, axis=1), diff[seen]
-    mistakes = _rows_times(pred, diff)
+    mistakes = _rows_times(pred, diff).astype(np.float64, copy=False)
     mistakes += float(count_one.sum())
     mistakes /= total
     if rows is None:

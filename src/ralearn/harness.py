@@ -233,6 +233,10 @@ class ExperimentConfig:
         renamed = {"generator": "class_name", "size": "domain_size", "epsilon": "eps"}
         items = {**doc.get("class", {}), **doc}.items()
         kwargs = {renamed.get(k, k): v for k, v in items if k != "class"}
+        # the schema takes 16.0 as an integer; range() and indexing do not
+        for key in ("domain_size", "target", "trials"):
+            if kwargs.get(key) is not None:
+                kwargs[key] = int(kwargs[key])
         if "matrix" in kwargs:
             kwargs["matrix"] = tuple(tuple(row) for row in kwargs["matrix"])
         for key in ("weights", "algos"):

@@ -406,6 +406,35 @@ def test_malformed_config_file(capsys, tmp_path):
     assert "parse" in err
 
 
+def test_config_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, _, err = run_cli(capsys, ["theta", "--config", str(path)])
+    assert code == 2
+    assert err.startswith("config parse error: ")
+
+
+@pytest.mark.parametrize(
+    "command, as_int, as_float",
+    [
+        ("theta", {"class": {"size": 16}}, {"class": {"size": 16.0}}),
+        ("theta", {"class": {"size": 16, "target": 3}}, {"class": {"size": 16, "target": 3.0}}),
+        ("pair", {"class": {"size": 8}, "trials": 2}, {"class": {"size": 8}, "trials": 2.0}),
+    ],
+)
+def test_integer_keys_written_as_floats_read_as_integers(
+    capsys, tmp_path, command, as_int, as_float
+):
+    outs = []
+    for doc in (as_int, as_float):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, [command, "--config", str(path)])
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "geometry.txt"
     code, out, _ = run_cli(

@@ -254,16 +254,24 @@ def _integer_errors(hclass, c0, c1):
     seed=st.integers(0, 2**32 - 1),
     n_h=st.integers(1, 40),
     n_x=st.integers(1, 300),
-    draws=st.one_of(st.none(), st.integers(1, 75), st.integers(76, 3000)),
+    draws=st.one_of(
+        st.none(),
+        st.integers(1, 75),
+        st.integers(76, 3000),
+        st.integers(2**24 - 4, 2**24 + 4),
+    ),
     block=st.sampled_from([1, 7, None]),
 )
 @settings(max_examples=150, deadline=None)
 def test_empirical_errors_equal_an_integer_recount(seed, n_h, n_x, draws, block):
     # a sample of ``draws`` points lands on either side of the sparse
     # cut-over (4 * draws <= n_x); ``draws=None`` puts counts near 2**40 in
-    # about half the cells; small blocks split the class into many row blocks,
-    # and ``block=None`` keeps the module's own block size; a random member
-    # mask, from a single row to every row, is scored on its rows alone
+    # about half the cells; draws within a few units of 2**24 land on either
+    # side of the float32 cut-over, with labels skewed toward 0 so the
+    # partial sums come near the total; small blocks split the class into
+    # many row blocks, and ``block=None`` keeps the module's own block size;
+    # a random member mask, from a single row to every row, is scored on its
+    # rows alone
     g = np.random.default_rng(seed)
     h = _random_class(seed, n_h, n_x)
     if draws is None:
@@ -271,7 +279,7 @@ def test_empirical_errors_equal_an_integer_recount(seed, n_h, n_x, draws, block)
         c0[0] += 1
     else:
         counts = g.multinomial(draws, np.full(n_x, 1.0 / n_x))
-        c1 = g.binomial(counts, 0.5)
+        c1 = g.binomial(counts, 0.5 if draws <= 3000 else g.random() ** 4)
         c0 = counts - c1
     members = g.random(n_h) < g.random()
     members[g.integers(n_h)] = True
@@ -282,6 +290,28 @@ def test_empirical_errors_equal_an_integer_recount(seed, n_h, n_x, draws, block)
     assert errs.tobytes() == expected.tobytes()
     assert member_errs[members].tobytes() == expected[members].tobytes()
     assert np.all(member_errs[~members] == np.inf)
+
+
+@pytest.mark.parametrize("total", [2**24 - 1, 2**24, 2**24 + 1, 2**24 + 2])
+def test_elimination_is_exact_across_the_float32_cut_over(total):
+    # row [1, 1] errs on every draw and row [1, 0] on all but one; past 2**24
+    # a float32 product would round total or total - 1
+    h = ra.explicit([[1, 1], [1, 0], [0, 1], [0, 0]])
+    c0, c1 = np.array([total - 1, 1]), np.zeros(2, dtype=np.int64)
+    errs = ra.empirical_errors_from_counts(h, c0, c1)
+    assert errs.tobytes() == _integer_errors(h, c0, c1).tobytes()
+
+
+def test_exact_errors_are_float64(thresholds8, uniform8):
+    members = np.arange(9) % 2 == 0
+    for total in (1986, 2**24 + 1):  # a float32 product, then a float64 one
+        c0, c1 = np.full(8, total // 8), np.zeros(8, dtype=np.int64)
+        c0[0] += total % 8
+        assert ra.empirical_errors_from_counts(thresholds8, c0, c1).dtype == np.float64
+        errs = ra.empirical_errors_from_counts(thresholds8, c0, c1, members)
+        assert errs.dtype == np.float64
+    assert ra.true_errors(thresholds8, uniform8).dtype == np.float64
+    assert ra.distances_from(thresholds8, uniform8, 4).dtype == np.float64
 
 
 @pytest.mark.parametrize("draws", [49, 1986])
