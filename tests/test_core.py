@@ -259,19 +259,19 @@ def _integer_errors(hclass, c0, c1):
         st.integers(1, 75),
         st.integers(76, 3000),
         st.integers(2**24 - 4, 2**24 + 4),
+        st.integers(2**53 + 1, 2**62),
     ),
     block=st.sampled_from([1, 7, None]),
 )
 @settings(max_examples=150, deadline=None)
 def test_empirical_errors_equal_an_integer_recount(seed, n_h, n_x, draws, block):
-    # a sample of ``draws`` points lands on either side of the sparse
-    # cut-over (4 * draws <= n_x); ``draws=None`` puts counts near 2**40 in
-    # about half the cells; draws within a few units of 2**24 land on either
-    # side of the float32 cut-over, with labels skewed toward 0 so the
-    # partial sums come near the total; small blocks split the class into
-    # many row blocks, and ``block=None`` keeps the module's own block size;
-    # a random member mask, from a single row to every row, is scored on its
-    # rows alone
+    # a sample of ``draws`` points covers from a few to all of the columns;
+    # ``draws=None`` puts counts near 2**40 in about half the cells; draws
+    # near 2**24, and totals past 2**53 where a float64 sum would round, skew
+    # labels toward 0 so the partial sums come near the total; small blocks
+    # split the class into many row blocks when its runs are read, and
+    # ``block=None`` keeps the module's own block size; a random member
+    # mask, from a single row to every row, is scored on its rows alone
     g = np.random.default_rng(seed)
     h = _random_class(seed, n_h, n_x)
     if draws is None:
@@ -304,7 +304,7 @@ def test_elimination_is_exact_across_the_float32_cut_over(total):
 
 def test_exact_errors_are_float64(thresholds8, uniform8):
     members = np.arange(9) % 2 == 0
-    for total in (1986, 2**24 + 1):  # a float32 product, then a float64 one
+    for total in (1986, 2**24 + 1):  # an erm sample, then one past float32's integers
         c0, c1 = np.full(8, total // 8), np.zeros(8, dtype=np.int64)
         c0[0] += total % 8
         assert ra.empirical_errors_from_counts(thresholds8, c0, c1).dtype == np.float64
@@ -328,10 +328,123 @@ def test_elimination_casts_one_row_block_at_a_time(draws):
     assert errs.tobytes() == _integer_errors(h, c0, c1).tobytes()
 
 
+@pytest.mark.parametrize(
+    "c0, c1",
+    [
+        # summed in float64, 2**53 + 1 rounds to 2**53, so a matrix product
+        # scores row [1, 1, 1] here, and row [1, 1, 0] below, 1 - 2**-52
+        ([2**53, 1, 1], [0, 0, 0]),
+        ([2**53, 1, 0], [0, 0, 1]),
+    ],
+)
+def test_elimination_is_exact_past_float64_integers(c0, c1):
+    h = ra.explicit([[1, 1, 1], [1, 1, 0], [1, 0, 0], [0, 0, 0], [0, 1, 0]])
+    c0, c1 = np.array(c0), np.array(c1)
+    errs = ra.empirical_errors_from_counts(h, c0, c1)
+    assert errs.tobytes() == _integer_errors(h, c0, c1).tobytes()
+    assert errs[0 if c1[2] == 0 else 1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "c0, c1, members",
+    [
+        (np.ones(8), np.zeros(8), np.ones(5, dtype=bool)),
+        (np.ones(8), np.zeros(8), np.ones(10, dtype=bool)),
+        (np.ones(8), np.zeros(8), np.ones((9, 1), dtype=bool)),
+        (np.ones(7), np.zeros(7), None),
+        (np.ones(9), np.zeros(9), None),
+        (np.ones(8), np.zeros(9), None),
+        (np.ones((8, 1)), np.zeros((8, 1)), None),
+    ],
+)
+def test_mis_shaped_elimination_inputs_are_parameter_errors(thresholds8, c0, c1, members):
+    with pytest.raises(ra.ParameterError, match="shape"):
+        ra.empirical_errors_from_counts(
+            thresholds8, c0.astype(np.int64), c1.astype(np.int64), members
+        )
+
+
+def test_elimination_never_multiplies_the_matrix(monkeypatch, thresholds8):
+    def refuse(*args):
+        raise AssertionError("elimination called _rows_times")
+
+    monkeypatch.setattr(core, "_rows_times", refuse)
+    c0, c1 = np.arange(8), np.arange(8)[::-1].copy()
+    members = np.arange(9) % 3 == 0
+    expected = _integer_errors(thresholds8, c0, c1)
+    assert ra.empirical_errors_from_counts(thresholds8, c0, c1).tobytes() == expected.tobytes()
+    errs = ra.empirical_errors_from_counts(thresholds8, c0, c1, members)
+    assert errs[members].tobytes() == expected[members].tobytes()
+
+
 def test_empty_sample_rejected(thresholds8):
     zeros = np.zeros(8, dtype=np.int64)
     with pytest.raises(ra.ParameterError):
         ra.empirical_errors_from_counts(thresholds8, zeros, zeros)
+
+
+# ---------------------------------------------------------------------------
+# run form of a class
+
+
+def _from_runs(hclass):
+    """The 0/1 matrix rebuilt from the class's runs of ones."""
+    start, end, first = hclass._runs
+    stops = np.append(first[1:], start.size)
+    out = np.zeros_like(hclass.predictions)
+    for r in range(hclass.n_hypotheses):
+        assert first[r] < stops[r]  # every row owns a run
+        for s, e in zip(start[first[r] : stops[r]], end[first[r] : stops[r]]):
+            assert 0 <= s <= e <= hclass.domain_size
+            out[r, s:e] = 1
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_h=st.integers(1, 30),
+    n_x=st.integers(1, 60),
+    block=st.sampled_from([1, 7, None]),
+)
+@settings(max_examples=100, deadline=None)
+def test_runs_rebuild_the_predictions(seed, n_h, n_x, block):
+    # some rows are forced to all zeros and some to all ones, beside random
+    # rows; n_h = 1 and n_x = 1 give a single row and a single column
+    g = np.random.default_rng(seed)
+    pred = g.integers(0, 2, (n_h, n_x))
+    fill = g.integers(0, 3, n_h)
+    pred[fill == 1] = 0
+    pred[fill == 2] = 1
+    h = ra.explicit(pred)
+    with mock.patch.object(core, "_BLOCK_CELLS", block or core._BLOCK_CELLS):
+        rebuilt = _from_runs(h)
+    assert rebuilt.tobytes() == h.predictions.tobytes()
+    start, end, first = h._runs
+    assert np.all(start[first][~pred.any(axis=1)] == 0)
+    assert np.all(end[first][~pred.any(axis=1)] == 0)
+    assert all(arr.dtype == np.int64 for arr in h._runs)
+
+
+@pytest.mark.parametrize("generator", [ra.thresholds, ra.intervals, ra.worst_case])
+def test_built_in_classes_have_one_run_per_row(generator):
+    for n in range(1, 65):
+        h = generator(n)
+        start, end, first = h._runs
+        assert start.size == end.size == h.n_hypotheses
+        assert np.array_equal(first, np.arange(h.n_hypotheses))
+        assert _from_runs(h).tobytes() == h.predictions.tobytes()
+
+
+def test_runs_are_read_only_and_computed_once(thresholds8):
+    c0, c1 = np.ones(8, dtype=np.int64), np.zeros(8, dtype=np.int64)
+    assert "_runs" not in vars(thresholds8)
+    ra.empirical_errors_from_counts(thresholds8, c0, c1)
+    runs = vars(thresholds8)["_runs"]
+    ra.empirical_errors_from_counts(thresholds8, c0, c1, np.ones(9, dtype=bool))
+    assert thresholds8._runs is runs
+    for arr in runs:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
 
 
 # ---------------------------------------------------------------------------
