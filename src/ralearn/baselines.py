@@ -28,7 +28,6 @@ from .core import (
     disagreement_mass,
     empirical_errors_from_counts,
     sample_labeled_counts,
-    true_error,
 )
 
 # not called here since learners take a Problem; bench/spans.py wraps these
@@ -146,18 +145,17 @@ def _result(
     trace: list[RoundRecord],
     flags: tuple[str, ...] = (),
 ) -> RunResult:
-    hclass = problem.hclass
-    sig = hclass.signature(chosen)
+    sig_hash, error = problem.hash_and_error(chosen)
     return RunResult(
         algo=algo,
         hypothesis_index=chosen,
-        signature=sig,
-        signature_hash=hclass.signature_hash(chosen),
+        signature=problem.hclass.signature(chosen),
+        signature_hash=sig_hash,
         labels_used=counters.labels,
         unlabeled_used=counters.unlabeled,
         rounds=rounds,
         final_disagreement_estimate=final_estimate,
-        error=true_error(hclass, problem.model, chosen),
+        error=error,
         survivors=tuple(int(i) for i in space.indices()),
         trace=tuple(trace),
         flags=flags,

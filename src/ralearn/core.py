@@ -136,6 +136,11 @@ class DataModel:
 
     ``flip_rates`` holds the per-point probability that the base label is
     flipped; all zeros means labels are deterministic (the realizable case).
+    Construction records once whether every label is certain (each P[label =
+    1 | x] is 0 or 1, as when every flip rate is 0 or 1): ``_certain_ones``
+    is then the read-only mask of the points labeled 1, and None otherwise.
+    The sampling weights of the whole domain are computed on first use and
+    kept (``_whole_domain_weights``).
     """
 
     weights: np.ndarray
@@ -143,6 +148,7 @@ class DataModel:
     flip_rates: np.ndarray
     target_index: Optional[int] = None
     _label_one: np.ndarray = field(init=False, repr=False)
+    _certain_ones: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
@@ -168,6 +174,9 @@ class DataModel:
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        sure = p1 == 1.0
+        sure.setflags(write=False)
+        object.__setattr__(self, "_certain_ones", sure if np.all(sure | (p1 == 0.0)) else None)
 
     @classmethod
     def realizable(
@@ -205,6 +214,15 @@ class DataModel:
     def label_one_probabilities(self) -> np.ndarray:
         """P[label = 1 | x] for every domain point (read-only, computed once)."""
         return self._label_one
+
+    @cached_property
+    def _whole_domain_weights(self) -> np.ndarray:
+        """Read-only sampling weights of the whole domain, ``weights /
+        weights.sum()``: bit for bit what ``conditional_weights`` gives for
+        an all-True region, computed once."""
+        w = self.weights / self.weights.sum()
+        w.setflags(write=False)
+        return w
 
 
 def uniform_weights(n: int) -> np.ndarray:
@@ -325,6 +343,8 @@ def empirical_errors_from_counts(
     ``+inf``, so no cut keeps it.  The result is exact for any ``total`` that
     int64 holds: each partial sum is at most ``total`` in magnitude, all of it
     is int64, and the mistake counts meet one float64 division by ``total``.
+    When every row is one run, the per-run sums are already the per-row sums
+    and are not reduced again.
     """
     n_h, n = hclass.predictions.shape
     count_zero, count_one = np.asarray(count_zero), np.asarray(count_one)
@@ -339,7 +359,11 @@ def empirical_errors_from_counts(
     prefix = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.subtract(count_zero, count_one, dtype=np.int64), out=prefix[1:])
     start, end, first = hclass._runs
-    errs = (np.add.reduceat(prefix[end] - prefix[start], first) + ones) / total
+    mistakes = prefix[end] - prefix[start]
+    if start.size != n_h:
+        # with one run per row ``first`` is arange and the reduce is identity
+        mistakes = np.add.reduceat(mistakes, first)
+    errs = (mistakes + ones) / total
     if members is not None:
         errs[np.logical_not(members)] = np.inf
     return errs
@@ -414,7 +438,9 @@ class Problem:
     learner starts from.  Learners and the harness take a Problem, so a
     batch computes these once instead of once per run.  ``region`` is
     computed on first use, so a batch whose learner never asks for it
-    (``erm``) does not pay for it.
+    (``erm``) does not pay for it.  ``hash_and_error(h)`` gives the signature
+    hash and exact error of a returned hypothesis, computed on its first
+    request and kept: the memo is bounded by ``n_hypotheses`` small entries.
     """
 
     hclass: HypothesisClass
@@ -422,6 +448,7 @@ class Problem:
     nu: float = field(init=False)
     center: int = field(init=False)
     theta: float = field(init=False)
+    _hash_and_error: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         nu, center = noise_rate(self.hclass, self.model)
@@ -435,6 +462,17 @@ class Problem:
         mask = disagreement_mask(self.hclass, VersionSpace.full(self.hclass.n_hypotheses))
         mask.setflags(write=False)
         return mask
+
+    def hash_and_error(self, h: int) -> tuple[str, float]:
+        """``(hclass.signature_hash(h), true_error(hclass, model, h))``, made
+        by those same calls on the first request for ``h`` and kept."""
+        found = self._hash_and_error.get(h)
+        if found is None:
+            found = self._hash_and_error[h] = (
+                self.hclass.signature_hash(h),
+                true_error(self.hclass, self.model, h),
+            )
+        return found
 
     @property
     def sizing_theta(self) -> float:
@@ -505,14 +543,32 @@ def sample_labeled_counts(
     label split per cell), so downstream empirical errors are distributed
     exactly as with a materialized sample.  Only ``counters.labels`` is
     charged; the unlabeled draws that would find the region are not.
+
+    From the stream it reads one ``multinomial(k, w)``, ``w`` the region's
+    conditional weights (the model's cached whole-domain weights when the
+    region is all True), then the label split.  A model with a noisy label
+    anywhere splits by ``binomial(counts, p1)``.  A model whose every label
+    is certain sets ``ones`` to ``counts`` where the label is 1 and to 0
+    elsewhere, then reads and discards ``random(m)``, ``m`` the number of
+    cells with ``ones > 0``: that binomial reads nothing where n = 0 or
+    p = 0 and exactly one double where p = 1, so both paths leave the same
+    counts and the generator in the same state.
     """
     _check_draws(k)
-    w = conditional_weights(model, region)
+    mask = np.asarray(region, dtype=bool)
+    if mask.shape == model.weights.shape and mask.all():
+        w = model._whole_domain_weights
+    else:
+        w = conditional_weights(model, mask)
     counters.labels += k
     counts = rng.multinomial(k, w)
-    p1 = model.label_one_probabilities()
-    ones = rng.binomial(counts, p1)
-    return (counts - ones).astype(np.int64), ones.astype(np.int64)
+    certain = model._certain_ones
+    if certain is None:
+        ones = rng.binomial(counts, model.label_one_probabilities())
+    else:
+        ones = np.where(certain, counts, 0)
+        rng.random(np.count_nonzero(ones))
+    return counts - ones, ones
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact-quantity oracles for classes, models, distances, and sampling."""
 
+import hashlib
 import tracemalloc
 from unittest import mock
 
@@ -262,18 +263,26 @@ def _integer_errors(hclass, c0, c1):
         st.integers(2**53 + 1, 2**62),
     ),
     block=st.sampled_from([1, 7, None]),
+    built_in=st.one_of(st.none(), st.sampled_from([ra.thresholds, ra.intervals, ra.worst_case])),
 )
 @settings(max_examples=150, deadline=None)
-def test_empirical_errors_equal_an_integer_recount(seed, n_h, n_x, draws, block):
+def test_empirical_errors_equal_an_integer_recount(seed, n_h, n_x, draws, block, built_in):
     # a sample of ``draws`` points covers from a few to all of the columns;
     # ``draws=None`` puts counts near 2**40 in about half the cells; draws
     # near 2**24, and totals past 2**53 where a float64 sum would round, skew
     # labels toward 0 so the partial sums come near the total; small blocks
     # split the class into many row blocks when its runs are read, and
     # ``block=None`` keeps the module's own block size; a random member
-    # mask, from a single row to every row, is scored on its rows alone
+    # mask, from a single row to every row, is scored on its rows alone; in
+    # about half the examples a built-in class (at most 40 points) stands in
+    # for the random one: it has one run per row, so its scores skip the
+    # per-row reduce
     g = np.random.default_rng(seed)
-    h = _random_class(seed, n_h, n_x)
+    if built_in is None:
+        h = _random_class(seed, n_h, n_x)
+    else:
+        h = built_in(min(n_x, 40))
+        n_h, n_x = h.predictions.shape
     if draws is None:
         c0, c1 = g.integers(0, 2, (2, n_x)) * (2**40 - g.integers(0, 2**20, (2, n_x)))
         c0[0] += 1
@@ -290,6 +299,8 @@ def test_empirical_errors_equal_an_integer_recount(seed, n_h, n_x, draws, block)
     assert errs.tobytes() == expected.tobytes()
     assert member_errs[members].tobytes() == expected[members].tobytes()
     assert np.all(member_errs[~members] == np.inf)
+    if built_in is not None:
+        assert h._runs[0].size == n_h
 
 
 @pytest.mark.parametrize("total", [2**24 - 1, 2**24, 2**24 + 1, 2**24 + 2])
@@ -794,6 +805,127 @@ def test_labeled_counts_agree_with_point_sampler(thresholds8, counters):
         assert np.all(counts[~mask] == 0) and np.all(oracle[~mask] == 0)
         assert np.all(np.abs(counts - k * q) <= 4 * sd + 1)
         assert np.all(np.abs(counts - oracle) <= 4 * np.sqrt(2) * sd + 1)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937, np.random.SFC64, np.random.Philox]),
+    n=st.integers(1, 64),
+    k=st.one_of(st.just(0), st.integers(1, 100), st.integers(101, 10**6)),
+    whole=st.booleans(),
+    noisy=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_sampler_reads_the_stream_of_a_multinomial_and_a_binomial(
+    seed, bit_generator, n, k, whole, noisy
+):
+    # the sampler must leave the counts and the generator exactly as numpy's
+    # own multinomial and binomial do: flip rates of 0 and 1 take the
+    # certain-label split, and one rate of 0.2 keeps the binomial; some cells
+    # weigh 0, and the region is either the whole domain or a random part
+    g = np.random.default_rng(seed)
+    weights = g.random(n) * (g.random(n) < 0.7)
+    weights[g.integers(n)] += 1.0
+    flips = g.integers(0, 2, n).astype(np.float64)
+    if noisy:
+        flips[g.integers(n)] = 0.2
+    model = ra.DataModel(weights / weights.sum(), g.integers(0, 2, n), flips)
+    assert (model._certain_ones is None) == noisy
+    region = np.ones(n, dtype=bool) if whole else g.random(n) < g.random()
+    region[g.choice(np.flatnonzero(weights))] = True
+    ours, plain = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    c0, c1 = ra.sample_labeled_counts(model, region, k, ours, ra.SampleCounters())
+    counts = plain.multinomial(k, ra.conditional_weights(model, region))
+    ones = plain.binomial(counts, model.label_one_probabilities())
+    assert c0.dtype == c1.dtype == np.int64
+    assert c0.tobytes() == (counts - ones).tobytes()
+    assert c1.tobytes() == ones.tobytes()
+    # a double and a 32-bit draw next, so a buffered half word would show
+    assert ours.random(3).tobytes() == plain.random(3).tobytes()
+    assert ours.integers(2**32, size=3).tobytes() == plain.integers(2**32, size=3).tobytes()
+
+
+def test_certain_labels_are_recorded_once():
+    h = ra.thresholds(8)
+    assert ra.DataModel.realizable(h, 3)._certain_ones.tolist() == h.row(3).astype(bool).tolist()
+    flipped = ra.DataModel.agnostic(h, 3, 1.0)
+    assert flipped._certain_ones.tolist() == (h.row(3) == 0).tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        flipped._certain_ones[0] = True
+    assert ra.DataModel.agnostic(h, 3, 0.1)._certain_ones is None
+
+
+def test_whole_domain_weights_are_cached_read_only_and_exact():
+    g = np.random.default_rng(4)
+    for n in (1, 7, 1024):
+        weights = g.random(n) * (g.random(n) < 0.6)
+        weights[0] += 0.5
+        model = ra.DataModel(weights / weights.sum(), np.zeros(n), np.zeros(n))
+        assert "_whole_domain_weights" not in vars(model)
+        cached = model._whole_domain_weights
+        assert model._whole_domain_weights is cached
+        assert cached.tobytes() == ra.conditional_weights(model, np.ones(n, dtype=bool)).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+
+
+def test_only_a_partial_region_gets_its_own_weights(monkeypatch, thresholds8, uniform8, counters):
+    seen = []
+    original = core.conditional_weights
+
+    def counting(model, mask):
+        seen.append(np.array(mask))
+        return original(model, mask)
+
+    monkeypatch.setattr(core, "conditional_weights", counting)
+    full = np.ones(8, dtype=bool)
+    ra.sample_labeled_counts(uniform8, full, 10, np.random.default_rng(0), counters)
+    assert seen == []
+    part = ra.disagreement_mask(thresholds8, ra.VersionSpace.from_indices([1, 4], 9))
+    ra.sample_labeled_counts(uniform8, part, 10, np.random.default_rng(0), counters)
+    assert len(seen) == 1 and seen[0].tolist() == part.tolist()
+    with pytest.raises(ra.ParameterError, match="region mask shape"):
+        ra.sample_labeled_counts(uniform8, np.ones(9, dtype=bool), 10, np.random.default_rng(0), counters)
+
+
+# the numpy draws under every golden: a multinomial over a masked 1024-cell
+# vector (a conditional sample), the label split with certain labels and with
+# eta = 0.1, and binomials of about 1e13 draws (``region_hit_count``); each
+# digest covers the draw and the next four doubles of the generator
+_CELLS = np.arange(1024)
+_MASKED = np.where(_CELLS % 3 == 0, 0.0, 1.0)
+_COUNTS = (_CELLS * 37 % 5) * (_CELLS % 3 != 0)
+_LABELS = (_CELLS >= 400).astype(np.float64)
+_STREAM_CANARIES = {
+    "multinomial": (
+        lambda g: g.multinomial(1986, _MASKED / _MASKED.sum()),
+        "cb6a845f17960db53d547c24e11b8ae44317c7fbc4d9b408985601b1bccda331",
+    ),
+    "certain label split": (
+        lambda g: g.binomial(_COUNTS, _LABELS),
+        "5548306487a83ea2451acae46caa4f41d3d7b73b8d3934e43b5619ef775ee86f",
+    ),
+    "eta 0.1 label split": (
+        lambda g: g.binomial(_COUNTS, 0.9 * _LABELS + 0.1 * (1.0 - _LABELS)),
+        "b3ee2d4e64558d751c949d2f748189c60c17d9b84eccf899af2a7142da7fd02e",
+    ),
+    "binomial near 1e13": (
+        lambda g: [g.binomial(10**13 + 3, p) for p in (0.5, 0.25, 1e-9, 0.999)],
+        "bd8b0a933e7a0898feac757a33bf851324d0a06737a0bd9da0f7e704ac57fb61",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_STREAM_CANARIES))
+def test_numpy_stream_canary(name):
+    draw, pinned = _STREAM_CANARIES[name]
+    g = np.random.default_rng(20241209)
+    out = np.asarray(draw(g), dtype=np.int64)
+    digest = hashlib.sha256(out.tobytes() + g.random(4).tobytes()).hexdigest()
+    assert digest == pinned, (
+        f"numpy {np.__version__} draws the {name} differently from the pinned stream; "
+        "every golden in this suite depends on these draws, so they will move too"
+    )
 
 
 def test_region_hit_count_binomial_bounds(uniform8, counters):

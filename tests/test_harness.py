@@ -474,6 +474,33 @@ def test_batch_computes_the_full_class_region_once(monkeypatch):
     assert len(calls) == 1 + sum(o.result_first.rounds + o.result_second.rounds for o in outcomes)
 
 
+def test_batch_computes_each_returned_hash_and_error_once(monkeypatch):
+    # every side's hash and exact error come from the Problem's memo, made by
+    # the same calls on an index's first return and never again
+    errors = _count_calls(monkeypatch, "true_error")
+    hashes = []
+    original = ra.HypothesisClass.signature_hash
+
+    def counting(hclass, h):
+        hashes.append(h)
+        return original(hclass, h)
+
+    monkeypatch.setattr(ra.HypothesisClass, "signature_hash", counting)
+    cfg = _cal_cfg(trials=5)
+    hclass, model = build_problem(cfg)
+    outcomes = list(iter_paired_runs(cfg, hclass, model))
+    results = [r for o in outcomes for r in (o.result_first, o.result_second)]
+    assert len(results) == 10 and None not in results
+    returned = [r.hypothesis_index for r in results]
+    assert sorted(h for _, _, h in errors) == sorted(hashes) == sorted(set(returned))
+    assert len(set(returned)) < len(returned)  # some index is returned twice
+    for r in results:
+        h = r.hypothesis_index
+        assert r.signature_hash == hclass.signature_hash(h)
+        assert np.float64(r.error).tobytes() == np.float64(ra.true_error(hclass, model, h)).tobytes()
+        assert r.signature == hclass.signature(h)
+
+
 def test_run_paired_trials_computes_the_geometry_once(monkeypatch):
     # the report's theta and nu come from the same Problem the pairs use
     calls = _count_calls(monkeypatch, "disagreement_coefficient")
