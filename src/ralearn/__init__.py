@@ -39,7 +39,6 @@ from .core import (
     region_hit_count,
     sample_labeled_counts,
     thresholds,
-    true_error,
     true_errors,
     uniform_weights,
     worst_case,

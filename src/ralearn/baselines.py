@@ -27,6 +27,7 @@ from .core import (
     disagreement_mask,
     disagreement_mass,
     empirical_errors_from_counts,
+    hash_signature,
     sample_labeled_counts,
 )
 
@@ -145,17 +146,19 @@ def _result(
     trace: list[RoundRecord],
     flags: tuple[str, ...] = (),
 ) -> RunResult:
-    sig_hash, error = problem.hash_and_error(chosen)
+    """The side's ``RunResult``: its ``error`` is read from ``problem.errors``,
+    the vector ``nu`` comes from, and its hash is of the signature bytes."""
+    sig = problem.hclass.signature(chosen)
     return RunResult(
         algo=algo,
         hypothesis_index=chosen,
-        signature=problem.hclass.signature(chosen),
-        signature_hash=sig_hash,
+        signature=sig,
+        signature_hash=hash_signature(sig),
         labels_used=counters.labels,
         unlabeled_used=counters.unlabeled,
         rounds=rounds,
         final_disagreement_estimate=final_estimate,
-        error=error,
+        error=float(problem.errors[chosen]),
         survivors=tuple(int(i) for i in space.indices()),
         trace=tuple(trace),
         flags=flags,

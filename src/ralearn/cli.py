@@ -25,7 +25,6 @@ from .core import (
     ParameterError,
     Problem,
     conditional_true_errors,
-    true_errors,
 )
 from .diagnostics import bad_fraction, classify_thresholds, interval_profile
 from .harness import (
@@ -261,7 +260,7 @@ def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str
     if mask.any():
         errs = conditional_true_errors(hclass, model, mask)
     else:
-        errs = true_errors(hclass, model)
+        errs = problem.errors
     profile = interval_profile(grid, errs)
     flags = classify_thresholds(profile, cfg.rho)
     if args.format == "json":

@@ -7,7 +7,10 @@ disagreement masses, and the disagreement coefficient are computed exactly by
 summation.  A version space's disagreement region is a boolean mask over the
 domain; the full class's region is computed once per problem
 (``Problem.region``), and learners derive each later version space's region
-once and hand it to ``disagreement_mass`` and to the samplers.  Elimination
+once and hand it to ``disagreement_mass`` and to the samplers.  Every exact
+error and distance is one mismatch product (``_mismatch_times``), and a
+``Problem`` keeps the exact error of every hypothesis (``Problem.errors``),
+which gives the noise floor and every returned hypothesis's error.  Elimination
 reads each row of the class as its runs of ones, cached per class, and scores
 a row from two lookups per run in a prefix sum of the label counts: integer
 work only, so it is exact for every draw count int64 holds.
@@ -29,8 +32,8 @@ PROB_TOL = 1e-12
 # the built-in generators refuse a class of more cells (bytes) than this
 MAX_CLASS_CELLS = 2**25
 
-# the geometry's products cast the 0/1 class to float64, and the run form is
-# read from it, in row blocks of at most this many cells (1 MB in float64)
+# the geometry's mismatch products are cast to float64, and the run form is
+# read from the class, in row blocks of at most this many cells (1 MB in float64)
 _BLOCK_CELLS = 2**17
 
 # the samplers hand draw counts to numpy as int64
@@ -93,9 +96,6 @@ class HypothesisClass:
     def signature(self, h: int) -> bytes:
         """The prediction row as bytes; equal signatures mean equal behavior."""
         return self.predictions[h].tobytes()
-
-    def signature_hash(self, h: int) -> str:
-        return hash_signature(self.signature(h))
 
     @cached_property
     def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,29 +281,29 @@ def _check_same_domain(hclass: HypothesisClass, model: DataModel) -> None:
         raise ParameterError("hypothesis class and data model disagree on domain size")
 
 
-def _rows_times(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """``matrix @ vector`` for a 0/1 ``matrix`` and a float64 ``vector`` (the
-    geometry's), which numpy casts to float64 one row block of at most
-    ``_BLOCK_CELLS`` cells at a time, never whole."""
+def _mismatch_times(hclass: HypothesisClass, base: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``(hclass.predictions != base) @ vector``: each row's sum of the float64
+    ``vector`` over the cells where it differs from the 0/1 row ``base``,
+    built and cast one row block of at most ``_BLOCK_CELLS`` cells at a
+    time.  A non-negative ``vector`` leaves nothing to cancel, so a row that
+    differs from ``base`` only where ``vector`` is 0 gets exactly 0.0."""
+    pred = hclass.predictions
     step = max(1, _BLOCK_CELLS // vector.size)
-    out = np.empty(matrix.shape[0], dtype=vector.dtype)
-    for i in range(0, matrix.shape[0], step):
-        np.matmul(matrix[i : i + step], vector, out=out[i : i + step])
+    out = np.empty(pred.shape[0], dtype=np.float64)
+    for i in range(0, pred.shape[0], step):
+        np.matmul(pred[i : i + step] != base, vector, out=out[i : i + step])
     return out
 
 
 def _errors_under(hclass: HypothesisClass, model: DataModel, weights: np.ndarray) -> np.ndarray:
-    # err(h) = sum_x w(x) * P[label(x) != h(x)]
-    p1 = model.label_one_probabilities()
-    return _rows_times(hclass.predictions, weights * (1.0 - 2.0 * p1)) + float(weights @ p1)
-
-
-def true_error(hclass: HypothesisClass, model: DataModel, h: int) -> float:
-    """Exact population error of hypothesis ``h`` under the model."""
-    _check_same_domain(hclass, model)
-    p1 = model.label_one_probabilities()
-    pred = hclass.row(h).astype(np.float64)
-    return float(model.weights @ (p1 + pred * (1.0 - 2.0 * p1)))
+    # err(h) = sum_x w(x) * P[label(x) != h(x)], which is f(x) where h agrees
+    # with the base label and 1 - f(x) where it does not, f the flip rate.
+    # For a noiseless model w . f is +0.0 and the product sums non-negative
+    # weights, so every zero-error hypothesis gets exactly 0.0; for f <= 1/2
+    # both parts are non-negative and nothing cancels.
+    f = model.flip_rates
+    mismatch = _mismatch_times(hclass, model.base_labels, weights * (1.0 - 2.0 * f))
+    return mismatch + float(weights @ f)
 
 
 def true_errors(hclass: HypothesisClass, model: DataModel) -> np.ndarray:
@@ -384,9 +384,11 @@ def disagreement_mass(model: DataModel, region: np.ndarray) -> float:
 
 
 def distances_from(hclass: HypothesisClass, model: DataModel, center: int) -> np.ndarray:
-    """Distance of every hypothesis from ``center``."""
+    """Distance of every hypothesis from ``center``: the mass where it differs
+    from ``center``'s row, a sum of non-negative weights, so a duplicate of
+    the center is exactly 0.0."""
     _check_same_domain(hclass, model)
-    return _rows_times(hclass.predictions != hclass.row(center), model.weights)
+    return _mismatch_times(hclass, hclass.row(center), model.weights)
 
 
 def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: int) -> float:
@@ -432,27 +434,30 @@ def noise_rate(hclass: HypothesisClass, model: DataModel) -> tuple[float, int]:
 class Problem:
     """A class and a label model with their invariants, computed once.
 
-    ``nu`` is the best-in-class error and ``center`` the lowest index
-    achieving it; ``theta`` is the disagreement coefficient at ``center``;
-    ``region`` is the disagreement region of the full class, the mask every
-    learner starts from.  Learners and the harness take a Problem, so a
-    batch computes these once instead of once per run.  ``region`` is
-    computed on first use, so a batch whose learner never asks for it
-    (``erm``) does not pay for it.  ``hash_and_error(h)`` gives the signature
-    hash and exact error of a returned hypothesis, computed on its first
-    request and kept: the memo is bounded by ``n_hypotheses`` small entries.
+    ``errors`` is the read-only exact error of every hypothesis
+    (``true_errors``); ``nu`` is its minimum, the best-in-class error, and
+    ``center`` the lowest index achieving it; ``theta`` is the disagreement
+    coefficient at ``center``; ``region`` is the disagreement region of the
+    full class, the mask every learner starts from.  Learners and the harness
+    take a Problem, so a batch computes these once instead of once per run,
+    and a returned hypothesis's error is read from ``errors``, the vector
+    ``nu`` comes from.  ``region`` is computed on first use, so a batch whose
+    learner never asks for it (``erm``) does not pay for it.
     """
 
     hclass: HypothesisClass
     model: DataModel
+    errors: np.ndarray = field(init=False, repr=False)
     nu: float = field(init=False)
     center: int = field(init=False)
     theta: float = field(init=False)
-    _hash_and_error: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        nu, center = noise_rate(self.hclass, self.model)
-        object.__setattr__(self, "nu", nu)
+        errors = true_errors(self.hclass, self.model)
+        errors.setflags(write=False)
+        center = int(np.argmin(errors))
+        object.__setattr__(self, "errors", errors)
+        object.__setattr__(self, "nu", float(errors[center]))
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "theta", disagreement_coefficient(self.hclass, self.model, center))
 
@@ -462,17 +467,6 @@ class Problem:
         mask = disagreement_mask(self.hclass, VersionSpace.full(self.hclass.n_hypotheses))
         mask.setflags(write=False)
         return mask
-
-    def hash_and_error(self, h: int) -> tuple[str, float]:
-        """``(hclass.signature_hash(h), true_error(hclass, model, h))``, made
-        by those same calls on the first request for ``h`` and kept."""
-        found = self._hash_and_error.get(h)
-        if found is None:
-            found = self._hash_and_error[h] = (
-                self.hclass.signature_hash(h),
-                true_error(self.hclass, self.model, h),
-            )
-        return found
 
     @property
     def sizing_theta(self) -> float:

@@ -35,6 +35,13 @@ def test_theta_worst_case_exact(capsys):
     assert "nu=0" in out
 
 
+def test_theta_prints_an_exact_zero_noise_floor(capsys):
+    # 1/100 is inexact, yet a realizable target's error is exactly 0
+    code, out, _ = run_cli(capsys, ["theta", "--class", "intervals", "--domain-size", "100"])
+    assert code == 0
+    assert "nu=0" in out.splitlines()
+
+
 def test_theta_json_format(capsys):
     code, out, _ = run_cli(
         capsys, ["theta", "--class", "thresholds", "--domain-size", "8", "--format", "json"]

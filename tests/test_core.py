@@ -175,24 +175,40 @@ def test_label_one_probabilities_mix():
 
 
 def test_true_error_of_target_is_zero(thresholds8, uniform8):
-    assert ra.true_error(thresholds8, uniform8, 4) == 0.0
+    assert ra.true_errors(thresholds8, uniform8)[4] == 0.0
 
 
 def test_true_error_under_constant_flip():
     h = ra.thresholds(8)
     m = ra.DataModel.agnostic(h, 4, 0.05)
-    assert abs(ra.true_error(h, m, 4) - 0.05) < 1e-12
+    assert abs(ra.true_errors(h, m)[4] - 0.05) < 1e-12
 
 
 def test_true_error_two_disagreement_points(thresholds8, uniform8):
     # h7 and h5 differ exactly on {5, 6}, mass 2/8
-    assert ra.true_error(thresholds8, uniform8, 6) == pytest.approx(0.25)
+    assert ra.true_errors(thresholds8, uniform8)[6] == pytest.approx(0.25)
 
 
 def test_true_errors_match_singles(thresholds8, uniform8):
+    # against an independent per-row sum of w(x) * P[label(x) != h(x)]
     errs = ra.true_errors(thresholds8, uniform8)
+    p1 = uniform8.label_one_probabilities()
     for i in range(thresholds8.n_hypotheses):
-        assert errs[i] == pytest.approx(ra.true_error(thresholds8, uniform8, i))
+        row = thresholds8.row(i)
+        single = float(np.sum(uniform8.weights * np.where(row == 1, 1 - p1, p1)))
+        assert errs[i] == pytest.approx(single)
+
+
+@pytest.mark.parametrize("make", [ra.thresholds, ra.intervals, ra.worst_case])
+def test_realizable_noise_floor_is_exactly_zero(monkeypatch, make):
+    # most of these sizes have an inexact 1/n; theta is stubbed out since nu
+    # and errors do not read it
+    monkeypatch.setattr(core, "disagreement_coefficient", lambda *args: 1.0)
+    for n in (8, 12, 31, 48, 64, 100, 127, 200, 333, 406):
+        h = make(n)
+        for target in (0, h.n_hypotheses // 2, h.n_hypotheses - 1):
+            p = ra.Problem(h, ra.DataModel.realizable(h, target))
+            assert p.nu == 0.0 and p.errors[target] == 0.0, (make.__name__, n, target)
 
 
 def test_conditional_true_errors_on_two_point_region(thresholds8, uniform8):
@@ -377,9 +393,9 @@ def test_mis_shaped_elimination_inputs_are_parameter_errors(thresholds8, c0, c1,
 
 def test_elimination_never_multiplies_the_matrix(monkeypatch, thresholds8):
     def refuse(*args):
-        raise AssertionError("elimination called _rows_times")
+        raise AssertionError("elimination called _mismatch_times")
 
-    monkeypatch.setattr(core, "_rows_times", refuse)
+    monkeypatch.setattr(core, "_mismatch_times", refuse)
     c0, c1 = np.arange(8), np.arange(8)[::-1].copy()
     members = np.arange(9) % 3 == 0
     expected = _integer_errors(thresholds8, c0, c1)
@@ -688,6 +704,14 @@ def test_problem_holds_the_geometry(thresholds8, uniform8):
     assert p.theta == ra.disagreement_coefficient(thresholds8, uniform8, 4) == 2.0
     assert p.sizing_theta == 2.0
     assert p.hclass is thresholds8 and p.model is uniform8
+
+
+def test_problem_errors_are_the_read_only_exact_errors(thresholds8, uniform8):
+    p = ra.Problem(thresholds8, uniform8)
+    assert p.errors.tobytes() == ra.true_errors(thresholds8, uniform8).tobytes()
+    assert (p.nu, p.center) == (float(p.errors.min()), int(np.argmin(p.errors)))
+    with pytest.raises(ValueError, match="read-only"):
+        p.errors[0] = 1.0
 
 
 @pytest.mark.parametrize("make", [ra.thresholds, ra.intervals, ra.worst_case])
