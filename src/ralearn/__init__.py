@@ -71,8 +71,6 @@ from .replicable import (
     ScheduleParams,
     ThresholdGrid,
     build_grid,
-    grid_interval_count,
-    grid_range_top,
     run_replica2,
     run_replical,
     size_schedule,

@@ -135,6 +135,14 @@ def _check_accuracy_params(eps: float, delta: float) -> None:
         raise ParameterError(f"failure budget must lie in (0, 1), got {delta}")
 
 
+def _unsizable(error: ArithmeticError, **params: float) -> ParameterError:
+    """The error for a size formula that left the float range at ``params``:
+    a product or power overflowed, a divisor underflowed to 0, or the count
+    came out infinite."""
+    named = ", ".join(f"{key}={value!r}" for key, value in params.items())
+    return ParameterError(f"no finite sample size at {named}: {error}")
+
+
 def _result(
     algo: str,
     problem: Problem,
@@ -210,7 +218,10 @@ def _eliminate(
 
 
 def erm_sample_size(n_hypotheses: int, eps: float, delta: float, constants: Constants) -> int:
-    return int(math.ceil(constants.c_pass * (1.0 / eps) * math.log(n_hypotheses / delta)))
+    try:
+        return int(math.ceil(constants.c_pass * (1.0 / eps) * math.log(n_hypotheses / delta)))
+    except ArithmeticError as e:
+        raise _unsizable(e, epsilon=eps, delta=delta) from None
 
 
 def run_passive_erm(
@@ -249,7 +260,10 @@ def run_passive_erm(
 
 
 def cal_round_bound(eps: float) -> int:
-    return int(math.ceil(math.log2(2.0 / eps)))
+    try:
+        return int(math.ceil(math.log2(2.0 / eps)))
+    except ArithmeticError as e:
+        raise _unsizable(e, epsilon=eps) from None
 
 
 def cal_sample_size(
@@ -257,7 +271,10 @@ def cal_sample_size(
 ) -> int:
     """Labels per CAL round; ``theta`` is the sizing value (positive)."""
     n_max = cal_round_bound(eps)
-    return int(math.ceil(constants.c_cal * theta * math.log(n_hypotheses * n_max / delta)))
+    try:
+        return int(math.ceil(constants.c_cal * theta * math.log(n_hypotheses * n_max / delta)))
+    except ArithmeticError as e:
+        raise _unsizable(e, epsilon=eps, delta=delta) from None
 
 
 def run_cal(
@@ -337,8 +354,14 @@ def run_a2(
     n_loop = a2_round_bound(t_size, nu, eps)
     delta_round = delta / (1.0 + n_loop)
     n_c = hclass.n_hypotheses
-    k = int(math.ceil(constants.c_a2 * t_size**2 * math.log(n_c * n_loop / delta_round)))
-    radius = math.sqrt(math.log(2.0 * n_c / delta_round) / (2.0 * k))
+    try:
+        k = int(math.ceil(constants.c_a2 * t_size**2 * math.log(n_c * n_loop / delta_round)))
+        radius = math.sqrt(math.log(2.0 * n_c / delta_round) / (2.0 * k))
+        k_final = int(
+            math.ceil(constants.c_a2_final * t_size**2 * (nu / eps) ** 2 * math.log(n_c / delta))
+        )
+    except ArithmeticError as e:
+        raise _unsizable(e, epsilon=eps, delta=delta, nu=nu) from None
 
     def measure(region, rounds):
         dmass = disagreement_mass(model, region)
@@ -355,7 +378,6 @@ def run_a2(
     space, region, dmass, rounds = _eliminate(
         problem, k, ROUND_CAP_FACTOR * n_loop, rng, counters, measure, cut, trace
     )
-    k_final = int(math.ceil(constants.c_a2_final * t_size**2 * (nu / eps) ** 2 * math.log(n_c / delta)))
     if k_final > 0 and dmass > PROB_TOL:
         count0, count1 = sample_labeled_counts(model, region, k_final, rng, counters)
         errs = empirical_errors_from_counts(hclass, count0, count1, space.members)

@@ -42,7 +42,7 @@ from .harness import (
     sweep_csv,
 )
 from .randomness import RandomString
-from .replicable import build_grid, grid_interval_count, grid_range_top
+from .replicable import build_grid, size_schedule
 
 
 def _constant_pair(text: str) -> tuple[str, float]:
@@ -249,13 +249,13 @@ def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, st
 def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, str]:
     problem = Problem(*build_problem(cfg))
     hclass, model, nu = problem.hclass, problem.model, problem.nu
-    phase = "agnostic-loop" if nu > PROB_TOL else "realizable"
-    grid = build_grid(
-        grid_range_top(problem.sizing_theta, phase, cfg.eps, nu),
-        grid_interval_count(hclass.n_hypotheses, cfg.rho, cfg.constants),
-        phase,
-        RandomString(cfg.b_seed),
+    # the loop grid ``run --algo replical`` (or ``replica2`` under noise) draws
+    phase, sched_nu = ("agnostic-loop", nu) if nu > PROB_TOL else ("realizable", 0.0)
+    sched = size_schedule(
+        problem.sizing_theta, cfg.eps, cfg.delta, cfg.rho, sched_nu, hclass.n_hypotheses,
+        cfg.constants,
     )
+    grid = build_grid(sched.top_loop, sched.interval_count, phase, RandomString(cfg.b_seed))
     mask = problem.region
     if mask.any():
         errs = conditional_true_errors(hclass, model, mask)

@@ -146,7 +146,6 @@ class DataModel:
     weights: np.ndarray
     base_labels: np.ndarray
     flip_rates: np.ndarray
-    target_index: Optional[int] = None
     _label_one: np.ndarray = field(init=False, repr=False)
     _certain_ones: Optional[np.ndarray] = field(init=False, repr=False)
 
@@ -189,7 +188,7 @@ class DataModel:
         if not 0 <= target < hclass.n_hypotheses:
             raise ParameterError(f"target index {target} out of range")
         w = uniform_weights(hclass.domain_size) if weights is None else np.asarray(weights)
-        return cls(w, hclass.row(target), np.zeros(hclass.domain_size), target_index=target)
+        return cls(w, hclass.row(target), np.zeros(hclass.domain_size))
 
     @classmethod
     def agnostic(
@@ -205,7 +204,7 @@ class DataModel:
         n = hclass.domain_size
         w = uniform_weights(n) if weights is None else np.asarray(weights)
         f = np.full(n, float(eta)) if np.isscalar(eta) else np.asarray(eta, dtype=np.float64)
-        return cls(w, hclass.row(base), f, target_index=base)
+        return cls(w, hclass.row(base), f)
 
     @property
     def domain_size(self) -> int:
@@ -396,29 +395,29 @@ def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: 
     divided by the radius.
 
     The ratio is piecewise maximal at the finitely many realized positive
-    distances, and balls are nested as the radius grows, so the scan keeps a
-    per-point count of predicted ones among members and updates it
-    incrementally.  Returns 0.0 when every hypothesis duplicates the center.
+    distances, and balls are nested as the radius grows, so the scan grows
+    the ball's disagreement region incrementally.  Every ball holds
+    ``center``, so that region is where some member's row differs from the
+    center's.  Returns 0.0 when every hypothesis duplicates the center.
     """
     _check_same_domain(hclass, model)
     d = distances_from(hclass, model, center)
     order = np.argsort(d, kind="stable")
     pred = hclass.predictions
-    ones = np.zeros(hclass.domain_size, dtype=np.int64)
+    base = pred[center]
+    region = np.zeros(hclass.domain_size, dtype=bool)
     best = 0.0
-    members = 0
     pos = 0
     n = hclass.n_hypotheses
     while pos < n:
         radius = d[order[pos]]
         # absorb every hypothesis at this exact distance (within tolerance)
         while pos < n and d[order[pos]] <= radius + PROB_TOL:
-            ones += pred[order[pos]]
-            members += 1
+            region |= pred[order[pos]] != base
             pos += 1
         if radius <= PROB_TOL:
             continue
-        mass = disagreement_mass(model, (ones > 0) & (ones < members))
+        mass = disagreement_mass(model, region)
         best = max(best, mass / float(radius))
     return best
 
@@ -598,15 +597,14 @@ def intervals(n: int) -> HypothesisClass:
     if n < 1:
         raise ParameterError("domain size must be positive")
     _check_class_cells(n * (n + 1) // 2 + 1, n)
-    rows = [np.zeros(n, dtype=np.uint8)]
-    names = ["empty"]
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            row = np.zeros(n, dtype=np.uint8)
-            row[a - 1 : b] = 1
-            rows.append(row)
-            names.append(f"[{a},{b}]")
-    return HypothesisClass(np.stack(rows), tuple(names))
+    # 0-based bounds of every interval, in the order a, then b >= a
+    a, b = np.triu_indices(n)
+    x = np.arange(n)
+    pred = np.zeros((a.size + 1, n), dtype=bool)
+    np.less_equal(a[:, None], x, out=pred[1:])
+    pred[1:] &= x <= b[:, None]
+    names = ["empty"] + [f"[{i},{j}]" for i, j in zip((a + 1).tolist(), (b + 1).tolist())]
+    return HypothesisClass(pred.view(np.uint8), tuple(names))
 
 
 def worst_case(n: int) -> HypothesisClass:

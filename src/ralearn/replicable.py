@@ -31,6 +31,7 @@ from .baselines import (
     RunResult,
     _eliminate,
     _result,
+    _unsizable,
     cal_round_bound,
 )
 from .core import (
@@ -54,9 +55,6 @@ from .rstat import SQParams, required_sample_size, rstat_answer_from_mean
 # not called here since learners take a Problem; bench/spans.py wraps these
 # names at every module that imports them, this one included
 from .core import disagreement_coefficient, disagreement_mask, noise_rate  # noqa: F401
-
-GRID_PHASES = ("realizable", "agnostic-loop", "agnostic-final")
-
 
 @dataclass(frozen=True)
 class ThresholdGrid:
@@ -99,37 +97,6 @@ class ThresholdGrid:
 
     def selectable_thresholds(self) -> np.ndarray:
         return self.origin + (np.arange(self.count) + 1.5) * self.spacing
-
-
-def grid_interval_count(class_size: int, rho: float, constants: Optional[Constants] = None) -> int:
-    """Number of selectable thresholds; grows with log of the class size."""
-    if class_size < 1:
-        raise ParameterError("class size must be positive")
-    if not 0.0 < rho < 1.0:
-        raise ParameterError(f"replicability budget must lie in (0, 1), got {rho}")
-    constants = constants or Constants()
-    return max(1, int(math.floor(constants.c_grid * math.log(class_size) / rho**2)))
-
-
-def grid_range_top(
-    theta: float, phase: str, eps: Optional[float] = None, nu: Optional[float] = None
-) -> float:
-    """Width of the threshold range for each phase of the two learners."""
-    if theta <= 0.0:
-        raise ParameterError("grid construction needs a positive disagreement coefficient")
-    if phase == "realizable":
-        return 1.0 / (8.0 * theta)
-    if phase == "agnostic-loop":
-        if nu is None or nu <= 0.0:
-            raise ParameterError("agnostic grid phases need a positive noise rate")
-        return 1.0 / (32.0 * theta)
-    if phase == "agnostic-final":
-        if nu is None or nu <= 0.0:
-            raise ParameterError("agnostic grid phases need a positive noise rate")
-        if eps is None or not 0.0 < eps < 1.0:
-            raise ParameterError("final grid phase needs an accuracy target in (0, 1)")
-        return eps / (64.0 * theta * nu)
-    raise ParameterError(f"unknown grid phase {phase!r}; expected one of {GRID_PHASES}")
 
 
 def build_grid(
@@ -199,13 +166,19 @@ def size_schedule(
     rho: float,
     nu: float,
     class_size: int,
-    setting: str,
     constants: Optional[Constants] = None,
 ) -> ScheduleParams:
-    """Deterministic closed-form sizes for one replicable run.
+    """Deterministic closed-form sizes for one replicable run, its grids included.
 
-    Raises ParameterError when any derived query margin is nonpositive, in
-    particular whenever rho <= 2 * delta.
+    ``nu`` selects the setting.  At 0 the schedule is realizable, with one
+    loop grid spanning 1 / (8 theta).  Above 0 it is agnostic, with a loop
+    grid spanning 1 / (32 theta) and a final grid spanning
+    eps / (64 theta nu).  Every grid of a run holds
+    max(1, floor(c_grid ln|H| / rho**2)) selectable thresholds.
+
+    Raises ParameterError when nu is negative, when any derived query margin
+    is nonpositive (in particular whenever rho <= 2 * delta), and when a
+    size leaves the float range.
     """
     constants = constants or Constants()
     if not 0.0 < eps < 1.0:
@@ -218,55 +191,56 @@ def size_schedule(
         raise ParameterError("class size must be positive")
     if theta <= 0.0:
         raise ParameterError("schedule needs a positive disagreement coefficient")
-    if setting == "realizable":
-        n_max = cal_round_bound(eps)
-        sq_loop = SQParams(rho / (2.0 * n_max), eps / 2.0, delta / (2.0 * n_max))
-        sq_final = None
-        top_loop, top_final = grid_range_top(theta, "realizable"), 0.0
-        # the accuracy leg grows with theta, the agreement leg shrinks with it
-        err_scale, rep_scale = theta, theta
-    elif setting == "agnostic":
-        if nu <= 0.0:
-            raise ParameterError("agnostic schedule needs a positive noise rate")
-        guard = 8.0 * theta * nu
-        n_max = max(1, int(math.ceil(math.log2(1.0 / guard))) + 1) if guard < 1.0 else 1
-        budget = rho / (2.0 * (n_max + 1))
-        fail = delta / (2.0 * (n_max + 1))
-        sq_loop = SQParams(budget, guard, fail) if guard < 1.0 else None
-        sq_final = SQParams(budget, eps / 2.0, fail)
-        top_loop = grid_range_top(theta, "agnostic-loop", eps, nu)
-        top_final = grid_range_top(theta, "agnostic-final", eps, nu)
-        err_scale, rep_scale = theta**2, 1.0
-    else:
-        raise ParameterError(f"unknown setting {setting!r}; expected 'realizable' or 'agnostic'")
-    m = grid_interval_count(class_size, rho, constants)
+    if not nu >= 0.0:
+        raise ParameterError(f"noise rate must be nonnegative, got {nu}")
+    try:
+        if nu == 0.0:
+            n_max = cal_round_bound(eps)
+            sq_loop = SQParams(rho / (2.0 * n_max), eps / 2.0, delta / (2.0 * n_max))
+            sq_final = None
+            top_loop, top_final = 1.0 / (8.0 * theta), 0.0
+            # the accuracy leg grows with theta, the agreement leg shrinks with it
+            err_scale, rep_scale = theta, theta
+        else:
+            guard = 8.0 * theta * nu
+            n_max = max(1, int(math.ceil(math.log2(1.0 / guard))) + 1) if guard < 1.0 else 1
+            budget = rho / (2.0 * (n_max + 1))
+            fail = delta / (2.0 * (n_max + 1))
+            sq_loop = SQParams(budget, guard, fail) if guard < 1.0 else None
+            sq_final = SQParams(budget, eps / 2.0, fail)
+            top_loop, top_final = 1.0 / (32.0 * theta), eps / (64.0 * theta * nu)
+            err_scale, rep_scale = theta**2, 1.0
+        m = max(1, int(math.floor(constants.c_grid * math.log(class_size) / rho**2)))
 
-    def rep_labels(top: float) -> int:
-        # enough labels that the errors' deviation stays small against the spacing
-        spacing = top / (m + 1)
-        return int(math.ceil(constants.c_k2 * math.log(n_max / rho) / (rep_scale * spacing**2)))
+        def rep_labels(top: float) -> int:
+            # enough labels that the errors' deviation stays small against the spacing
+            spacing = top / (m + 1)
+            labels = constants.c_k2 * math.log(n_max / rho) / (rep_scale * spacing**2)
+            return int(math.ceil(labels))
 
-    k_err = int(math.ceil(constants.c_k1 * err_scale * math.log(class_size * n_max / delta)))
-    k_rep = rep_labels(top_loop)
-    k_final = 0
-    if sq_final is not None:
-        k_acc = constants.c_k3 * theta**2 * (nu / eps) ** 2 * math.log(class_size / delta)
-        k_final = max(int(math.ceil(k_acc)), rep_labels(top_final))
-    return ScheduleParams(
-        n_max=n_max,
-        round_cap=ROUND_CAP_FACTOR * n_max,
-        k=max(k_err, k_rep),
-        k_err=k_err,
-        k_rep=k_rep,
-        k_final=k_final,
-        t_unlabeled=_unlabeled_draws(sq_loop, constants),
-        t_final=_unlabeled_draws(sq_final, constants),
-        sq_loop=sq_loop,
-        sq_final=sq_final,
-        top_loop=top_loop,
-        top_final=top_final,
-        interval_count=m,
-    )
+        k_err = int(math.ceil(constants.c_k1 * err_scale * math.log(class_size * n_max / delta)))
+        k_rep = rep_labels(top_loop)
+        k_final = 0
+        if sq_final is not None:
+            k_acc = constants.c_k3 * theta**2 * (nu / eps) ** 2 * math.log(class_size / delta)
+            k_final = max(int(math.ceil(k_acc)), rep_labels(top_final))
+        return ScheduleParams(
+            n_max=n_max,
+            round_cap=ROUND_CAP_FACTOR * n_max,
+            k=max(k_err, k_rep),
+            k_err=k_err,
+            k_rep=k_rep,
+            k_final=k_final,
+            t_unlabeled=_unlabeled_draws(sq_loop, constants),
+            t_final=_unlabeled_draws(sq_final, constants),
+            sq_loop=sq_loop,
+            sq_final=sq_final,
+            top_loop=top_loop,
+            top_final=top_final,
+            interval_count=m,
+        )
+    except ArithmeticError as e:
+        raise _unsizable(e, epsilon=eps, delta=delta, rho=rho, nu=nu) from None
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +335,7 @@ def run_replical(
             f"this learner needs a zero-error hypothesis, best has error {problem.nu}"
         )
     sched = size_schedule(
-        problem.sizing_theta, eps, delta, rho, 0.0, hclass.n_hypotheses, "realizable", constants
+        problem.sizing_theta, eps, delta, rho, 0.0, hclass.n_hypotheses, constants
     )
     shared = rs.clone()
     v = build_grid(sched.top_loop, sched.interval_count, "realizable", shared).threshold
@@ -417,8 +391,10 @@ def run_replica2(
     counters = SampleCounters()
     hclass, model, nu = problem.hclass, problem.model, problem.nu
     theta = problem.sizing_theta
-    # raises ParameterError when nu is 0: the noise-scaled grids are undefined
-    sched = size_schedule(theta, eps, delta, rho, nu, hclass.n_hypotheses, "agnostic", constants)
+    if nu <= 0.0:
+        # the noise-scaled grids are undefined without noise
+        raise ParameterError("agnostic learner needs a positive noise rate")
+    sched = size_schedule(theta, eps, delta, rho, nu, hclass.n_hypotheses, constants)
     shared = rs.clone()
     grid = build_grid(sched.top_loop, sched.interval_count, "agnostic-loop", shared)
     v = grid.threshold

@@ -351,12 +351,8 @@ def test_criterion_10_bad_threshold_fraction(criterion):
         classes += 1
         for rho in (0.05, 0.1, 0.3):
             shared = ra.RandomString(f"{0xa000 + classes:04x}")
-            grid = ra.build_grid(
-                ra.grid_range_top(sizing, "realizable"),
-                ra.grid_interval_count(hclass.n_hypotheses, rho),
-                "realizable",
-                shared,
-            )
+            sched = ra.size_schedule(sizing, 0.1, 0.01, rho, 0.0, hclass.n_hypotheses)
+            grid = ra.build_grid(sched.top_loop, sched.interval_count, "realizable", shared)
             profile = ra.interval_profile(grid, errs)
             flags = ra.classify_thresholds(profile, rho)
             mismatches += flags != _literal_flags(profile.counts, rho)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ralearn import replicable
 from ralearn.cli import build_parser, load_config, main
 from ralearn.harness import (
     CONFIG_SCHEMA,
@@ -104,7 +105,8 @@ OVERSIZED_DRAWS = {
     "replical": ["--algo", "replical", "--epsilon", "1e-10", "--rho", "0.3"],
     "erm": ["--algo", "erm", "--epsilon", "1e-19"],
 }
-_SMALL_PROBLEM = ["--class", "thresholds", "--domain-size", "8", "--delta", "0.05"]
+_SMALL_CLASS = ["--class", "thresholds", "--domain-size", "8"]
+_SMALL_PROBLEM = [*_SMALL_CLASS, "--delta", "0.05"]
 
 
 @pytest.mark.parametrize("algo", sorted(OVERSIZED_DRAWS))
@@ -123,6 +125,44 @@ def test_pair_counts_oversized_draws_as_failed_sides(capsys, algo):
     doc = json.loads(out)
     assert doc["pairs"] == 3
     assert doc["failure_counts"] == {"ParameterError": 6}
+
+
+# sizes that leave the float range: a divisor underflows to 0 (rho**2,
+# spacing**2), a power overflows ((nu / eps)**2), or a count comes out infinite
+UNSIZABLE = {
+    "replical-rho-squared": ["--algo", "replical", "--rho", "1e-300", "--delta", "1e-301"],
+    "replica2-spacing-squared": [
+        "--algo", "replica2", "--nu", "0.1", "--rho", "1e-150", "--delta", "1e-151"
+    ],
+    "a2-noise-over-eps": ["--algo", "a2", "--nu", "0.1", "--epsilon", "1e-300"],
+    **{
+        f"{algo}-infinite-count": [
+            "--algo", algo, "--epsilon", "5e-324", "--delta", "5e-324", "--rho", "5e-324"
+        ]
+        for algo in ("erm", "cal", "replical")
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSIZABLE))
+def test_unsizable_run_is_parameter_error(capsys, case):
+    code, out, err = run_cli(capsys, ["run", *_SMALL_CLASS, *UNSIZABLE[case]])
+    assert (code, out) == (3, "")
+    assert err.startswith("parameter error: no finite sample size at ")
+
+
+@pytest.mark.parametrize("case", sorted(UNSIZABLE))
+def test_pair_counts_unsizable_sides_as_failed(capsys, case):
+    argv = ["pair", *_SMALL_CLASS, *UNSIZABLE[case], "--trials", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert "failures[ParameterError]=2" in out.splitlines()
+
+
+def test_unsizable_gridcheck_is_parameter_error(capsys):
+    code, out, err = run_cli(capsys, ["gridcheck", "--rho", "1e-300", "--delta", "1e-301"])
+    assert (code, out) == (3, "")
+    assert err.startswith("parameter error: no finite sample size at ")
 
 
 def test_runtime_failure_maps_to_exit_4(capsys):
@@ -286,6 +326,31 @@ def test_gridcheck_full_profile(capsys):
     assert payload["count"] == len(payload["bad_flags"])
     assert sum(payload["interval_counts"]) == 17
     assert 0.0 <= payload["bad_fraction"] <= 1.0
+
+
+@pytest.mark.parametrize("algo, noise", [("replical", []), ("replica2", ["--nu", "0.05"])])
+def test_gridcheck_shows_the_grid_the_learner_draws(capsys, monkeypatch, algo, noise):
+    drawn = []
+    place = replicable.build_grid
+
+    def recording(*args, **kwargs):
+        drawn.append(place(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(replicable, "build_grid", recording)
+    problem = [
+        "--class", "intervals", "--domain-size", "12", "--rho", "0.3", "--b-seed", "5eed",
+        *noise,
+    ]
+    code, _, err = run_cli(capsys, ["run", "--algo", algo, *problem])
+    assert (code, err) == (0, "")
+    loop = drawn[0]  # the loop grid; replica2 places its final grid after it
+    code, out, _ = run_cli(capsys, ["gridcheck", *problem, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    shown = tuple(payload[key] for key in ("origin", "range_top", "count", "selected_index"))
+    assert shown == (loop.origin, loop.range_top, loop.count, loop.selected_index)
+    assert payload["phase"] == loop.phase
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

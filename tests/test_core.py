@@ -80,6 +80,21 @@ def test_worst_case_rows():
         assert row.sum() == 1 and row[i - 1] == 1
 
 
+def test_intervals_match_a_literal_row_loop():
+    for n in range(1, 31):
+        rows, names = [np.zeros(n, dtype=np.uint8)], ["empty"]
+        for a in range(1, n + 1):
+            for b in range(a, n + 1):
+                row = np.zeros(n, dtype=np.uint8)
+                row[a - 1 : b] = 1
+                rows.append(row)
+                names.append(f"[{a},{b}]")
+        h = ra.intervals(n)
+        assert h.predictions.dtype == np.uint8
+        assert np.array_equal(h.predictions, np.stack(rows))
+        assert h.names == tuple(names)
+
+
 def test_intervals_count():
     h = ra.intervals(4)
     # empty concept plus one concept per pair a <= b
@@ -131,9 +146,9 @@ def test_uniform_weights_sum_to_one():
 def test_model_weight_validation():
     h = ra.thresholds(4)
     with pytest.raises(ra.ParameterError):
-        ra.DataModel(np.array([0.5, 0.6, 0.0, 0.0]), h.row(0), np.zeros(4), None)
+        ra.DataModel(np.array([0.5, 0.6, 0.0, 0.0]), h.row(0), np.zeros(4))
     with pytest.raises(ra.ParameterError):
-        ra.DataModel(np.array([0.5, -0.1, 0.3, 0.3]), h.row(0), np.zeros(4), None)
+        ra.DataModel(np.array([0.5, -0.1, 0.3, 0.3]), h.row(0), np.zeros(4))
 
 
 @pytest.mark.parametrize(
@@ -148,7 +163,7 @@ def test_model_rejects_non_finite_values(weights, flips):
     # NaN slips past range checks written as "reject if below 0", and a NaN
     # distance never lets the coefficient scan advance
     with pytest.raises(ra.ParameterError):
-        ra.DataModel(np.array(weights), ra.thresholds(4).row(0), np.array(flips), None)
+        ra.DataModel(np.array(weights), ra.thresholds(4).row(0), np.array(flips))
 
 
 def test_realizable_target_bounds():
@@ -682,7 +697,7 @@ def test_noise_rate_against_exhaustive_scan():
     h = _random_class(3, 16, 10)
     m = ra.DataModel(
         ra.uniform_weights(10), g.integers(0, 2, size=10).astype(np.uint8),
-        g.uniform(0, 0.4, size=10), None,
+        g.uniform(0, 0.4, size=10),
     )
     value, best = ra.noise_rate(h, m)
     p1 = m.label_one_probabilities()
@@ -800,7 +815,7 @@ def test_conditional_frequencies_match_renormalized_weights():
 
 def test_point_mass_sampling_is_deterministic():
     h = ra.thresholds(4)
-    m = ra.DataModel(np.array([0.0, 1.0, 0.0, 0.0]), h.row(2), np.zeros(4), 2)
+    m = ra.DataModel(np.array([0.0, 1.0, 0.0, 0.0]), h.row(2), np.zeros(4))
     counters = ra.SampleCounters()
     space = ra.VersionSpace.full(5)
     region = ra.disagreement_mask(h, space)

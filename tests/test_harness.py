@@ -338,9 +338,9 @@ def test_build_problem_default_centers():
 
 def test_build_problem_eta_becomes_flip_rates():
     cfg = ExperimentConfig(domain_size=8, eta=0.1, target=3)
-    _, model = build_problem(cfg)
+    hclass, model = build_problem(cfg)
     assert model.flip_rates.max() == pytest.approx(0.1)
-    assert model.target_index == 3
+    assert np.array_equal(model.base_labels, hclass.row(3))
 
 
 # ---------------------------------------------------------------------------

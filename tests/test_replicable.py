@@ -12,8 +12,6 @@ from ralearn.replicable import (
     ThresholdGrid,
     _select_final,
     build_grid,
-    grid_interval_count,
-    grid_range_top,
     run_replica2,
     run_replical,
     size_schedule,
@@ -30,9 +28,10 @@ def _rng(seed=0):
 
 def test_grid_with_three_selectable_thresholds():
     """Spacing forced to 1/64 puts the candidate cuts at odd half-steps."""
-    count = grid_interval_count(16, 0.5, Constants().updated({"c_grid": 0.28}))
-    top = grid_range_top(2.0, "realizable")
-    grid = build_grid(top, count, "realizable", ra.RandomString("0badf00d"))
+    sched = size_schedule(2.0, 0.1, 0.1, 0.5, 0.0, 16, Constants().updated({"c_grid": 0.28}))
+    grid = build_grid(
+        sched.top_loop, sched.interval_count, "realizable", ra.RandomString("0badf00d")
+    )
     assert grid.count == 3
     assert grid.range_top == pytest.approx(1 / 16)
     assert grid.spacing == pytest.approx(1 / 64)
@@ -49,31 +48,32 @@ def test_grid_redraw_is_identical():
 
 
 def test_grid_single_interval_forces_slot_zero():
-    count = grid_interval_count(16, 0.5, Constants().updated({"c_grid": 0.01}))
-    grid = build_grid(1 / 16, count, "realizable", ra.RandomString("05"))
+    sched = size_schedule(2.0, 0.1, 0.1, 0.5, 0.0, 16, Constants().updated({"c_grid": 0.01}))
+    grid = build_grid(1 / 16, sched.interval_count, "realizable", ra.RandomString("05"))
     assert grid.count == 1
     assert grid.selected_index == 0
     assert grid.selectable_thresholds().shape == (1,)
 
 
-def test_grid_interval_count_values():
-    assert grid_interval_count(129, 0.3) == 53  # floor(ln 129 / 0.09)
-    assert grid_interval_count(2, 0.9) == 1  # floored to the minimum
+def test_schedule_interval_count_values():
+    # floor(ln 129 / 0.09)
+    assert size_schedule(1.0, 0.1, 0.1, 0.3, 0.0, 129).interval_count == 53
+    # floored to the minimum
+    assert size_schedule(1.0, 0.1, 0.1, 0.9, 0.0, 2).interval_count == 1
 
 
-def test_grid_range_top_by_phase():
-    assert grid_range_top(2.0, "realizable") == pytest.approx(1 / 16)
-    assert grid_range_top(1.0, "agnostic-loop", nu=0.05) == pytest.approx(1 / 32)
-    assert grid_range_top(1.0, "agnostic-final", eps=0.1, nu=0.05) == pytest.approx(1 / 32)
+def test_schedule_grid_spans_by_setting():
+    realizable = size_schedule(2.0, 0.1, 0.1, 0.3, 0.0, 129)
+    assert realizable.top_loop == pytest.approx(1 / 16)
+    agnostic = size_schedule(1.0, 0.1, 0.1, 0.3, 0.05, 129)
+    assert agnostic.top_loop == pytest.approx(1 / 32)
+    assert agnostic.top_final == pytest.approx(1 / 32)
 
 
-def test_grid_range_top_rejects_degenerate_inputs():
-    with pytest.raises(ra.ParameterError):
-        grid_range_top(0.0, "realizable")
-    with pytest.raises(ra.ParameterError):
-        grid_range_top(1.0, "agnostic-loop", nu=0.0)
-    with pytest.raises(ra.ParameterError):
-        grid_range_top(1.0, "sideways")
+def test_schedule_rejects_degenerate_grid_inputs():
+    for theta, nu in ((0.0, 0.0), (1.0, -0.05), (1.0, float("nan"))):
+        with pytest.raises(ra.ParameterError):
+            size_schedule(theta, 0.1, 0.1, 0.3, nu, 129)
 
 
 def test_grid_reuse_index_skips_the_slot_draw():
@@ -125,8 +125,8 @@ def test_grid_rejects_inconsistent_fields(fields):
 
 @pytest.mark.parametrize("seed", ["01", "02", "beef", "1c0e"])
 def test_grid_threshold_is_strictly_positive(seed):
-    top, count = grid_range_top(1.0, "realizable"), grid_interval_count(64, 0.3)
-    grid = build_grid(top, count, "realizable", ra.RandomString(seed))
+    sched = size_schedule(1.0, 0.1, 0.1, 0.3, 0.0, 64)
+    grid = build_grid(sched.top_loop, sched.interval_count, "realizable", ra.RandomString(seed))
     assert 0.0 < grid.threshold <= 3.0 * grid.range_top
 
 
@@ -136,7 +136,7 @@ def test_grid_threshold_is_strictly_positive(seed):
 
 def test_realizable_schedule_hand_evaluation():
     """Every size must equal its closed form written out longhand."""
-    sched = size_schedule(2.0, 0.05, 0.1, 0.3, 0.0, 129, "realizable")
+    sched = size_schedule(2.0, 0.05, 0.1, 0.3, 0.0, 129)
     assert sched.n_max == 6
     assert sched.round_cap == 24
     assert sched.interval_count == 53
@@ -156,7 +156,7 @@ def test_realizable_schedule_hand_evaluation():
 
 
 def test_agnostic_schedule_hand_evaluation():
-    sched = size_schedule(1.0, 0.1, 0.1, 0.3, 0.05, 129, "agnostic")
+    sched = size_schedule(1.0, 0.1, 0.1, 0.3, 0.05, 129)
     assert sched.n_max == 3  # ceil(log2(1/0.4)) + 1
     assert sched.interval_count == 53
     assert sched.top_loop == 1 / 32
@@ -177,11 +177,11 @@ def test_agnostic_schedule_hand_evaluation():
 
 def test_schedule_rejects_rho_at_most_twice_delta():
     with pytest.raises(ra.ParameterError):
-        size_schedule(2.0, 0.05, 0.1, 0.1, 0.0, 129, "realizable")
+        size_schedule(2.0, 0.05, 0.1, 0.1, 0.0, 129)
 
 
 def test_schedule_loop_phase_vanishes_when_guard_saturates():
-    sched = size_schedule(2.0, 0.1, 0.1, 0.3, 0.5, 65, "agnostic")
+    sched = size_schedule(2.0, 0.1, 0.1, 0.3, 0.5, 65)
     assert sched.sq_loop is None
     assert sched.n_max == 1
     assert sched.t_unlabeled == 0
@@ -189,24 +189,22 @@ def test_schedule_loop_phase_vanishes_when_guard_saturates():
 
 
 def test_schedule_halving_eps_adds_a_round():
-    a = size_schedule(2.0, 0.05, 0.1, 0.3, 0.0, 129, "realizable")
-    b = size_schedule(2.0, 0.025, 0.1, 0.3, 0.0, 129, "realizable")
+    a = size_schedule(2.0, 0.05, 0.1, 0.3, 0.0, 129)
+    b = size_schedule(2.0, 0.025, 0.1, 0.3, 0.0, 129)
     assert b.n_max == a.n_max + 1
 
 
 def test_schedule_is_deterministic():
-    args = (2.0, 0.05, 0.1, 0.3, 0.0, 129, "realizable")
+    args = (2.0, 0.05, 0.1, 0.3, 0.0, 129)
     assert size_schedule(*args) == size_schedule(*args)
 
 
-def test_schedule_rejects_unknown_setting():
-    with pytest.raises(ra.ParameterError):
-        size_schedule(2.0, 0.05, 0.1, 0.3, 0.0, 129, "sideways")
-
-
-def test_schedule_rejects_zero_noise_agnostic():
-    with pytest.raises(ra.ParameterError):
-        size_schedule(2.0, 0.05, 0.1, 0.3, 0.0, 129, "agnostic")
+def test_schedule_reads_the_setting_from_nu():
+    # no noise sizes no final phase; any noise sizes one
+    noiseless = size_schedule(2.0, 0.05, 0.1, 0.3, 0.0, 129)
+    assert noiseless.sq_final is None and noiseless.top_final == 0.0
+    noisy = size_schedule(2.0, 0.05, 0.1, 0.3, 1e-9, 129)
+    assert noisy.sq_final is not None and noisy.top_final > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +340,7 @@ def test_replical_label_accounting_matches_schedule():
     h = ra.thresholds(128)
     m = ra.DataModel.realizable(h, 65)
     theta = ra.disagreement_coefficient(h, m, 65)
-    sched = size_schedule(theta, 0.05, 0.05, 0.3, 0.0, 129, "realizable")
+    sched = size_schedule(theta, 0.05, 0.05, 0.3, 0.0, 129)
     res = run_replical(ra.Problem(h, m), 0.05, 0.05, 0.3, ra.RandomString("0abc"), _rng(9))
     assert res.labels_used == sched.k * res.rounds
     assert res.unlabeled_used == sched.t_unlabeled * (res.rounds + 1)
@@ -357,14 +355,14 @@ def test_learners_place_the_schedule_grids():
     rs = ra.RandomString("0c0c")
     real = ra.Problem(h, ra.DataModel.realizable(h, 16))
     res = run_replical(real, 0.1, 0.1, 0.3, rs, _rng(1))
-    sched = size_schedule(real.sizing_theta, 0.1, 0.1, 0.3, 0.0, 33, "realizable")
+    sched = size_schedule(real.sizing_theta, 0.1, 0.1, 0.3, 0.0, 33)
     grid = build_grid(sched.top_loop, sched.interval_count, "realizable", rs.clone())
     assert res.rounds >= 1
     assert {rec.threshold for rec in res.trace} == {grid.threshold}
 
     noisy = ra.Problem(h, ra.DataModel.agnostic(h, 32, 0.01))
     res = run_replica2(noisy, 0.1, 0.1, 0.3, rs, _rng(1))
-    sched = size_schedule(noisy.sizing_theta, 0.1, 0.1, 0.3, noisy.nu, 33, "agnostic")
+    sched = size_schedule(noisy.sizing_theta, 0.1, 0.1, 0.3, noisy.nu, 33)
     shared = rs.clone()
     loop = build_grid(sched.top_loop, sched.interval_count, "agnostic-loop", shared)
     final = build_grid(
@@ -439,9 +437,7 @@ def test_replica2_flags_unsatisfiable_loop_guard():
         m = ra.DataModel.agnostic(h, 8, eta)
         assert ra.disagreement_coefficient(h, m, 8) == pytest.approx(2.0)
         problem = ra.Problem(h, m)
-        sched = ra.size_schedule(
-            problem.sizing_theta, 0.1, 0.1, 0.3, problem.nu, 16, "agnostic"
-        )
+        sched = ra.size_schedule(problem.sizing_theta, 0.1, 0.1, 0.3, problem.nu, 16)
         assert (sched.sq_loop is not None) == loop_query
         res = run_replica2(problem, 0.1, 0.1, 0.3, ra.RandomString("33"), _rng(2))
         assert "loop-guard-unsatisfiable" in res.flags
