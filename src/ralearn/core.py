@@ -32,8 +32,9 @@ PROB_TOL = 1e-12
 # the built-in generators refuse a class of more cells (bytes) than this
 MAX_CLASS_CELLS = 2**25
 
-# the geometry's mismatch products are cast to float64, and the run form is
-# read from the class, in row blocks of at most this many cells (1 MB in float64)
+# the geometry's mismatch products are cast to float64, and the run form and
+# the coefficient's column ranks are read from the class, in row blocks of at
+# most this many cells (1 MB in float64)
 _BLOCK_CELLS = 2**17
 
 # the samplers hand draw counts to numpy as int64
@@ -387,6 +388,8 @@ def distances_from(hclass: HypothesisClass, model: DataModel, center: int) -> np
     from ``center``'s row, a sum of non-negative weights, so a duplicate of
     the center is exactly 0.0."""
     _check_same_domain(hclass, model)
+    if not 0 <= center < hclass.n_hypotheses:
+        raise ParameterError(f"center index {center} out of range")
     return _mismatch_times(hclass, hclass.row(center), model.weights)
 
 
@@ -395,30 +398,47 @@ def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: 
     divided by the radius.
 
     The ratio is piecewise maximal at the finitely many realized positive
-    distances, and balls are nested as the radius grows, so the scan grows
-    the ball's disagreement region incrementally.  Every ball holds
-    ``center``, so that region is where some member's row differs from the
-    center's.  Returns 0.0 when every hypothesis duplicates the center.
+    distances, and balls are nested as the radius grows.  Every ball holds
+    ``center``, so its disagreement region is where some member's row
+    differs from the center's.  Each ball takes in the hypotheses at the
+    nearest distance not yet taken in, its radius, and every one within
+    ``PROB_TOL`` past it.
+
+    Rank the hypotheses by the stable distance order, ``late`` counting down
+    from ``n_hypotheses`` at the nearest.  Then ``top``, in each column the
+    largest ``late`` of a row differing from the center's there, gives every
+    ball's region at once: the ball of the first ``end`` hypotheses
+    disagrees exactly where ``top > n_hypotheses - end``.  The cost is one
+    vectorized pass over the cells, in row blocks of at most
+    ``_BLOCK_CELLS``, plus one masked sum (``disagreement_mass``) per
+    distinct positive radius.  Returns 0.0 when every hypothesis duplicates
+    the center.
     """
-    _check_same_domain(hclass, model)
     d = distances_from(hclass, model, center)
     order = np.argsort(d, kind="stable")
     pred = hclass.predictions
     base = pred[center]
-    region = np.zeros(hclass.domain_size, dtype=bool)
+    n_h, n = pred.shape
+    late = np.empty(n_h, dtype=np.uint16 if n_h < 2**16 else np.uint32)
+    late[order] = np.arange(n_h, 0, -1)
+    top = np.zeros(n, dtype=late.dtype)
+    step = max(1, _BLOCK_CELLS // n)
+    for i in range(0, n_h, step):
+        block = (pred[i : i + step] ^ base) * late[i : i + step, None]
+        np.maximum(top, block.max(axis=0), out=top)
+    # the distinct distances and the position of each one's first hypothesis;
+    # a ball ends just before the first distance past its radius + PROB_TOL
+    radii, first = np.unique(d[order], return_index=True)
+    starts = np.append(first, n_h).tolist()
+    after = np.searchsorted(radii, radii + PROB_TOL, side="right").tolist()
     best = 0.0
-    pos = 0
-    n = hclass.n_hypotheses
-    while pos < n:
-        radius = d[order[pos]]
-        # absorb every hypothesis at this exact distance (within tolerance)
-        while pos < n and d[order[pos]] <= radius + PROB_TOL:
-            region |= pred[order[pos]] != base
-            pos += 1
-        if radius <= PROB_TOL:
-            continue
-        mass = disagreement_mass(model, region)
-        best = max(best, mass / float(radius))
+    k = 0
+    while k < radii.size:
+        radius, end = float(radii[k]), starts[after[k]]
+        if radius > PROB_TOL:
+            mass = disagreement_mass(model, top > n_h - end)
+            best = max(best, mass / radius)
+        k = after[k]
     return best
 
 
@@ -587,9 +607,9 @@ def thresholds(n: int) -> HypothesisClass:
     if n < 1:
         raise ParameterError("domain size must be positive")
     _check_class_cells(n + 1, n)
-    pred = np.triu(np.ones((n + 1, n), dtype=np.uint8))
+    pred = np.arange(n) >= np.arange(n + 1)[:, None]
     names = tuple(f"h{t}" for t in range(1, n + 2))
-    return HypothesisClass(pred, names)
+    return HypothesisClass(pred.view(np.uint8), names)
 
 
 def intervals(n: int) -> HypothesisClass:

@@ -508,6 +508,10 @@ def run_paired_trials(cfg: ExperimentConfig) -> ReplicabilityReport:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One learner at one accuracy target, summarized over ``trials`` single
+    runs: mean and largest label count, mean unlabeled draws, mean exact
+    error, and the share of runs whose error is at most ν + ε."""
+
     algo: str
     epsilon: float
     trials: int
@@ -523,6 +527,9 @@ SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 @dataclass(frozen=True)
 class SweepTable:
+    """A label-complexity sweep: one row per learner and accuracy target, in
+    the order the sweep ran them; ``SWEEP_COLUMNS`` names the CSV columns."""
+
     rows: tuple[SweepRow, ...]
 
     def to_jsonable(self) -> dict:

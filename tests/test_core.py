@@ -36,6 +36,30 @@ def _error_ball(hclass, model, center, radius):
     return ra.VersionSpace(ra.distances_from(hclass, model, center) <= radius + PROB_TOL)
 
 
+def _theta_row_scan(hclass, model, center):
+    """Oracle: the disagreement coefficient by growing the ball one
+    hypothesis at a time in the stable distance order, OR-ing each row's
+    disagreement with the center into the region, and taking one masked sum
+    per distance (within ``PROB_TOL``)."""
+    d = ra.distances_from(hclass, model, center)
+    order = np.argsort(d, kind="stable")
+    pred = hclass.predictions
+    base = pred[center]
+    region = np.zeros(hclass.domain_size, dtype=bool)
+    best = 0.0
+    pos = 0
+    n = hclass.n_hypotheses
+    while pos < n:
+        radius = d[order[pos]]
+        while pos < n and d[order[pos]] <= radius + PROB_TOL:
+            region |= pred[order[pos]] != base
+            pos += 1
+        if radius <= PROB_TOL:
+            continue
+        best = max(best, ra.disagreement_mass(model, region) / float(radius))
+    return best
+
+
 def _peak_bytes(fn):
     """``fn()`` and the peak traced allocation while it ran."""
     tracemalloc.start()
@@ -93,6 +117,14 @@ def test_intervals_match_a_literal_row_loop():
         assert h.predictions.dtype == np.uint8
         assert np.array_equal(h.predictions, np.stack(rows))
         assert h.names == tuple(names)
+
+
+def test_thresholds_match_a_literal_triangle():
+    for n in range(1, 65):
+        h = ra.thresholds(n)
+        assert h.predictions.dtype == np.uint8
+        assert np.array_equal(h.predictions, np.triu(np.ones((n + 1, n), dtype=np.uint8)))
+        assert h.names == tuple(f"h{t}" for t in range(1, n + 2))
 
 
 def test_intervals_count():
@@ -585,7 +617,7 @@ def test_thresholds_coefficient_centered():
 
 
 def test_thresholds_coefficient_against_radius_scan():
-    """Brute scan over the realized radii k/8 must match the incremental scan."""
+    """Brute scan over the realized radii k/8 must match the coefficient."""
     h = ra.thresholds(8)
     m = ra.DataModel.realizable(h, 4)
     best = 0.0
@@ -628,6 +660,73 @@ def test_coefficient_matches_dense_radius_scan(seed):
         ball = _error_ball(h, m, 0, r)
         best = max(best, ra.disagreement_mass(m, ra.disagreement_mask(h, ball)) / r)
     assert ra.disagreement_coefficient(h, m, 0) == pytest.approx(best)
+
+
+def _theta_models(hclass, g):
+    """One model per (target first, middle, last) x (eta 0, 0.1) x (uniform,
+    Dirichlet weights), with the target as the base of the labels."""
+    n_h, n = hclass.n_hypotheses, hclass.domain_size
+    for target in sorted({0, n_h // 2, n_h - 1}):
+        for eta in (0.0, 0.1):
+            for weights in (None, g.dirichlet(np.ones(n))):
+                yield ra.DataModel.agnostic(hclass, target, eta, weights)
+
+
+@pytest.mark.parametrize("make", [ra.thresholds, ra.intervals, ra.worst_case])
+def test_coefficient_equals_the_row_scan_on_built_in_classes(make):
+    g = np.random.default_rng(19)
+    for n in list(range(1, 65)) + [100, 333]:
+        h = make(n)
+        models = list(_theta_models(h, g))
+        # every model on the small classes, one of them in turn on the rest
+        for m in models if n <= 16 else [models[n % len(models)]]:
+            p = ra.Problem(h, m)
+            assert p.theta == _theta_row_scan(h, m, p.center), (make.__name__, n)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_h=st.integers(1, 40),
+    n_x=st.integers(1, 12),
+    dirichlet=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_coefficient_equals_the_row_scan_on_random_classes(seed, n_h, n_x, dirichlet):
+    g = np.random.default_rng(seed)
+    pred = g.integers(0, 2, size=(n_h, n_x))
+    # duplicates of other rows, and all-zero and all-one rows
+    pred[g.random(n_h) < 0.2] = 0
+    pred[g.random(n_h) < 0.2] = 1
+    dup = g.random(n_h) < 0.3
+    pred[dup] = pred[g.integers(0, n_h, size=int(dup.sum()))]
+    h = ra.explicit(pred)
+    weights = g.dirichlet(np.ones(n_x)) if dirichlet else None
+    m = ra.DataModel.realizable(h, 0, weights)
+    for center in {0, int(g.integers(0, n_h)), n_h - 1}:
+        assert ra.disagreement_coefficient(h, m, center) == _theta_row_scan(h, m, center)
+
+
+def test_coefficient_of_more_rows_than_uint16_ranks():
+    # 70,006 rows rank past 2**16 - 1, so the ranks need the wide dtype.  The
+    # zero row is the center and five single flips of weight 1/64 form the
+    # first ball, with ratio 5; every other row flips the 59/64 column too,
+    # so no later ball comes near 5, and a wrapped rank would empty the first.
+    g = np.random.default_rng(7)
+    heavy = np.ones((70_000, 6), dtype=np.uint8)
+    heavy[:, :5] = g.integers(0, 2, size=(70_000, 5))
+    pred = np.vstack([np.zeros((1, 6), np.uint8), np.eye(5, 6, dtype=np.uint8), heavy])
+    perm = g.permutation(len(pred))
+    h = ra.explicit(pred[perm])
+    center = int(np.flatnonzero(perm == 0)[0])
+    m = ra.DataModel.realizable(h, center, np.array([1, 1, 1, 1, 1, 59]) / 64)
+    assert ra.disagreement_coefficient(h, m, center) == _theta_row_scan(h, m, center) == 5.0
+
+
+@pytest.mark.parametrize("center", [-1, 9])
+def test_center_outside_the_class_is_a_parameter_error(thresholds8, uniform8, center):
+    for fn in (ra.distances_from, ra.disagreement_coefficient):
+        with pytest.raises(ra.ParameterError, match="center index"):
+            fn(thresholds8, uniform8, center)
 
 
 # ---------------------------------------------------------------------------
