@@ -9,9 +9,10 @@ A JSON config file is the source of truth.  Each flag given is written into
 its document under the config key of the same name (``--class`` is
 ``class.generator``, ``--domain-size`` ``class.size``, ``--nu``
 ``class.eta``), so flags are validated exactly like config-file keys.
-``--out`` saves what was printed, except that ``pair``'s text summary saves
-the report CSV.  Exit codes: 0 success, 2 usage error, 3 parameter error,
-4 algorithm runtime error.
+``--format`` offers only the formats a command writes.  ``--out`` saves
+what was printed, except that ``pair``'s text summary saves the report CSV.
+Exit codes: 0 success, 2 usage error, 3 parameter error, 4 algorithm runtime
+error, a learner given labels of the wrong setting included.
 """
 from __future__ import annotations
 
@@ -20,13 +21,8 @@ import json
 import sys
 from typing import Optional
 
-from .core import (
-    PROB_TOL,
-    ParameterError,
-    Problem,
-    conditional_true_errors,
-)
-from .diagnostics import bad_fraction, classify_thresholds, interval_profile
+from .core import ParameterError, Problem, conditional_true_errors
+from .diagnostics import classify_thresholds, interval_profile
 from .harness import (
     ALGORITHMS,
     CONFIG_SCHEMA,
@@ -55,7 +51,9 @@ def _constant_pair(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"constant value must be a number, got {raw!r}")
 
 
-def _add_problem_flags(p: argparse.ArgumentParser) -> None:
+def _add_problem_flags(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    """The flags every command takes; ``formats`` are the ones the command
+    writes, the first the default."""
     p.add_argument("--config", help="JSON config file; flags override its keys")
     p.add_argument(
         "--class",
@@ -80,7 +78,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
         metavar="KEY=VAL",
         help="override a sample-size constant (repeatable)",
     )
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument(
         "--out", help="save what is printed to this path (the report CSV for pair's text)"
     )
@@ -106,22 +104,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_theta = sub.add_parser("theta", help="print the exact problem geometry")
-    _add_problem_flags(p_theta)
+    _add_problem_flags(p_theta, ("text", "json"))
     p_theta.set_defaults(handler=_cmd_theta)
 
     p_run = sub.add_parser("run", help="execute one algorithm, print its result as JSON")
-    _add_problem_flags(p_run)
+    _add_problem_flags(p_run, ("json",))
     _add_algo_flags(p_run)
     p_run.set_defaults(handler=_cmd_run)
 
     p_pair = sub.add_parser("pair", help="paired replicability trials")
-    _add_problem_flags(p_pair)
+    _add_problem_flags(p_pair, ("text", "json", "csv"))
     _add_algo_flags(p_pair)
     p_pair.add_argument("--trials", type=int, help="number of paired trials")
     p_pair.set_defaults(handler=_cmd_pair)
 
     p_sweep = sub.add_parser("sweep", help="label complexity across accuracy targets")
-    _add_problem_flags(p_sweep)
+    _add_problem_flags(p_sweep, ("csv", "json"))
     _add_algo_flags(p_sweep)
     p_sweep.add_argument("--trials", type=int, help="runs per algorithm per accuracy target")
     p_sweep.add_argument(
@@ -133,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser(
         "gridcheck", help="threshold-grid interval profile and badness flags"
     )
-    _add_problem_flags(p_grid)
+    _add_problem_flags(p_grid, ("text", "json"))
     _add_algo_flags(p_grid)
     p_grid.set_defaults(handler=_cmd_gridcheck)
     return parser
@@ -248,13 +246,13 @@ def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, st
 
 def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, str]:
     problem = Problem(*build_problem(cfg))
-    hclass, model, nu = problem.hclass, problem.model, problem.nu
-    # the loop grid ``run --algo replical`` (or ``replica2`` under noise) draws
-    phase, sched_nu = ("agnostic-loop", nu) if nu > PROB_TOL else ("realizable", 0.0)
+    hclass, model = problem.hclass, problem.model
+    # the loop grid the replicable learner of the schedule's setting draws
     sched = size_schedule(
-        problem.sizing_theta, cfg.eps, cfg.delta, cfg.rho, sched_nu, hclass.n_hypotheses,
+        problem.sizing_theta, cfg.eps, cfg.delta, cfg.rho, problem.nu, hclass.n_hypotheses,
         cfg.constants,
     )
+    phase = "realizable" if sched.sq_final is None else "agnostic-loop"
     grid = build_grid(sched.top_loop, sched.interval_count, phase, RandomString(cfg.b_seed))
     mask = problem.region
     if mask.any():
@@ -263,6 +261,7 @@ def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str
         errs = problem.errors
     profile = interval_profile(grid, errs)
     flags = classify_thresholds(profile, cfg.rho)
+    fraction = sum(flags) / len(flags)
     if args.format == "json":
         payload = {
             "phase": phase,
@@ -273,7 +272,7 @@ def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str
             "range_top": grid.range_top,
             "interval_counts": list(profile.counts),
             "bad_flags": list(flags),
-            "bad_fraction": bad_fraction(profile, cfg.rho),
+            "bad_fraction": fraction,
         }
         text = json_text(payload) + "\n"
         return text, text
@@ -289,7 +288,7 @@ def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str
             f"{profile.counts[i]}\t{profile.cumulative[i - 1]}\t"
             f"{'BAD' if flags[j] else 'ok'}"
         )
-    lines.append(f"bad_fraction={bad_fraction(profile, cfg.rho)!r}")
+    lines.append(f"bad_fraction={fraction!r}")
     text = "\n".join(lines) + "\n"
     return text, text
 

@@ -65,6 +65,24 @@ class RoundCapExceededError(RuntimeError):
 # types
 
 
+def _zero_one(values, what: str) -> np.ndarray:
+    """``values`` as a contiguous uint8 array, refused with ParameterError
+    unless it is rectangular and every entry is 0 or 1.  Checked before the
+    cast, which would truncate 0.5 to 0 and wrap 256 to 0; a uint8 array
+    (every built-in class's) is checked by its maximum and not copied."""
+    try:
+        raw = np.asarray(values)
+    except ValueError:
+        raise ParameterError(f"{what} must be a rectangular array") from None
+    if raw.dtype == np.uint8:
+        valid = raw.max(initial=0) <= 1
+    else:
+        valid = np.all((raw == 0) | (raw == 1))
+    if not valid:
+        raise ParameterError(f"{what} must be 0/1 valued")
+    return np.ascontiguousarray(raw, dtype=np.uint8)
+
+
 @dataclass(frozen=True, eq=False)
 class HypothesisClass:
     """A finite set of binary hypotheses as a (n_hypotheses, domain_size) matrix."""
@@ -73,11 +91,9 @@ class HypothesisClass:
     names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        p = np.ascontiguousarray(np.asarray(self.predictions, dtype=np.uint8))
+        p = _zero_one(self.predictions, "predictions")
         if p.ndim != 2 or p.shape[0] == 0 or p.shape[1] == 0:
             raise ParameterError("predictions must be a nonempty 2d matrix")
-        if p.max(initial=0) > 1:
-            raise ParameterError("predictions must be 0/1 valued")
         p.setflags(write=False)
         object.__setattr__(self, "predictions", p)
         if self.names is not None and len(self.names) != p.shape[0]:
@@ -152,7 +168,7 @@ class DataModel:
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        b = np.ascontiguousarray(np.asarray(self.base_labels, dtype=np.uint8))
+        b = _zero_one(self.base_labels, "base labels")
         f = np.ascontiguousarray(np.asarray(self.flip_rates, dtype=np.float64))
         if w.ndim != 1 or w.shape != b.shape or w.shape != f.shape:
             raise ParameterError("weights, base_labels, flip_rates must share one 1d shape")
@@ -162,8 +178,6 @@ class DataModel:
             raise ParameterError("weights must be finite and nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise ParameterError("weights must sum to 1")
-        if b.max(initial=0) > 1:
-            raise ParameterError("base labels must be 0/1 valued")
         # written as membership so a NaN rate is rejected too
         if not np.all((f >= 0) & (f <= 1)):
             raise ParameterError("flip rates must lie in [0, 1]")
@@ -185,11 +199,9 @@ class DataModel:
         target: int,
         weights: Optional[np.ndarray] = None,
     ) -> "DataModel":
-        """Deterministic labels given by one hypothesis of ``hclass``."""
-        if not 0 <= target < hclass.n_hypotheses:
-            raise ParameterError(f"target index {target} out of range")
-        w = uniform_weights(hclass.domain_size) if weights is None else np.asarray(weights)
-        return cls(w, hclass.row(target), np.zeros(hclass.domain_size))
+        """Deterministic labels given by one hypothesis of ``hclass``:
+        ``agnostic`` at flip rate 0, whose arrays are the same bit for bit."""
+        return cls.agnostic(hclass, target, 0.0, weights)
 
     @classmethod
     def agnostic(
@@ -201,7 +213,7 @@ class DataModel:
     ) -> "DataModel":
         """Labels of hypothesis ``base`` flipped independently with rate ``eta``."""
         if not 0 <= base < hclass.n_hypotheses:
-            raise ParameterError(f"base index {base} out of range")
+            raise ParameterError(f"label-source index {base} out of range")
         n = hclass.domain_size
         w = uniform_weights(n) if weights is None else np.asarray(weights)
         f = np.full(n, float(eta)) if np.isscalar(eta) else np.asarray(eta, dtype=np.float64)
@@ -252,8 +264,11 @@ class VersionSpace:
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], n: int) -> "VersionSpace":
+        idx = np.asarray(list(indices), dtype=np.int64)
+        if idx.size and not (0 <= idx.min() and idx.max() < n):
+            raise ParameterError(f"hypothesis indices must lie in [0, {n})")
         m = np.zeros(n, dtype=bool)
-        m[np.asarray(list(indices), dtype=np.int64)] = True
+        m[idx] = True
         return cls(m)
 
     @property
@@ -644,4 +659,4 @@ def worst_case(n: int) -> HypothesisClass:
 
 def explicit(matrix) -> HypothesisClass:
     """A class given directly as a 0/1 matrix."""
-    return HypothesisClass(np.asarray(matrix))
+    return HypothesisClass(matrix)

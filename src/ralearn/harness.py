@@ -64,7 +64,7 @@ ALGORITHMS = tuple(LEARNERS)
 def _explicit_class(cfg: ExperimentConfig) -> HypothesisClass:
     if cfg.matrix is None:
         raise ParameterError("explicit class needs a prediction matrix")
-    return explicit(np.asarray(cfg.matrix, dtype=np.uint8))
+    return explicit(cfg.matrix)
 
 
 CLASS_GENERATORS = {
@@ -123,7 +123,7 @@ _IS_TYPE = {
     "null": lambda v: v is None,
     "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
     "integer": lambda v: not isinstance(v, bool)
-    and (isinstance(v, int) or (isinstance(v, float) and v.is_integer())),
+    and (isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())),
 }
 # (keyword, violated(value, bound), wording); NaN violates none of them
 _BOUNDS = (
@@ -197,6 +197,15 @@ class ExperimentConfig:
     constants: Constants = field(default_factory=Constants)
 
     def __post_init__(self):
+        # the schema's integer rule, so a document and a Python caller get
+        # the same check; 16.0 is kept as 16, for range() and indexing
+        for name in ("domain_size", "target", "trials"):
+            value = getattr(self, name)
+            if name == "target" and value is None:
+                continue
+            if not _IS_TYPE["integer"](value):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.algo not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {self.algo!r}; expected one of {ALGORITHMS}")
         for a in self.algos:
@@ -233,10 +242,6 @@ class ExperimentConfig:
         renamed = {"generator": "class_name", "size": "domain_size", "epsilon": "eps"}
         items = {**doc.get("class", {}), **doc}.items()
         kwargs = {renamed.get(k, k): v for k, v in items if k != "class"}
-        # the schema takes 16.0 as an integer; range() and indexing do not
-        for key in ("domain_size", "target", "trials"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = int(kwargs[key])
         if "matrix" in kwargs:
             kwargs["matrix"] = tuple(tuple(row) for row in kwargs["matrix"])
         for key in ("weights", "algos"):
@@ -250,20 +255,13 @@ class ExperimentConfig:
 def build_problem(cfg: ExperimentConfig) -> tuple[HypothesisClass, DataModel]:
     """Materialize the hypothesis class and label model a config describes."""
     hclass = CLASS_GENERATORS[cfg.class_name](cfg)
-    if cfg.target is not None:
-        base = cfg.target
-        if not 0 <= base < hclass.n_hypotheses:
-            raise ParameterError(f"target index {base} out of range")
-    else:
+    base = cfg.target
+    if base is None:
         # the single-flip construction's zero row is its natural center; for
         # ordered classes the middle hypothesis keeps both labels present
         base = 0 if cfg.class_name == "worst_case" else hclass.n_hypotheses // 2
     weights = np.asarray(cfg.weights, dtype=np.float64) if cfg.weights is not None else None
-    if cfg.eta > 0.0:
-        model = DataModel.agnostic(hclass, base, cfg.eta, weights)
-    else:
-        model = DataModel.realizable(hclass, base, weights)
-    return hclass, model
+    return hclass, DataModel.agnostic(hclass, base, cfg.eta, weights)
 
 
 def problem_stats(

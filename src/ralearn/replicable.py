@@ -132,9 +132,9 @@ class ScheduleParams:
     (0.0 without a final phase) with ``interval_count`` selectable
     thresholds each.
 
-    ``sq_loop`` is None when the loop phase is infeasible (the loop query
-    tolerance 8 * theta * nu reaches 1); the learner then skips straight to
-    the final phase.
+    ``sq_final`` is None in the realizable setting.  ``sq_loop`` is None
+    once replica2's loop exit level 16 * theta * nu reaches 1 (``t_unlabeled``
+    is then 0); the learner skips straight to the final phase.
     """
 
     n_max: int
@@ -170,11 +170,12 @@ def size_schedule(
 ) -> ScheduleParams:
     """Deterministic closed-form sizes for one replicable run, its grids included.
 
-    ``nu`` selects the setting.  At 0 the schedule is realizable, with one
-    loop grid spanning 1 / (8 theta).  Above 0 it is agnostic, with a loop
-    grid spanning 1 / (32 theta) and a final grid spanning
-    eps / (64 theta nu).  Every grid of a run holds
-    max(1, floor(c_grid ln|H| / rho**2)) selectable thresholds.
+    ``nu`` selects the setting by the rule every learner applies.  At
+    nu <= PROB_TOL the schedule is realizable, with one loop grid spanning
+    1 / (8 theta).  Above it is agnostic, with a loop grid spanning
+    1 / (32 theta) and a final grid spanning eps / (64 theta nu).  Every
+    grid of a run holds max(1, floor(c_grid ln|H| / rho**2)) selectable
+    thresholds.
 
     Raises ParameterError when nu is negative, when any derived query margin
     is nonpositive (in particular whenever rho <= 2 * delta), and when a
@@ -194,7 +195,7 @@ def size_schedule(
     if not nu >= 0.0:
         raise ParameterError(f"noise rate must be nonnegative, got {nu}")
     try:
-        if nu == 0.0:
+        if nu <= PROB_TOL:
             n_max = cal_round_bound(eps)
             sq_loop = SQParams(rho / (2.0 * n_max), eps / 2.0, delta / (2.0 * n_max))
             sq_final = None
@@ -206,7 +207,8 @@ def size_schedule(
             n_max = max(1, int(math.ceil(math.log2(1.0 / guard))) + 1) if guard < 1.0 else 1
             budget = rho / (2.0 * (n_max + 1))
             fail = delta / (2.0 * (n_max + 1))
-            sq_loop = SQParams(budget, guard, fail) if guard < 1.0 else None
+            # replica2's loop exits once its estimate falls below 16 theta nu
+            sq_loop = SQParams(budget, guard, fail) if 16.0 * theta * nu < 1.0 else None
             sq_final = SQParams(budget, eps / 2.0, fail)
             top_loop, top_final = 1.0 / (32.0 * theta), eps / (64.0 * theta * nu)
             err_scale, rep_scale = theta**2, 1.0
@@ -335,7 +337,7 @@ def run_replical(
             f"this learner needs a zero-error hypothesis, best has error {problem.nu}"
         )
     sched = size_schedule(
-        problem.sizing_theta, eps, delta, rho, 0.0, hclass.n_hypotheses, constants
+        problem.sizing_theta, eps, delta, rho, problem.nu, hclass.n_hypotheses, constants
     )
     shared = rs.clone()
     v = build_grid(sched.top_loop, sched.interval_count, "realizable", shared).threshold
@@ -364,16 +366,19 @@ def run_replica2(
 ) -> RunResult:
     """Replicable agnostic elimination, then a final cut relative to the best.
 
-    Loop rounds keep hypotheses whose conditional empirical error stays under
-    the shared threshold plus a noise allowance tied to the current estimated
-    disagreement mass.  Once the estimate drops below 16 * theta * nu, a
-    finer grid (same selected slot, fresh origin) gives the final threshold
-    v_final, and one sample of k_final labels from the disagreement region of
-    the version space V makes the final cut: h is kept iff its conditional
-    empirical error is at most floor + v_final, where floor is the lowest
-    such error among the members of V (the A² rule, with the shared grid
-    value in place of a confidence radius).  The survivor of least keyed-hash
-    rank on the shared string is the winner (see ``_select_final``).
+    Noiseless labels (nu <= PROB_TOL) raise WrongSettingError.  Without a
+    loop query in the schedule (``sq_loop`` None) the run skips the loop,
+    flagged "loop-guard-unsatisfiable".  Loop rounds keep hypotheses whose
+    conditional empirical error stays under the shared threshold plus a
+    noise allowance tied to the current estimated disagreement mass.  Once
+    the estimate drops below 16 * theta * nu, a finer grid (same selected
+    slot, fresh origin) gives the final threshold v_final, and one sample of
+    k_final labels from the disagreement region of the version space V makes
+    the final cut: h is kept iff its conditional empirical error is at most
+    floor + v_final, where floor is the lowest such error among the members
+    of V (the A² rule, with the shared grid value in place of a confidence
+    radius).  The survivor of least keyed-hash rank on the shared string is
+    the winner (see ``_select_final``).
 
     Error bound.  Let Delta be the mass of V's disagreement region, c(h) the
     conditional error there, and r the uniform deviation of the k_final-draw
@@ -391,30 +396,29 @@ def run_replica2(
     counters = SampleCounters()
     hclass, model, nu = problem.hclass, problem.model, problem.nu
     theta = problem.sizing_theta
-    if nu <= 0.0:
-        # the noise-scaled grids are undefined without noise
-        raise ParameterError("agnostic learner needs a positive noise rate")
+    if nu <= PROB_TOL:
+        raise WrongSettingError(
+            f"this learner needs a best error above {PROB_TOL}, best has error {nu}"
+        )
     sched = size_schedule(theta, eps, delta, rho, nu, hclass.n_hypotheses, constants)
     shared = rs.clone()
     grid = build_grid(sched.top_loop, sched.interval_count, "agnostic-loop", shared)
     v = grid.threshold
     trace: list[RoundRecord] = []
     flags: list[str] = []
-    guard = 16.0 * theta * nu
 
     def cut(errs, est):
         slack = 2.0 * nu / est + 1.0 / (16.0 * theta)
         return v + slack, v, slack
 
-    if guard >= 1.0:
-        # the loop can never run its guard meaningfully at this noise level;
-        # fall through to the final phase alone
+    if sched.sq_loop is None:
+        # the loop's exit level 16 * theta * nu is at least 1; final phase alone
         flags.append("loop-guard-unsatisfiable")
         space, region, rounds = VersionSpace.full(hclass.n_hypotheses), problem.region, 0
     else:
         space, region, _, rounds = _eliminate(
             problem, sched.k, sched.round_cap, rng, counters,
-            _loop_estimate(problem, sched, shared, rng, counters, guard), cut, trace
+            _loop_estimate(problem, sched, shared, rng, counters, 16.0 * theta * nu), cut, trace
         )
     v_final = build_grid(
         sched.top_final, sched.interval_count, "agnostic-final", shared, grid.selected_index

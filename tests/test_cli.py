@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ralearn import replicable
+from ralearn.core import PROB_TOL
 from ralearn.cli import build_parser, load_config, main
 from ralearn.harness import (
     CONFIG_SCHEMA,
@@ -351,6 +352,72 @@ def test_gridcheck_shows_the_grid_the_learner_draws(capsys, monkeypatch, algo, n
     shown = tuple(payload[key] for key in ("origin", "range_top", "count", "selected_index"))
     assert shown == (loop.origin, loop.range_top, loop.count, loop.selected_index)
     assert payload["phase"] == loop.phase
+
+
+@pytest.mark.parametrize(
+    "target, eta",
+    [(16, 0.0), (16, 1e-13), (16, 0.05), (8, 0.05), (8, 0.1)],
+    ids=["noiseless", "below-tolerance", "edge-noise", "centred-0.05", "centred-0.1"],
+)
+def test_one_setting_rule_everywhere(capsys, monkeypatch, target, eta):
+    """Every learner and gridcheck read the setting by one rule: nu <= PROB_TOL
+    is realizable.  A learner of the other setting exits 4 with
+    WrongSettingError, and gridcheck profiles the loop grid of the replicable
+    learner that accepts the problem."""
+    problem = [
+        "--class", "thresholds", "--domain-size", "16", "--target", str(target),
+        "--nu", repr(eta), "--epsilon", "0.1", "--delta", "0.1", "--rho", "0.3",
+        "--b-seed", "33",
+    ]
+    realizable = eta <= PROB_TOL
+    accepts = {
+        "erm": True, "a2": True,
+        "cal": realizable, "replical": realizable, "replica2": not realizable,
+    }
+    drawn = []
+    place = replicable.build_grid
+
+    def recording(*args, **kwargs):
+        drawn.append(place(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(replicable, "build_grid", recording)
+    for algo, runs in accepts.items():
+        code, out, err = run_cli(capsys, ["run", "--algo", algo, *problem])
+        if runs:
+            assert (code, err, json.loads(out)["algo"]) == (0, "", algo)
+        else:
+            assert (code, out) == (4, "") and err.startswith("WrongSettingError: ")
+    # only the accepting replicable learner placed grids, its loop grid first
+    assert len(drawn) == (1 if realizable else 2)
+    loop = drawn[0]
+    code, out, _ = run_cli(capsys, ["gridcheck", *problem, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    shown = tuple(payload[key] for key in ("origin", "range_top", "count", "selected_index"))
+    assert shown == (loop.origin, loop.range_top, loop.count, loop.selected_index)
+    assert payload["phase"] == loop.phase == ("realizable" if realizable else "agnostic-loop")
+
+
+@pytest.mark.parametrize(
+    "command, formats",
+    [
+        ("theta", ("text", "json")),
+        ("run", ("json",)),
+        ("pair", ("text", "json", "csv")),
+        ("sweep", ("csv", "json")),
+        ("gridcheck", ("text", "json")),
+    ],
+)
+def test_each_command_offers_only_the_formats_it_writes(capsys, command, formats):
+    parser = build_parser()
+    assert parser.parse_args([command]).format == formats[0]
+    for fmt in ("text", "json", "csv"):
+        if fmt in formats:
+            assert parser.parse_args([command, "--format", fmt]).format == fmt
+        else:
+            code, out, err = run_cli(capsys, [command, "--format", fmt])
+            assert (code, out) == (2, "") and "invalid choice" in err
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

@@ -153,6 +153,22 @@ def test_explicit_rejects_non_binary():
         ra.explicit([[0, 1], [2, 0]])
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [[[0.5, 1.0]], np.array([[256, 0]]), [[1.0000001, 0.0]], [[np.nan, 1.0]], [[0, 1], [1]]],
+    ids=["half", "wraps-to-zero", "just-above-one", "nan", "ragged"],
+)
+def test_explicit_checks_values_before_the_cast(matrix):
+    # a cast to uint8 first would read 0.5 as 0, 256 as 0 and 1.0000001 as 1
+    with pytest.raises(ra.ParameterError):
+        ra.explicit(matrix)
+
+
+def test_explicit_keeps_exact_zero_one_values_of_any_dtype():
+    for matrix in ([[1.0, 0.0]], [[True, False]], np.array([[1, 0]], dtype=np.int64)):
+        assert ra.explicit(matrix).predictions.tolist() == [[1, 0]]
+
+
 def test_predictions_are_write_protected():
     h = ra.thresholds(4)
     with pytest.raises(ValueError):
@@ -196,6 +212,20 @@ def test_model_rejects_non_finite_values(weights, flips):
     # distance never lets the coefficient scan advance
     with pytest.raises(ra.ParameterError):
         ra.DataModel(np.array(weights), ra.thresholds(4).row(0), np.array(flips))
+
+
+def test_model_checks_base_labels_before_the_cast():
+    with pytest.raises(ra.ParameterError):
+        ra.DataModel(np.full(4, 0.25), np.array([0.5, 0.0, 1.0, 1.0]), np.zeros(4))
+
+
+@pytest.mark.parametrize("weights", [None, np.array([1, 2, 3, 4, 6]) / 16])
+def test_realizable_is_agnostic_at_zero_flip_rate(weights):
+    h = ra.thresholds(5)
+    real, noisy = ra.DataModel.realizable(h, 2, weights), ra.DataModel.agnostic(h, 2, 0.0, weights)
+    for name in ("weights", "base_labels", "flip_rates", "_label_one", "_certain_ones"):
+        a, b = getattr(real, name), getattr(noisy, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
 def test_realizable_target_bounds():
@@ -553,6 +583,13 @@ def test_duplicate_rows_disagree_nowhere():
 def test_empty_version_space_rejected():
     with pytest.raises(ra.EmptyVersionSpaceError):
         ra.VersionSpace(np.zeros(4, dtype=bool))
+
+
+@pytest.mark.parametrize("indices", [[-1], [0, 3], [7]])
+def test_version_space_from_indices_refuses_out_of_range(indices):
+    # -1 would silently mark the last hypothesis, and 3 raise a bare IndexError
+    with pytest.raises(ra.ParameterError):
+        ra.VersionSpace.from_indices(indices, 3)
 
 
 def test_version_space_from_indices_roundtrip():

@@ -119,6 +119,33 @@ def test_config_rejects_bad_fields(kwargs):
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"trials": 2.5},
+        {"domain_size": 16.5},
+        {"target": 3.5},
+        {"trials": True},
+        {"domain_size": True},
+        {"target": False},
+        {"trials": "3"},
+        {"domain_size": float("nan")},
+    ],
+)
+def test_config_integer_fields_follow_the_schema_rule(kwargs):
+    """A config built in Python gets the integer check a document gets: an
+    int or an integral float, never a bool."""
+    with pytest.raises(ra.ParameterError, match="must be an integer"):
+        ExperimentConfig(**kwargs)
+
+
+def test_config_keeps_integral_floats_as_ints():
+    cfg = ExperimentConfig(domain_size=16.0, target=3.0, trials=np.int64(2))
+    assert cfg == ExperimentConfig(domain_size=16, target=3, trials=2)
+    assert {type(v) for v in (cfg.domain_size, cfg.target, cfg.trials)} == {int}
+    assert run_paired_trials(replace(cfg, eps=0.2)).pairs == 2
+
+
 def test_from_dict_rejects_unknown_key():
     with pytest.raises(ra.ParameterError):
         ExperimentConfig.from_dict({"bogus": 1})

@@ -188,6 +188,23 @@ def test_schedule_loop_phase_vanishes_when_guard_saturates():
     assert sched.sq_final is not None
 
 
+def test_schedule_reads_nu_up_to_prob_tol_as_realizable():
+    real = size_schedule(2.0, 0.05, 0.1, 0.3, 0.0, 129)
+    for nu in (1e-13, ra.PROB_TOL):
+        assert size_schedule(2.0, 0.05, 0.1, 0.3, nu, 129) == real
+    assert size_schedule(2.0, 0.05, 0.1, 0.3, 1e-6, 129).sq_final is not None
+
+
+@pytest.mark.parametrize("nu, loop_query", [(0.06, True), (0.0625, False), (0.07, False)])
+def test_schedule_sizes_a_loop_query_only_below_the_loop_exit_level(nu, loop_query):
+    # replica2 leaves its loop below 16 theta nu; from 1/16 <= theta nu on it
+    # never enters it, though the query tolerance 8 theta nu is still below 1
+    sched = size_schedule(1.0, 0.1, 0.1, 0.3, nu, 129)
+    assert (sched.sq_loop is not None) == loop_query
+    assert (sched.t_unlabeled > 0) == loop_query
+    assert sched.n_max == (3 if loop_query else 2) and sched.sq_final is not None
+
+
 def test_schedule_halving_eps_adds_a_round():
     a = size_schedule(2.0, 0.05, 0.1, 0.3, 0.0, 129)
     b = size_schedule(2.0, 0.025, 0.1, 0.3, 0.0, 129)
@@ -408,7 +425,7 @@ def _edge_noise_problem(n=16, eta=0.05):
 def test_replica2_rejects_noiseless_models():
     h = ra.thresholds(16)
     m = ra.DataModel.realizable(h, 8)
-    with pytest.raises(ra.ParameterError):
+    with pytest.raises(ra.WrongSettingError):
         run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("01"), _rng())
 
 
@@ -430,15 +447,15 @@ def test_replica2_replays_bit_identically():
 
 def test_replica2_flags_unsatisfiable_loop_guard():
     # a centered base doubles the coefficient, pushing the loop exit level
-    # 16 theta nu past one, so the loop cannot run at all; at eta 0.1 the
-    # schedule's own guard 8 theta nu passes one too and it sizes no loop query
+    # 16 theta nu past one, so the loop cannot run at all and the schedule
+    # sizes no loop query for it
     h = ra.thresholds(16)
-    for eta, loop_query in ((0.05, True), (0.1, False)):
+    for eta in (0.05, 0.1):
         m = ra.DataModel.agnostic(h, 8, eta)
         assert ra.disagreement_coefficient(h, m, 8) == pytest.approx(2.0)
         problem = ra.Problem(h, m)
         sched = ra.size_schedule(problem.sizing_theta, 0.1, 0.1, 0.3, problem.nu, 16)
-        assert (sched.sq_loop is not None) == loop_query
+        assert sched.sq_loop is None
         res = run_replica2(problem, 0.1, 0.1, 0.3, ra.RandomString("33"), _rng(2))
         assert "loop-guard-unsatisfiable" in res.flags
         assert res.rounds == 0
