@@ -45,7 +45,6 @@ from .core import (
 )
 from .diagnostics import (
     IntervalProfile,
-    bad_fraction,
     classify_thresholds,
     interval_profile,
     set_divergence,

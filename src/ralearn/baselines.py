@@ -11,6 +11,7 @@ each supplies only its loop guard and its cut.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Mapping, Optional
 
@@ -61,16 +62,23 @@ class Constants:
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ParameterError(f"constant {f.name} must be a positive number, got {v!r}")
+            _check_constant(f.name, getattr(self, f.name))
 
     def updated(self, mapping: Mapping[str, float]) -> "Constants":
         known = {f.name for f in fields(self)}
         unknown = set(mapping) - known
         if unknown:
             raise ParameterError(f"unknown constants: {sorted(unknown)} (known: {sorted(known)})")
+        # checked before the cast, which would turn True into 1.0
+        for k, v in mapping.items():
+            _check_constant(k, v)
         return replace(self, **{k: float(v) for k, v in mapping.items()})
+
+
+def _check_constant(name: str, v) -> None:
+    # the config schema's number rule: a bool is an int to Python, not a number
+    if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+        raise ParameterError(f"constant {name} must be a positive number, got {v!r}")
 
 
 @dataclass(frozen=True)

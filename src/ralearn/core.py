@@ -7,13 +7,28 @@ disagreement masses, and the disagreement coefficient are computed exactly by
 summation.  A version space's disagreement region is a boolean mask over the
 domain; the full class's region is computed once per problem
 (``Problem.region``), and learners derive each later version space's region
-once and hand it to ``disagreement_mass`` and to the samplers.  Every exact
-error and distance is one mismatch product (``_mismatch_times``), and a
-``Problem`` keeps the exact error of every hypothesis (``Problem.errors``),
-which gives the noise floor and every returned hypothesis's error.  Elimination
-reads each row of the class as its runs of ones, cached per class, and scores
-a row from two lookups per run in a prefix sum of the label counts: integer
-work only, so it is exact for every draw count int64 holds.
+once and hand it to ``disagreement_mass`` and to the samplers.  A ``Problem``
+keeps the exact error of every hypothesis (``Problem.errors``), which gives the
+noise floor and every returned hypothesis's error.
+
+Elimination and the geometry of uniform-weight models share one integer
+primitive (``_row_sums``): each row of the class is read as its runs of ones,
+cached per class, and a row's sum of an int64 vector over the columns where
+it predicts 1 is two lookups per run in the vector's prefix sum.  Elimination
+sums label counts with it, exact for every draw count int64 holds.  A model
+whose every weight is ``1 / n`` (every config without ``weights``) gets each
+row's mismatch count d against a 0/1 row the same way, and from it
+
+* a distance ``d / n`` and, for one flip rate ``eta``, an error
+  ``eta + (1 - 2*eta) * (d / n)``, one IEEE expression per row; and
+* the disagreement coefficient, the largest ``C / d`` over the balls around
+  the center, C the columns where the ball disagrees, one exact division
+  per ball.
+
+No BLAS call is made on that path, so its results do not depend on the BLAS
+build.  Models with other weights or with per-point flip rates, and every
+conditional error, keep one float64 mismatch product (``_mismatch_times``).
+
 The two samplers at the bottom are the only stochastic piece; they draw
 counts from the model inside a given region through a caller-owned numpy
 Generator so every source of randomness in an experiment is explicit.
@@ -156,8 +171,11 @@ class DataModel:
     Construction records once whether every label is certain (each P[label =
     1 | x] is 0 or 1, as when every flip rate is 0 or 1): ``_certain_ones``
     is then the read-only mask of the points labeled 1, and None otherwise.
-    The sampling weights of the whole domain are computed on first use and
-    kept (``_whole_domain_weights``).
+    It also records whether every weight is ``1 / n`` (``_uniform``, as
+    ``uniform_weights`` gives), which puts the geometry on its integer path,
+    and the one flip rate every point shares (``_flip``, None when the rates
+    differ).  The sampling weights of the whole domain are computed on first
+    use and kept (``_whole_domain_weights``).
     """
 
     weights: np.ndarray
@@ -165,6 +183,8 @@ class DataModel:
     flip_rates: np.ndarray
     _label_one: np.ndarray = field(init=False, repr=False)
     _certain_ones: Optional[np.ndarray] = field(init=False, repr=False)
+    _uniform: bool = field(init=False, repr=False)
+    _flip: Optional[float] = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
@@ -191,6 +211,8 @@ class DataModel:
         sure = p1 == 1.0
         sure.setflags(write=False)
         object.__setattr__(self, "_certain_ones", sure if np.all(sure | (p1 == 0.0)) else None)
+        object.__setattr__(self, "_uniform", bool(np.all(w == 1.0 / w.size)))
+        object.__setattr__(self, "_flip", float(f[0]) if np.all(f == f[0]) else None)
 
     @classmethod
     def realizable(
@@ -264,11 +286,18 @@ class VersionSpace:
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], n: int) -> "VersionSpace":
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size and not (0 <= idx.min() and idx.max() < n):
-            raise ParameterError(f"hypothesis indices must lie in [0, {n})")
+        raw = np.asarray(list(indices))
+        if raw.size:
+            # checked before the cast to int64, which would truncate 1.5 to 1
+            integral = raw.dtype.kind in "iu" or (
+                raw.dtype.kind == "f" and np.all(np.floor(raw) == raw)
+            )
+            if not integral:
+                raise ParameterError(f"hypothesis indices must be integers, got {raw.tolist()!r}")
+            if not (0 <= raw.min() and raw.max() < n):
+                raise ParameterError(f"hypothesis indices must lie in [0, {n})")
         m = np.zeros(n, dtype=bool)
-        m[idx] = True
+        m[raw.astype(np.int64, copy=False)] = True
         return cls(m)
 
     @property
@@ -296,12 +325,44 @@ def _check_same_domain(hclass: HypothesisClass, model: DataModel) -> None:
         raise ParameterError("hypothesis class and data model disagree on domain size")
 
 
+def _check_center(hclass: HypothesisClass, model: DataModel, center: int) -> None:
+    _check_same_domain(hclass, model)
+    if not 0 <= center < hclass.n_hypotheses:
+        raise ParameterError(f"center index {center} out of range")
+
+
+def _row_sums(hclass: HypothesisClass, values: np.ndarray) -> np.ndarray:
+    """Each row's int64 sum of the int64 ``values`` over the columns where it
+    predicts 1, read from the class's cached runs of ones
+    (``HypothesisClass._runs``) as two lookups per run in a prefix sum:
+    O(domain + runs), exact while every partial sum fits in int64.  When
+    every row is one run, the per-run sums are already the per-row sums and
+    are not reduced again."""
+    prefix = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=prefix[1:])
+    start, end, first = hclass._runs
+    sums = prefix[end] - prefix[start]
+    if start.size != hclass.n_hypotheses:
+        # with one run per row ``first`` is arange and the reduce is identity
+        sums = np.add.reduceat(sums, first)
+    return sums
+
+
+def _mismatch_counts(hclass: HypothesisClass, base: np.ndarray) -> np.ndarray:
+    """Each row's int64 count of the cells where it differs from the 0/1 row
+    ``base``: the ones of ``base`` plus, over the row's ones, +1 where
+    ``base`` is 0 and -1 where it is 1."""
+    return _row_sums(hclass, 1 - 2 * base.astype(np.int64)) + int(np.count_nonzero(base))
+
+
 def _mismatch_times(hclass: HypothesisClass, base: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """``(hclass.predictions != base) @ vector``: each row's sum of the float64
     ``vector`` over the cells where it differs from the 0/1 row ``base``,
     built and cast one row block of at most ``_BLOCK_CELLS`` cells at a
     time.  A non-negative ``vector`` leaves nothing to cancel, so a row that
-    differs from ``base`` only where ``vector`` is 0 gets exactly 0.0."""
+    differs from ``base`` only where ``vector`` is 0 gets exactly 0.0.  Only
+    models with explicit non-uniform weights or unequal flip rates, and
+    conditional errors, take this path."""
     pred = hclass.predictions
     step = max(1, _BLOCK_CELLS // vector.size)
     out = np.empty(pred.shape[0], dtype=np.float64)
@@ -322,8 +383,20 @@ def _errors_under(hclass: HypothesisClass, model: DataModel, weights: np.ndarray
 
 
 def true_errors(hclass: HypothesisClass, model: DataModel) -> np.ndarray:
-    """Exact population error of every hypothesis."""
+    """Exact population error of every hypothesis.
+
+    With uniform weights and one flip rate ``eta`` (every model built
+    without explicit weights), a row that differs from the base labels on
+    ``d`` of the ``n`` points has error ``eta + (1 - 2*eta) * (d / n)``, one IEEE
+    expression from the integer count: exactly ``d / n`` when labels are
+    noiseless, and exactly ``eta`` for a copy of the base row.  Any other
+    model sums its weights in one float product (``_errors_under``).
+    """
     _check_same_domain(hclass, model)
+    eta = model._flip
+    if model._uniform and eta is not None:
+        d = _mismatch_counts(hclass, model.base_labels)
+        return eta + (1.0 - 2.0 * eta) * (d / hclass.domain_size)
     return _errors_under(hclass, model, model.weights)
 
 
@@ -358,8 +431,6 @@ def empirical_errors_from_counts(
     ``+inf``, so no cut keeps it.  The result is exact for any ``total`` that
     int64 holds: each partial sum is at most ``total`` in magnitude, all of it
     is int64, and the mistake counts meet one float64 division by ``total``.
-    When every row is one run, the per-run sums are already the per-row sums
-    and are not reduced again.
     """
     n_h, n = hclass.predictions.shape
     count_zero, count_one = np.asarray(count_zero), np.asarray(count_one)
@@ -371,13 +442,7 @@ def empirical_errors_from_counts(
     total = int(count_zero.sum()) + ones
     if total == 0:
         raise ParameterError("empirical error of an empty sample is undefined")
-    prefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.subtract(count_zero, count_one, dtype=np.int64), out=prefix[1:])
-    start, end, first = hclass._runs
-    mistakes = prefix[end] - prefix[start]
-    if start.size != n_h:
-        # with one run per row ``first`` is arange and the reduce is identity
-        mistakes = np.add.reduceat(mistakes, first)
+    mistakes = _row_sums(hclass, np.subtract(count_zero, count_one, dtype=np.int64))
     errs = (mistakes + ones) / total
     if members is not None:
         errs[np.logical_not(members)] = np.inf
@@ -400,11 +465,13 @@ def disagreement_mass(model: DataModel, region: np.ndarray) -> float:
 
 def distances_from(hclass: HypothesisClass, model: DataModel, center: int) -> np.ndarray:
     """Distance of every hypothesis from ``center``: the mass where it differs
-    from ``center``'s row, a sum of non-negative weights, so a duplicate of
-    the center is exactly 0.0."""
-    _check_same_domain(hclass, model)
-    if not 0 <= center < hclass.n_hypotheses:
-        raise ParameterError(f"center index {center} out of range")
+    from ``center``'s row.  With uniform weights that is ``d / n`` for ``d``
+    of the ``n`` points, one division of the integer count; otherwise a sum
+    of non-negative weights.  Either way a duplicate of the center is
+    exactly 0.0."""
+    _check_center(hclass, model, center)
+    if model._uniform:
+        return _mismatch_counts(hclass, hclass.row(center)) / hclass.domain_size
     return _mismatch_times(hclass, hclass.row(center), model.weights)
 
 
@@ -416,23 +483,34 @@ def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: 
     distances, and balls are nested as the radius grows.  Every ball holds
     ``center``, so its disagreement region is where some member's row
     differs from the center's.  Each ball takes in the hypotheses at the
-    nearest distance not yet taken in, its radius, and every one within
-    ``PROB_TOL`` past it.
+    nearest distance not yet taken in, its radius, and every tie.
 
     Rank the hypotheses by the stable distance order, ``late`` counting down
     from ``n_hypotheses`` at the nearest.  Then ``top``, in each column the
     largest ``late`` of a row differing from the center's there, gives every
     ball's region at once: the ball of the first ``end`` hypotheses
-    disagrees exactly where ``top > n_hypotheses - end``.  The cost is one
-    vectorized pass over the cells, in row blocks of at most
-    ``_BLOCK_CELLS``, plus one masked sum (``disagreement_mass``) per
-    distinct positive radius.  Returns 0.0 when every hypothesis duplicates
-    the center.
+    disagrees exactly where ``top > n_hypotheses - end``.  Computing ``top``
+    is one vectorized pass over the cells, in row blocks of at most
+    ``_BLOCK_CELLS``.
+
+    With uniform weights (``DataModel._uniform``) the distances are integer
+    mismatch counts ``d`` and ties are exact.  A ball's region covers ``C``
+    columns, read for every ball at once from a reverse cumulative count of
+    the ``top`` values, and its ratio is ``C / d``, one exact division: the
+    result is the rational maximum rounded once, at O(domain + hypotheses)
+    past the rank pass.  With any other weights the distances are float
+    sums, ties are taken within ``PROB_TOL``, and each distinct positive
+    radius costs one masked sum (``disagreement_mass``).  Returns 0.0 when
+    every hypothesis duplicates the center.
     """
-    d = distances_from(hclass, model, center)
-    order = np.argsort(d, kind="stable")
+    _check_center(hclass, model, center)
     pred = hclass.predictions
     base = pred[center]
+    if model._uniform:
+        d = _mismatch_counts(hclass, base)
+    else:
+        d = _mismatch_times(hclass, base, model.weights)
+    order = np.argsort(d, kind="stable")
     n_h, n = pred.shape
     late = np.empty(n_h, dtype=np.uint16 if n_h < 2**16 else np.uint32)
     late[order] = np.arange(n_h, 0, -1)
@@ -441,6 +519,14 @@ def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: 
     for i in range(0, n_h, step):
         block = (pred[i : i + step] ^ base) * late[i : i + step, None]
         np.maximum(top, block.max(axis=0), out=top)
+    if model._uniform:
+        # covered[j]: columns with top >= n_h - j, the region of the first j + 1
+        covered = np.cumsum(np.bincount(top, minlength=n_h + 1)[::-1])
+        # each distinct count ends at its last hypothesis in the sorted order
+        ranked = d[order]
+        end = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True)) + 1
+        end = end[ranked[end - 1] > 0]
+        return float((covered[end - 1] / ranked[end - 1]).max(initial=0.0))
     # the distinct distances and the position of each one's first hypothesis;
     # a ball ends just before the first distance past its radius + PROB_TOL
     radii, first = np.unique(d[order], return_index=True)

@@ -92,12 +92,6 @@ def classify_thresholds(profile: IntervalProfile, rho: float) -> tuple[bool, ...
     return tuple(flags)
 
 
-def bad_fraction(profile: IntervalProfile, rho: float) -> float:
-    """Fraction of selectable thresholds flagged bad."""
-    flags = classify_thresholds(profile, rho)
-    return sum(flags) / len(flags)
-
-
 # ---------------------------------------------------------------------------
 # paired survivor sets
 

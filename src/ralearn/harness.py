@@ -217,6 +217,12 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ParameterError("trials must be at least 1")
+        # the schema's number rule: True would read as 1.0
+        given = [("epsilon", self.eps), ("delta", self.delta), ("rho", self.rho), ("eta", self.eta)]
+        given += [(f"weights[{i}]", w) for i, w in enumerate(self.weights or ())]
+        for name, value in given:
+            if not _IS_TYPE["number"](value):
+                raise ParameterError(f"{name} must be a number, got {value!r}")
         for name, value in (("epsilon", self.eps), ("delta", self.delta), ("rho", self.rho)):
             if not 0.0 < value < 1.0:
                 raise ParameterError(f"{name} must lie in (0, 1), got {value}")

@@ -356,7 +356,7 @@ def test_criterion_10_bad_threshold_fraction(criterion):
             profile = ra.interval_profile(grid, errs)
             flags = ra.classify_thresholds(profile, rho)
             mismatches += flags != _literal_flags(profile.counts, rho)
-            frac = ra.bad_fraction(profile, rho)
+            frac = sum(flags) / len(flags)
             worst = max(worst, frac)
             frac_ok = frac_ok and frac <= min(1.0, 40.0 * rho) + 1e-12
     assert criterion(

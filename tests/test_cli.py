@@ -644,6 +644,31 @@ def test_module_entry_point():
     assert "theta=4" in proc.stdout
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    # thresholds(512) has 263k cells, over 2**17; with uniform weights the
+    # geometry is integer work, so no BLAS product reaches theta, nu or an
+    # error, here or in the noisy a2 batch
+    problem = ["--class", "thresholds", "--domain-size", "512", "--format", "json"]
+    commands = (
+        ["theta", *problem],
+        ["pair", *problem, "--algo", "a2", "--nu", "0.1", "--epsilon", "0.2", "--trials", "2"],
+    )
+    outputs = set()
+    for threads in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+        outputs.add(tuple(
+            subprocess.run(
+                [sys.executable, "-m", "ralearn", *command],
+                env=env, capture_output=True, timeout=60, check=True,
+            ).stdout
+            for command in commands
+        ))
+    assert len(outputs) == 1
+    theta, pair = outputs.pop()
+    assert json.loads(theta)["theta"] == 2.0
+    assert json.loads(pair)["rows"][0]["nu"] == 0.1
+
+
 _GRIDCHECK = ["gridcheck", *_PROBLEM, "--rho", "0.3"]
 _PAIR = ["pair", "--algo", "cal", "--epsilon", "0.2", "--trials", "2"]
 _SWEEP = ["sweep", "--algo", "cal", "--epsilon", "0.2", "--trials", "2"]

@@ -1,7 +1,9 @@
 """Exact-quantity oracles for classes, models, distances, and sampling."""
 
 import hashlib
+import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -58,6 +60,54 @@ def _theta_row_scan(hclass, model, center):
             continue
         best = max(best, ra.disagreement_mass(model, region) / float(radius))
     return best
+
+
+def _exact_geometry(hclass, center):
+    """Oracle for uniform weights: each row's mismatch count against the
+    center's row, counted one column at a time, and the disagreement
+    coefficient as an exact rational, the largest C / d over the balls:
+    d a positive count, C the number of columns where some row at most d
+    away differs from the center's row."""
+    pred = hclass.predictions
+    base = pred[center]
+    d = np.zeros(hclass.n_hypotheses, dtype=np.int64)
+    for x in range(hclass.domain_size):
+        d += pred[:, x] != base[x]
+    region = np.zeros(hclass.domain_size, dtype=bool)
+    best = Fraction(0)
+    for radius in sorted(set(d.tolist())):
+        region |= (pred[d == radius] != base).any(axis=0)
+        if radius > 0:
+            best = max(best, Fraction(int(region.sum()), radius))
+    return d, best
+
+
+def _check_exact_geometry(hclass, model, center):
+    """Every error, every distance from ``center`` and the coefficient there
+    against ``_exact_geometry``, for a model of uniform weights and one flip
+    rate: a count over ``n`` is rounded once, a noisy error is the formula's
+    one IEEE expression, within two ulps of the exact rational, and the
+    coefficient is the exact maximum rounded once.  Rows of one count share
+    one expected value, computed once."""
+    n = hclass.domain_size
+    eta = float(model.flip_rates[0])
+    label_row = np.flatnonzero((hclass.predictions == model.base_labels).all(axis=1))[0]
+    d_label, _ = _exact_geometry(hclass, int(label_row))
+    expected = {}
+    for di in set(d_label.tolist()):
+        exact = Fraction(eta) + (1 - 2 * Fraction(eta)) * Fraction(di, n)
+        if eta == 0.0:
+            expected[di] = float(exact)
+        else:
+            expected[di] = eta + (1.0 - 2.0 * eta) * (di / n)
+            assert abs(Fraction(expected[di]) - exact) <= 2 * math.ulp(1.0)
+    errs = ra.true_errors(hclass, model)
+    assert errs.tolist() == [expected[di] for di in d_label.tolist()]
+    assert errs.min() == eta  # the base row is in the class
+    d, theta = _exact_geometry(hclass, center)
+    dist = {di: float(Fraction(di, n)) for di in set(d.tolist())}
+    assert ra.distances_from(hclass, model, center).tolist() == [dist[di] for di in d.tolist()]
+    assert ra.disagreement_coefficient(hclass, model, center) == float(theta)
 
 
 def _peak_bytes(fn):
@@ -592,6 +642,13 @@ def test_version_space_from_indices_refuses_out_of_range(indices):
         ra.VersionSpace.from_indices(indices, 3)
 
 
+@pytest.mark.parametrize("indices", [[1.5], [0, 2.25], [float("nan")], [True], ["1"]])
+def test_version_space_from_indices_refuses_non_integers(indices):
+    # the int64 cast would silently mark hypothesis 1 for 1.5
+    with pytest.raises(ra.ParameterError, match="must be integers"):
+        ra.VersionSpace.from_indices(indices, 3)
+
+
 def test_version_space_from_indices_roundtrip():
     space = ra.VersionSpace.from_indices([0, 2, 5], 7)
     assert space.size == 3
@@ -640,7 +697,7 @@ def test_worst_case_ball_at_critical_radius():
 # disagreement coefficient
 
 
-@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("n", [3, 4, 7, 16, 64, 100, 1000])
 def test_worst_case_coefficient_is_exactly_n(n):
     h = ra.worst_case(n)
     m = ra.DataModel.realizable(h, 0)
@@ -699,48 +756,83 @@ def test_coefficient_matches_dense_radius_scan(seed):
     assert ra.disagreement_coefficient(h, m, 0) == pytest.approx(best)
 
 
-def _theta_models(hclass, g):
-    """One model per (target first, middle, last) x (eta 0, 0.1) x (uniform,
-    Dirichlet weights), with the target as the base of the labels."""
+def _theta_models(hclass, g, weighted):
+    """One model per (target first, middle, last) x (eta 0, 0.1), with the
+    target as the base of the labels, under Dirichlet weights or uniform ones."""
     n_h, n = hclass.n_hypotheses, hclass.domain_size
     for target in sorted({0, n_h // 2, n_h - 1}):
         for eta in (0.0, 0.1):
-            for weights in (None, g.dirichlet(np.ones(n))):
-                yield ra.DataModel.agnostic(hclass, target, eta, weights)
+            weights = g.dirichlet(np.ones(n)) if weighted else None
+            yield ra.DataModel.agnostic(hclass, target, eta, weights)
+
+
+_THETA_SIZES = list(range(1, 65)) + [100, 333]
 
 
 @pytest.mark.parametrize("make", [ra.thresholds, ra.intervals, ra.worst_case])
 def test_coefficient_equals_the_row_scan_on_built_in_classes(make):
+    # weighted models take the float path, which the row scan mirrors bit
+    # for bit; uniform weights are checked against the exact oracle below
     g = np.random.default_rng(19)
-    for n in list(range(1, 65)) + [100, 333]:
+    for n in _THETA_SIZES:
         h = make(n)
-        models = list(_theta_models(h, g))
+        models = list(_theta_models(h, g, weighted=True))
         # every model on the small classes, one of them in turn on the rest
         for m in models if n <= 16 else [models[n % len(models)]]:
             p = ra.Problem(h, m)
             assert p.theta == _theta_row_scan(h, m, p.center), (make.__name__, n)
 
 
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_h=st.integers(1, 40),
-    n_x=st.integers(1, 12),
-    dirichlet=st.booleans(),
-)
-@settings(max_examples=150, deadline=None)
-def test_coefficient_equals_the_row_scan_on_random_classes(seed, n_h, n_x, dirichlet):
-    g = np.random.default_rng(seed)
+@pytest.mark.parametrize("make", [ra.thresholds, ra.intervals, ra.worst_case])
+def test_uniform_weight_geometry_is_exact_on_built_in_classes(make):
+    g = np.random.default_rng(19)
+    for n in _THETA_SIZES:
+        h = make(n)
+        models = list(_theta_models(h, g, weighted=False))
+        for m in models if n <= 16 else [models[n % len(models)]]:
+            _check_exact_geometry(h, m, ra.Problem(h, m).center)
+
+
+def _random_rows(g, n_h, n_x):
     pred = g.integers(0, 2, size=(n_h, n_x))
     # duplicates of other rows, and all-zero and all-one rows
     pred[g.random(n_h) < 0.2] = 0
     pred[g.random(n_h) < 0.2] = 1
     dup = g.random(n_h) < 0.3
     pred[dup] = pred[g.integers(0, n_h, size=int(dup.sum()))]
-    h = ra.explicit(pred)
-    weights = g.dirichlet(np.ones(n_x)) if dirichlet else None
-    m = ra.DataModel.realizable(h, 0, weights)
+    return ra.explicit(pred)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_h=st.integers(1, 40), n_x=st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_coefficient_equals_the_row_scan_on_random_classes(seed, n_h, n_x):
+    g = np.random.default_rng(seed)
+    h = _random_rows(g, n_h, n_x)
+    m = ra.DataModel.realizable(h, 0, g.dirichlet(np.ones(n_x)))
     for center in {0, int(g.integers(0, n_h)), n_h - 1}:
         assert ra.disagreement_coefficient(h, m, center) == _theta_row_scan(h, m, center)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_h=st.integers(1, 40),
+    n_x=st.integers(1, 12),
+    eta=st.sampled_from([0.0, 0.05, 0.3]),
+)
+@settings(max_examples=100, deadline=None)
+def test_uniform_weight_geometry_is_exact_on_random_classes(seed, n_h, n_x, eta):
+    g = np.random.default_rng(seed)
+    h = _random_rows(g, n_h, n_x)
+    m = ra.DataModel.agnostic(h, int(g.integers(0, n_h)), eta)
+    for center in {0, int(g.integers(0, n_h)), n_h - 1}:
+        _check_exact_geometry(h, m, center)
+
+
+def test_thresholds_coefficient_is_exactly_two_at_inner_targets():
+    # a float product read 2.0000000000000004 at 25, 50 and 51
+    h = ra.thresholds(100)
+    for target in (1, 25, 50, 51, 99):
+        assert ra.Problem(h, ra.DataModel.realizable(h, target)).theta == 2.0
 
 
 def test_coefficient_of_more_rows_than_uint16_ranks():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import ralearn as ra
 from ralearn.diagnostics import (
-    bad_fraction,
     classify_thresholds,
     interval_profile,
     set_divergence,
@@ -48,7 +47,6 @@ def test_all_mass_in_first_interval_is_all_good():
     prof = _profile_from_counts([50, 0, 0, 0, 0, 0])
     flags = classify_thresholds(prof, 0.3)
     assert flags == (False,) * 5
-    assert bad_fraction(prof, 0.3) == 0.0
 
 
 def test_single_hypothesis_behind_one_is_crowded():
@@ -107,16 +105,6 @@ def test_flags_match_literal_reevaluation_random(seed, rho):
         counts[int(g.integers(0, n_cells))] = 1
     prof = _profile_from_counts(counts.tolist())
     assert classify_thresholds(prof, rho) == _naive_flags(counts.tolist(), rho)
-
-
-def test_bad_fraction_is_within_unit_interval():
-    g = np.random.default_rng(4)
-    for _ in range(20):
-        counts = g.integers(0, 9, size=12)
-        counts[0] = max(counts[0], 1)
-        prof = _profile_from_counts(counts.tolist())
-        frac = bad_fraction(prof, 0.1)
-        assert 0.0 <= frac <= 1.0
 
 
 # ---------------------------------------------------------------------------

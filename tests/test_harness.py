@@ -139,6 +139,27 @@ def test_config_integer_fields_follow_the_schema_rule(kwargs):
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ExperimentConfig(eta=True),
+        lambda: ExperimentConfig(eps=np.True_),
+        lambda: ExperimentConfig(delta=False),
+        lambda: ExperimentConfig(rho=True),
+        lambda: ExperimentConfig(domain_size=2, weights=(True, False)),
+        lambda: ExperimentConfig(domain_size=2, weights=(0.5, "0.5")),
+        lambda: ra.Constants(c_pass=True),
+        lambda: ra.Constants().updated({"c_cal": True}),
+    ],
+    ids=["eta", "eps", "delta", "rho", "weights", "weight-text", "constant", "updated"],
+)
+def test_config_numbers_follow_the_schema_rule(make):
+    """A bool is not a number to the schema: ``eta=True`` once built flip
+    rate 1.0 everywhere, and ``weights=(True, False)`` a point mass."""
+    with pytest.raises(ra.ParameterError, match="must be a (positive )?number"):
+        make()
+
+
 def test_config_keeps_integral_floats_as_ints():
     cfg = ExperimentConfig(domain_size=16.0, target=3.0, trials=np.int64(2))
     assert cfg == ExperimentConfig(domain_size=16, target=3, trials=2)
