@@ -13,11 +13,14 @@ noise floor and every returned hypothesis's error.
 
 Elimination and the geometry of uniform-weight models share one integer
 primitive (``_row_sums``): each row of the class is read as its runs of ones,
-cached per class, and a row's sum of an int64 vector over the columns where
-it predicts 1 is two lookups per run in the vector's prefix sum.  Elimination
-sums label counts with it, exact for every draw count int64 holds.  A model
-whose every weight is ``1 / n`` (every config without ``weights``) gets each
-row's mismatch count d against a 0/1 row the same way, and from it
+and a row's sum of an int64 vector over the columns where it predicts 1 is
+two lookups per run in the vector's prefix sum.  The built-in generators
+know their runs, one per row, and hand them to the class they build; only an
+``explicit`` class derives its runs from its matrix, once, and caches them.
+Elimination sums label counts with it, exact for every draw count int64
+holds.  A model whose every weight is ``1 / n`` (every config without
+``weights``) gets each row's mismatch count d against a 0/1 row the same
+way, and from it
 
 * a distance ``d / n`` and, for one flip rate ``eta``, an error
   ``eta + (1 - 2*eta) * (d / n)``, one IEEE expression per row; and
@@ -129,12 +132,29 @@ class HypothesisClass:
         """The prediction row as bytes; equal signatures mean equal behavior."""
         return self.predictions[h].tobytes()
 
+    @classmethod
+    def _with_runs(
+        cls, predictions: np.ndarray, names: tuple[str, ...], start: np.ndarray, end: np.ndarray
+    ) -> "HypothesisClass":
+        """A class whose row ``r`` is the one run of ones ``[start[r],
+        end[r])``, ``[0, 0)`` for a row of zeros: the form every built-in
+        generator knows, seeded into ``_runs`` so the matrix is never read
+        for it.  The runs are kept as read-only int64 arrays."""
+        hclass = cls(predictions, names)
+        runs = tuple(np.asarray(arr, dtype=np.int64) for arr in (start, end, np.arange(len(start))))
+        for arr in runs:
+            arr.setflags(write=False)
+        vars(hclass)["_runs"] = runs
+        return hclass
+
     @cached_property
     def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only ``(start, end, first)``: every maximal run of ones, row
         by row, covers columns ``[start, end)``, and ``first`` is each row's
         first-run index.  A row of zeros holds the one empty run ``[0, 0)``,
-        so every row owns at least one run.  Read one row block at a time."""
+        so every row owns at least one run.  The built-in generators supply
+        their runs (``_with_runs``); only an ``explicit`` class derives them
+        from its matrix, here, once, one row block at a time."""
         n_h, n = self.predictions.shape
         step = max(1, _BLOCK_CELLS // n)
         cells = self.predictions.view(bool)
@@ -171,11 +191,14 @@ class DataModel:
     Construction records once whether every label is certain (each P[label =
     1 | x] is 0 or 1, as when every flip rate is 0 or 1): ``_certain_ones``
     is then the read-only mask of the points labeled 1, and None otherwise.
-    It also records whether every weight is ``1 / n`` (``_uniform``, as
+    It also records whether every given weight is ``1 / n`` (``_uniform``, as
     ``uniform_weights`` gives), which puts the geometry on its integer path,
     and the one flip rate every point shares (``_flip``, None when the rates
-    differ).  The sampling weights of the whole domain are computed on first
-    use and kept (``_whole_domain_weights``).
+    differ).  Uniform weights are kept as given; any others, which need only
+    sum to 1 within 1e-9, are stored normalized once, ``w / w.sum()``, so the
+    geometry, the conditional sampler and the whole-domain sampler all read
+    one distribution.  The sampling weights of the whole domain are computed
+    on first use and kept (``_whole_domain_weights``).
     """
 
     weights: np.ndarray
@@ -201,6 +224,9 @@ class DataModel:
         # written as membership so a NaN rate is rejected too
         if not np.all((f >= 0) & (f <= 1)):
             raise ParameterError("flip rates must lie in [0, 1]")
+        uniform = bool(np.all(w == 1.0 / w.size))
+        if not uniform:
+            w = w / w.sum()
         bf = b.astype(np.float64)
         p1 = bf * (1.0 - f) + (1.0 - bf) * f
         for name, arr in (
@@ -211,7 +237,7 @@ class DataModel:
         sure = p1 == 1.0
         sure.setflags(write=False)
         object.__setattr__(self, "_certain_ones", sure if np.all(sure | (p1 == 0.0)) else None)
-        object.__setattr__(self, "_uniform", bool(np.all(w == 1.0 / w.size)))
+        object.__setattr__(self, "_uniform", uniform)
         object.__setattr__(self, "_flip", float(f[0]) if np.all(f == f[0]) else None)
 
     @classmethod
@@ -251,9 +277,12 @@ class DataModel:
 
     @cached_property
     def _whole_domain_weights(self) -> np.ndarray:
-        """Read-only sampling weights of the whole domain, ``weights /
-        weights.sum()``: bit for bit what ``conditional_weights`` gives for
-        an all-True region, computed once."""
+        """Read-only sampling weights of the whole domain, the given weights
+        over their sum: ``weights`` itself unless uniform, which are divided
+        by their sum here.  ``conditional_weights`` returns them for an
+        all-True region."""
+        if not self._uniform:
+            return self.weights
         w = self.weights / self.weights.sum()
         w.setflags(write=False)
         return w
@@ -603,10 +632,13 @@ class Problem:
 
 
 def conditional_weights(model: DataModel, region_mask: np.ndarray) -> np.ndarray:
-    """The model distribution restricted to a region and renormalized."""
+    """The model distribution restricted to a region and renormalized; for
+    an all-True region, the model's read-only whole-domain weights."""
     mask = np.asarray(region_mask, dtype=bool)
     if mask.shape != model.weights.shape:
         raise ParameterError("region mask shape must match the domain")
+    if mask.all():
+        return model._whole_domain_weights
     w = model.weights * mask
     mass = float(w.sum())
     if mass <= PROB_TOL:
@@ -708,9 +740,15 @@ def thresholds(n: int) -> HypothesisClass:
     if n < 1:
         raise ParameterError("domain size must be positive")
     _check_class_cells(n + 1, n)
-    pred = np.arange(n) >= np.arange(n + 1)[:, None]
+    # positions are compared in the smallest integer type holding n, which
+    # moves a fraction of an int64 compare's bytes
+    dtype = np.min_scalar_type(n)
+    pred = np.arange(n, dtype=dtype) >= np.arange(n + 1, dtype=dtype)[:, None]
     names = tuple(f"h{t}" for t in range(1, n + 2))
-    return HypothesisClass(pred.view(np.uint8), names)
+    # hypothesis t is the run [t - 1, n); the last, all zeros, the empty run
+    start, end = np.arange(n + 1), np.full(n + 1, n)
+    start[n] = end[n] = 0
+    return HypothesisClass._with_runs(pred.view(np.uint8), names, start, end)
 
 
 def intervals(n: int) -> HypothesisClass:
@@ -718,14 +756,23 @@ def intervals(n: int) -> HypothesisClass:
     if n < 1:
         raise ParameterError("domain size must be positive")
     _check_class_cells(n * (n + 1) // 2 + 1, n)
-    # 0-based bounds of every interval, in the order a, then b >= a
+    # 0-based bounds of every interval, in the order a, then b >= a; the
+    # empty rule's run is [0, 0) and interval [a, b]'s is [a, b + 1)
     a, b = np.triu_indices(n)
-    x = np.arange(n)
+    start, end = np.insert(a, 0, 0), np.insert(b + 1, 0, 0)
+    # the n - lo intervals starting at column lo hold, in columns lo.., the
+    # lower triangle of a square, so each block is copied from one triangle:
+    # about a quarter of the time of comparing every cell with its bounds
+    tri = np.tri(n, dtype=bool)
     pred = np.zeros((a.size + 1, n), dtype=bool)
-    np.less_equal(a[:, None], x, out=pred[1:])
-    pred[1:] &= x <= b[:, None]
-    names = ["empty"] + [f"[{i},{j}]" for i, j in zip((a + 1).tolist(), (b + 1).tolist())]
-    return HypothesisClass(pred.view(np.uint8), tuple(names))
+    row = 1
+    for lo in range(n):
+        k = n - lo
+        pred[row : row + k, lo:] = tri[:k, :k]
+        row += k
+    number = [str(i) for i in range(1, n + 1)]
+    names = ("empty",) + tuple(f"[{s},{t}]" for i, s in enumerate(number) for t in number[i:])
+    return HypothesisClass._with_runs(pred.view(np.uint8), names, start, end)
 
 
 def worst_case(n: int) -> HypothesisClass:
@@ -738,11 +785,17 @@ def worst_case(n: int) -> HypothesisClass:
     if n < 1:
         raise ParameterError("construction size must be positive")
     _check_class_cells(n + 1, n)
-    pred = np.vstack([np.zeros(n, dtype=np.uint8), np.eye(n, dtype=np.uint8)])
+    # flip i (row i) is the run [i - 1, i): flat cell i * n + i - 1, every
+    # (n + 1)th cell from n; the target is the empty run [0, 0)
+    pred = np.zeros((n + 1, n), dtype=np.uint8)
+    pred.reshape(-1)[n :: n + 1] = 1
     names = ("target",) + tuple(f"flip{i}" for i in range(1, n + 1))
-    return HypothesisClass(pred, names)
+    start, end = np.arange(-1, n), np.arange(n + 1)
+    start[0] = 0
+    return HypothesisClass._with_runs(pred, names, start, end)
 
 
 def explicit(matrix) -> HypothesisClass:
-    """A class given directly as a 0/1 matrix."""
+    """A class given directly as a 0/1 matrix; its runs of ones are read
+    from the matrix on first use (``HypothesisClass._runs``)."""
     return HypothesisClass(matrix)

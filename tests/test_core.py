@@ -241,6 +241,18 @@ def test_uniform_weights_sum_to_one():
     assert abs(w.sum() - 1.0) < 1e-12
 
 
+def test_weights_within_tolerance_are_normalized_once():
+    # dirichlet(ones(1)) can give 0.9999999999999999; the sampler draws from
+    # the weights over their sum, 1.0, so the geometry must read 1.0 too
+    h = ra.thresholds(1)
+    model = ra.DataModel.realizable(h, 1, np.array([0.9999999999999999]))
+    assert model.weights.tolist() == [1.0] and not model._uniform
+    assert ra.true_errors(h, model).tolist() == [1.0, 0.0]
+    assert ra.distances_from(h, model, 1).tolist() == [1.0, 0.0]
+    assert ra.disagreement_mass(model, np.ones(1, dtype=bool)) == 1.0
+    assert model._whole_domain_weights.tolist() == [1.0]
+
+
 def test_model_weight_validation():
     h = ra.thresholds(4)
     with pytest.raises(ra.ParameterError):
@@ -590,15 +602,74 @@ def test_built_in_classes_have_one_run_per_row(generator):
 
 
 def test_runs_are_read_only_and_computed_once(thresholds8):
+    # a generator's class carries its runs from construction; an explicit
+    # class derives them from its matrix on first use
+    explicit8 = ra.explicit(thresholds8.predictions)
     c0, c1 = np.ones(8, dtype=np.int64), np.zeros(8, dtype=np.int64)
-    assert "_runs" not in vars(thresholds8)
-    ra.empirical_errors_from_counts(thresholds8, c0, c1)
-    runs = vars(thresholds8)["_runs"]
-    ra.empirical_errors_from_counts(thresholds8, c0, c1, np.ones(9, dtype=bool))
-    assert thresholds8._runs is runs
-    for arr in runs:
+    assert "_runs" not in vars(explicit8)
+    ra.empirical_errors_from_counts(explicit8, c0, c1)
+    runs = vars(explicit8)["_runs"]
+    ra.empirical_errors_from_counts(explicit8, c0, c1, np.ones(9, dtype=bool))
+    assert explicit8._runs is runs
+    for arr in runs + thresholds8._runs:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
+
+
+def _intervals_by_formula(n):
+    """The matrix and names of ``intervals(n)`` by the triangular-index
+    formula: the empty rule, then [a, b] for a = 1..n and b = a..n."""
+    a, b = np.triu_indices(n)
+    x = np.arange(n)
+    pred = np.zeros((a.size + 1, n), dtype=bool)
+    pred[1:] = (a[:, None] <= x) & (x <= b[:, None])
+    names = ["empty"] + [f"[{i},{j}]" for i, j in zip((a + 1).tolist(), (b + 1).tolist())]
+    return pred.view(np.uint8), tuple(names)
+
+
+_GENERATOR_FORMULAS = {
+    "thresholds": lambda n: (
+        (np.arange(n) >= np.arange(n + 1)[:, None]).view(np.uint8),
+        tuple(f"h{t}" for t in range(1, n + 2)),
+    ),
+    "intervals": _intervals_by_formula,
+    "worst_case": lambda n: (
+        np.vstack([np.zeros(n, dtype=np.uint8), np.eye(n, dtype=np.uint8)]),
+        ("target",) + tuple(f"flip{i}" for i in range(1, n + 1)),
+    ),
+}
+
+_LITERAL_NAMES = {
+    ("thresholds", 1): ("h1", "h2"),
+    ("thresholds", 2): ("h1", "h2", "h3"),
+    ("thresholds", 3): ("h1", "h2", "h3", "h4"),
+    ("intervals", 1): ("empty", "[1,1]"),
+    ("intervals", 2): ("empty", "[1,1]", "[1,2]", "[2,2]"),
+    ("intervals", 3): ("empty", "[1,1]", "[1,2]", "[1,3]", "[2,2]", "[2,3]", "[3,3]"),
+    ("worst_case", 1): ("target", "flip1"),
+    ("worst_case", 2): ("target", "flip1", "flip2"),
+    ("worst_case", 3): ("target", "flip1", "flip2", "flip3"),
+}
+
+
+@pytest.mark.parametrize(
+    "generator, n",
+    [(g, n) for g in ("thresholds", "intervals", "worst_case") for n in (1, 2, 3, 7, 100)]
+    # the largest size each generator's cell cap allows
+    + [("thresholds", 5792), ("intervals", 406), ("worst_case", 5792)],
+)
+def test_generators_supply_the_runs_their_matrix_has(generator, n):
+    h = getattr(ra, generator)(n)
+    derived = ra.explicit(h.predictions)._runs
+    for supplied, read in zip(h._runs, derived):
+        assert (supplied.dtype, supplied.flags.writeable) == (read.dtype, read.flags.writeable)
+        assert supplied.tobytes() == read.tobytes()
+    pred, names = _GENERATOR_FORMULAS[generator](n)
+    assert h.predictions.dtype == np.uint8
+    assert h.predictions.tobytes() == pred.tobytes()
+    assert h.names == names
+    if n <= 3:
+        assert h.names == _LITERAL_NAMES[generator, n]
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,31 @@ def _cal_cfg(**kwargs):
     return ExperimentConfig(**base)
 
 
+def test_built_in_problems_never_read_runs_from_the_matrix(monkeypatch):
+    """Generators hand their classes the runs they know: set-up and a paired
+    trial of each learner that eliminates by runs never derive them from the
+    matrix, which an explicit class does once."""
+    derived = []
+    from_matrix = core.HypothesisClass._runs.func
+
+    def counting(hclass):
+        derived.append(hclass)
+        return from_matrix(hclass)
+
+    monkeypatch.setattr(core.HypothesisClass._runs, "func", counting)
+    for class_name in ("thresholds", "intervals", "worst_case"):
+        for algo in ("cal", "replical"):
+            cfg = _cal_cfg(class_name=class_name, algo=algo, trials=1)
+            hclass, model = build_problem(cfg)
+            problem_stats(hclass, model, cfg)
+            (outcome,) = iter_paired_runs(cfg, hclass, model)
+            assert outcome.result_first is not None and outcome.result_second is not None
+    assert derived == []
+    explicit = ra.explicit(ra.thresholds(16).predictions)
+    next(iter_paired_runs(_cal_cfg(), explicit, ra.DataModel.realizable(explicit, 8)))
+    assert derived == [explicit]
+
+
 def test_identical_sides_share_the_stream_key():
     """No two sides share a stream: pair i's sides draw from keys (i, 0) and (i, 1)."""
     outcomes = list(iter_paired_runs(_cal_cfg(trials=1)))
