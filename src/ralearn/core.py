@@ -1,36 +1,27 @@
 """Finite hypothesis classes, label models, and exact disagreement geometry.
 
 The domain is a finite set of points carrying an explicit probability vector,
-and a hypothesis class is a {0,1} prediction matrix with one row per
-hypothesis.  Because everything is finite and explicit, error rates,
-disagreement masses, and the disagreement coefficient are computed exactly by
-summation.  A version space's disagreement region is a boolean mask over the
-domain; the full class's region is computed once per problem
-(``Problem.region``), and learners derive each later version space's region
-once and hand it to ``disagreement_mass`` and to the samplers.  A ``Problem``
-keeps the exact error of every hypothesis (``Problem.errors``), which gives the
-noise floor and every returned hypothesis's error.
+and a hypothesis class is a set of {0,1} rows over it, stored as their runs
+of ones: the generators emit runs, and ``explicit`` reads a matrix's once.
+Because everything is finite and explicit, error rates, disagreement masses,
+and the disagreement coefficient are computed exactly.  A version space's
+disagreement region, a coverage count over its members' runs, is a boolean
+mask over the domain; the full class's is computed once per problem
+(``Problem.region``), and learners hand each later one to
+``disagreement_mass`` and to the samplers.  A ``Problem`` keeps the exact
+error of every hypothesis (``Problem.errors``), which gives the noise floor
+and every returned hypothesis's error.
 
-Elimination and the geometry of uniform-weight models share one integer
-primitive (``_row_sums``): each row of the class is read as its runs of ones,
-and a row's sum of an int64 vector over the columns where it predicts 1 is
-two lookups per run in the vector's prefix sum.  The built-in generators
-know their runs, one per row, and hand them to the class they build; only an
-``explicit`` class derives its runs from its matrix, once, and caches them.
-Elimination sums label counts with it, exact for every draw count int64
-holds.  A model whose every weight is ``1 / n`` (every config without
-``weights``) gets each row's mismatch count d against a 0/1 row the same
-way, and from it
-
-* a distance ``d / n`` and, for one flip rate ``eta``, an error
-  ``eta + (1 - 2*eta) * (d / n)``, one IEEE expression per row; and
-* the disagreement coefficient, the largest ``C / d`` over the balls around
-  the center, C the columns where the ball disagrees, one exact division
-  per ball.
-
-No BLAS call is made on that path, so its results do not depend on the BLAS
-build.  Models with other weights or with per-point flip rates, and every
-conditional error, keep one float64 mismatch product (``_mismatch_times``).
+Elimination and the uniform-weight geometry share one integer primitive
+(``_row_sums``): a row's sum of an int64 vector over its ones is two lookups
+per run in a prefix sum, exact for every draw count int64 holds.  A model
+whose every weight is ``1 / n`` (every config without ``weights``) gets each
+row's mismatch count d against a 0/1 row this way, hence a distance
+``d / n``, for one flip rate ``eta`` an error ``eta + (1 - 2*eta) * (d / n)``,
+and a disagreement coefficient of exact ratios ``C / d``, C the columns
+where a ball disagrees; no BLAS call is made, so no result depends on the
+BLAS build.  Other weights, per-point flip rates and conditional errors keep
+one float64 mismatch product (``_mismatch_times``) over rows built from runs.
 
 The two samplers at the bottom are the only stochastic piece; they draw
 counts from the model inside a given region through a caller-owned numpy
@@ -50,9 +41,9 @@ PROB_TOL = 1e-12
 # the built-in generators refuse a class of more cells (bytes) than this
 MAX_CLASS_CELLS = 2**25
 
-# the geometry's mismatch products are cast to float64, and the run form and
-# the coefficient's column ranks are read from the class, in row blocks of at
-# most this many cells (1 MB in float64)
+# the float geometry's mismatch products build the class's rows from their
+# runs of ones, compare and cast them to float64 in row blocks of at most
+# this many cells (1 MB in float64)
 _BLOCK_CELLS = 2**17
 
 # the samplers hand draw counts to numpy as int64
@@ -87,7 +78,7 @@ def _zero_one(values, what: str) -> np.ndarray:
     """``values`` as a contiguous uint8 array, refused with ParameterError
     unless it is rectangular and every entry is 0 or 1.  Checked before the
     cast, which would truncate 0.5 to 0 and wrap 256 to 0; a uint8 array
-    (every built-in class's) is checked by its maximum and not copied."""
+    (every row a class builds) is checked by its maximum and not copied."""
     try:
         raw = np.asarray(values)
     except ValueError:
@@ -103,79 +94,98 @@ def _zero_one(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HypothesisClass:
-    """A finite set of binary hypotheses as a (n_hypotheses, domain_size) matrix."""
+    """Binary hypotheses on ``range(domain_size)``: row ``r`` predicts 1 on
+    ``[start[i], end[i])`` for its runs of ones ``first[r] <= i < first[r + 1]``
+    (``start.size`` past the last row), which increase and do not overlap; a
+    row of zeros holds the one run ``[0, 0)``.  The arrays are kept as
+    read-only int64, and malformed runs are refused in O(runs).  The 0/1
+    matrix, ``predictions``, is built on first access; the library never
+    reads it."""
 
-    predictions: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    first: np.ndarray
+    domain_size: int
     names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        p = _zero_one(self.predictions, "predictions")
-        if p.ndim != 2 or p.shape[0] == 0 or p.shape[1] == 0:
-            raise ParameterError("predictions must be a nonempty 2d matrix")
-        p.setflags(write=False)
-        object.__setattr__(self, "predictions", p)
-        if self.names is not None and len(self.names) != p.shape[0]:
+        for what in ("start", "end", "first"):
+            raw = np.asarray(getattr(self, what))
+            if raw.ndim != 1 or raw.dtype.kind not in "iu":
+                raise ParameterError(f"{what} must be a 1d integer array")
+            raw = raw.astype(np.int64)
+            raw.setflags(write=False)
+            object.__setattr__(self, what, raw)
+        start, end, first, n = self.start, self.end, self.first, self.domain_size
+        if not isinstance(n, (int, np.integer)) or n < 1 or start.size != end.size:
+            raise ParameterError("domain size must be a positive integer, with one end per run")
+        object.__setattr__(self, "domain_size", int(n))
+        if self.names is not None and len(self.names) != first.size:
             raise ParameterError("names length must match the number of hypotheses")
+        per_row = np.diff(first, append=start.size)
+        if first.size == 0 or first[0] != 0 or per_row.min() < 1:
+            raise ParameterError("first must start at 0 and strictly increase below the run count")
+        # each run ends by the next one's start, except where a row ends; an
+        # empty run is allowed only as [0, 0), the one run of its row
+        apart = end[:-1] <= start[1:]
+        apart[first[1:] - 1] = True
+        empty = np.flatnonzero(start >= end)
+        lone = per_row[np.searchsorted(first, empty, side="right") - 1] == 1
+        ordered = apart.all() and lone.all() and not np.any(start[empty] | end[empty])
+        if not ordered or start.min() < 0 or end.max() > n:
+            raise ParameterError(f"runs must be ordered, in [0, {n}], nonempty but a lone [0, 0)")
 
     @property
     def n_hypotheses(self) -> int:
-        return self.predictions.shape[0]
+        return self.first.size
 
-    @property
-    def domain_size(self) -> int:
-        return self.predictions.shape[1]
+    def _bounds(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | int]:
+        """Rows ``lo`` to ``hi - 1`` as their bounds 0, each run's start and end,
+        ``domain_size``, row after row, and each row's count of bounds."""
+        first = self.first[lo:hi]
+        a, b = first[0], self.first[hi] if hi < self.n_hypotheses else self.start.size
+        if b - a == hi - lo:
+            bounds = np.zeros((hi - lo, 4), dtype=np.int64)
+            bounds[:, 1], bounds[:, 2] = self.start[a:b], self.end[a:b]
+            bounds[:, 3] = self.domain_size
+            return bounds.reshape(-1), 4
+        per_row = np.diff(first, append=b)
+        bounds = np.full(2 * (b - a + hi - lo), self.domain_size)
+        bounds[2 * (first - a + np.arange(hi - lo))] = 0
+        run = 2 * (np.arange(b - a) + np.repeat(np.arange(hi - lo), per_row)) + 1
+        bounds[run], bounds[run + 1] = self.start[a:b], self.end[a:b]
+        return bounds, 2 * per_row + 2
+
+    def _block(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo`` to ``hi - 1`` as a uint8 matrix, stretches of 0, 1, 0, ..."""
+        n = self.domain_size
+        bounds, count = self._bounds(lo, hi)
+        bounds += np.repeat(np.arange(0, (hi - lo) * n, n), count)
+        bits = np.zeros(bounds.size - 1, dtype=np.uint8)
+        bits[1::2] = 1
+        return np.repeat(bits, np.diff(bounds)).reshape(hi - lo, n)
 
     def row(self, h: int) -> np.ndarray:
-        return self.predictions[h]
+        """Hypothesis ``h``'s read-only uint8 row, built from its runs."""
+        return np.frombuffer(self.signature(h), dtype=np.uint8)
 
     def signature(self, h: int) -> bytes:
         """The prediction row as bytes; equal signatures mean equal behavior."""
-        return self.predictions[h].tobytes()
-
-    @classmethod
-    def _with_runs(
-        cls, predictions: np.ndarray, names: tuple[str, ...], start: np.ndarray, end: np.ndarray
-    ) -> "HypothesisClass":
-        """A class whose row ``r`` is the one run of ones ``[start[r],
-        end[r])``, ``[0, 0)`` for a row of zeros: the form every built-in
-        generator knows, seeded into ``_runs`` so the matrix is never read
-        for it.  The runs are kept as read-only int64 arrays."""
-        hclass = cls(predictions, names)
-        runs = tuple(np.asarray(arr, dtype=np.int64) for arr in (start, end, np.arange(len(start))))
-        for arr in runs:
-            arr.setflags(write=False)
-        vars(hclass)["_runs"] = runs
-        return hclass
+        if not 0 <= h < self.n_hypotheses:
+            raise IndexError(f"hypothesis index {h} out of range")
+        lo, hi = self.first[h], self.first[h + 1] if h + 1 < self.n_hypotheses else self.start.size
+        parts, at = [], 0
+        for s, e in zip(self.start[lo:hi].tolist(), self.end[lo:hi].tolist()):
+            parts += (bytes(s - at), b"\1" * (e - s))
+            at = e
+        return b"".join(parts) + bytes(self.domain_size - at)
 
     @cached_property
-    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only ``(start, end, first)``: every maximal run of ones, row
-        by row, covers columns ``[start, end)``, and ``first`` is each row's
-        first-run index.  A row of zeros holds the one empty run ``[0, 0)``,
-        so every row owns at least one run.  The built-in generators supply
-        their runs (``_with_runs``); only an ``explicit`` class derives them
-        from its matrix, here, once, one row block at a time."""
-        n_h, n = self.predictions.shape
-        step = max(1, _BLOCK_CELLS // n)
-        cells = self.predictions.view(bool)
-        rows, cols = [], []
-        for i in range(0, n_h, step):
-            # with a 0 on either side, a row's changes alternate between the
-            # first column of a run and the column just past it
-            steps = np.diff(cells[i : i + step], axis=1, prepend=False, append=False)
-            row, col = np.divmod(np.flatnonzero(steps), n + 1)
-            rows.append(row[::2] + i)
-            cols.append(col)
-        row, col = np.concatenate(rows), np.concatenate(cols)
-        per_row = np.bincount(row, minlength=n_h)
-        at = np.searchsorted(row, np.flatnonzero(per_row == 0))
-        start, end = np.insert(col[::2], at, 0), np.insert(col[1::2], at, 0)
-        per_row = np.maximum(per_row, 1)
-        first = np.cumsum(per_row) - per_row
-        for arr in (start, end, first):
-            arr.setflags(write=False)
-        return start, end, first
-
+    def predictions(self) -> np.ndarray:
+        """The read-only (n_hypotheses, domain_size) uint8 matrix of the class."""
+        pred = self._block(0, self.n_hypotheses)
+        pred.setflags(write=False)
+        return pred
 
 
 def hash_signature(sig: bytes) -> str:
@@ -360,43 +370,46 @@ def _check_center(hclass: HypothesisClass, model: DataModel, center: int) -> Non
         raise ParameterError(f"center index {center} out of range")
 
 
-def _row_sums(hclass: HypothesisClass, values: np.ndarray) -> np.ndarray:
-    """Each row's int64 sum of the int64 ``values`` over the columns where it
-    predicts 1, read from the class's cached runs of ones
-    (``HypothesisClass._runs``) as two lookups per run in a prefix sum:
-    O(domain + runs), exact while every partial sum fits in int64.  When
-    every row is one run, the per-run sums are already the per-row sums and
-    are not reduced again."""
+def _member_runs(hclass: HypothesisClass, members: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(start, end, first)`` of the rows in the boolean mask ``members`` alone."""
+    start, end, first = hclass.start, hclass.end, hclass.first
+    if start.size == first.size:  # one run per row
+        return start[members], end[members], np.arange(np.count_nonzero(members))
+    per_row = np.diff(first, append=start.size)
+    kept, runs = per_row[members], np.repeat(members, per_row)
+    return start[runs], end[runs], np.cumsum(kept) - kept
+
+
+def _row_sums(values: np.ndarray, start: np.ndarray, end: np.ndarray, first: np.ndarray):
+    """Each row's int64 sum of the int64 ``values`` over its runs ``(start,
+    end, first)``, two lookups per run in a prefix sum: O(domain + runs), and
+    no reduce when every row is one run.  Exact while the sums fit int64."""
     prefix = np.zeros(values.size + 1, dtype=np.int64)
     np.cumsum(values, out=prefix[1:])
-    start, end, first = hclass._runs
     sums = prefix[end] - prefix[start]
-    if start.size != hclass.n_hypotheses:
-        # with one run per row ``first`` is arange and the reduce is identity
+    if start.size != first.size:
         sums = np.add.reduceat(sums, first)
     return sums
 
 
 def _mismatch_counts(hclass: HypothesisClass, base: np.ndarray) -> np.ndarray:
-    """Each row's int64 count of the cells where it differs from the 0/1 row
-    ``base``: the ones of ``base`` plus, over the row's ones, +1 where
-    ``base`` is 0 and -1 where it is 1."""
-    return _row_sums(hclass, 1 - 2 * base.astype(np.int64)) + int(np.count_nonzero(base))
+    """Each row's int64 count of cells differing from the 0/1 row ``base``: its
+    ones, plus over the row's ones +1 where ``base`` is 0 and -1 where it is 1."""
+    values = 1 - 2 * base.astype(np.int64)
+    return _row_sums(values, hclass.start, hclass.end, hclass.first) + int(np.count_nonzero(base))
 
 
 def _mismatch_times(hclass: HypothesisClass, base: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """``(hclass.predictions != base) @ vector``: each row's sum of the float64
-    ``vector`` over the cells where it differs from the 0/1 row ``base``,
-    built and cast one row block of at most ``_BLOCK_CELLS`` cells at a
-    time.  A non-negative ``vector`` leaves nothing to cancel, so a row that
-    differs from ``base`` only where ``vector`` is 0 gets exactly 0.0.  Only
-    models with explicit non-uniform weights or unequal flip rates, and
-    conditional errors, take this path."""
-    pred = hclass.predictions
+    """``(hclass.predictions != base) @ vector``, the rows built from their
+    runs one block of at most ``_BLOCK_CELLS`` cells at a time.  A
+    non-negative ``vector`` leaves nothing to cancel, so a row that differs
+    from ``base`` only where ``vector`` is 0 gets exactly 0.0."""
+    n_h = hclass.n_hypotheses
     step = max(1, _BLOCK_CELLS // vector.size)
-    out = np.empty(pred.shape[0], dtype=np.float64)
-    for i in range(0, pred.shape[0], step):
-        np.matmul(pred[i : i + step] != base, vector, out=out[i : i + step])
+    out = np.empty(n_h, dtype=np.float64)
+    for i in range(0, n_h, step):
+        hi = min(i + step, n_h)
+        np.matmul(hclass._block(i, hi) != base, vector, out=out[i:hi])
     return out
 
 
@@ -412,15 +425,11 @@ def _errors_under(hclass: HypothesisClass, model: DataModel, weights: np.ndarray
 
 
 def true_errors(hclass: HypothesisClass, model: DataModel) -> np.ndarray:
-    """Exact population error of every hypothesis.
-
-    With uniform weights and one flip rate ``eta`` (every model built
-    without explicit weights), a row that differs from the base labels on
-    ``d`` of the ``n`` points has error ``eta + (1 - 2*eta) * (d / n)``, one IEEE
-    expression from the integer count: exactly ``d / n`` when labels are
-    noiseless, and exactly ``eta`` for a copy of the base row.  Any other
-    model sums its weights in one float product (``_errors_under``).
-    """
+    """Exact population error of every hypothesis: with uniform weights and
+    one flip rate ``eta``, ``eta + (1 - 2*eta) * (d / n)`` for a row that
+    differs from the base labels on ``d`` of the ``n`` points (exactly
+    ``d / n`` when noiseless, ``eta`` for a copy of the base row); for any
+    other model one float product (``_errors_under``)."""
     _check_same_domain(hclass, model)
     eta = model._flip
     if model._uniform and eta is not None:
@@ -448,20 +457,13 @@ def empirical_errors_from_counts(
 
     A hypothesis errs on a draw when it predicts 1 where label 0 was seen or
     vice versa, so its mistake count is ``count_one.sum()`` plus the sum of
-    ``count_zero - count_one`` over the columns where it predicts 1.  That sum
-    is read from the class's cached runs of ones (``HypothesisClass._runs``)
-    as two lookups per run in a prefix sum of ``count_zero - count_one``, so a
-    call costs O(domain + runs) integer work, never a pass over the matrix.
-    Every built-in class has one run per row.  A class with many runs per row
-    costs more: a dense random 1025 x 1024 class has about 256 per row and
-    takes about 1.3 ms per call, some four times a row-blocked matrix product.
-
-    With a boolean ``members`` mask (a version space's), every other row gets
-    ``+inf``, so no cut keeps it.  The result is exact for any ``total`` that
-    int64 holds: each partial sum is at most ``total`` in magnitude, all of it
-    is int64, and the mistake counts meet one float64 division by ``total``.
+    ``count_zero - count_one`` over its runs of ones (``_row_sums``).  With a
+    boolean ``members`` mask (a version space's), only the members' runs are
+    read, and every other row gets ``+inf``, so no cut keeps it.  Exact for
+    any ``total`` int64 holds: every partial sum is int64 and at most
+    ``total`` in size, and the mistake counts meet one division by ``total``.
     """
-    n_h, n = hclass.predictions.shape
+    n_h, n = hclass.n_hypotheses, hclass.domain_size
     count_zero, count_one = np.asarray(count_zero), np.asarray(count_one)
     if count_zero.shape != (n,) or count_one.shape != (n,):
         raise ParameterError(f"label counts must have shape ({n},), the class's domain")
@@ -471,17 +473,23 @@ def empirical_errors_from_counts(
     total = int(count_zero.sum()) + ones
     if total == 0:
         raise ParameterError("empirical error of an empty sample is undefined")
-    mistakes = _row_sums(hclass, np.subtract(count_zero, count_one, dtype=np.int64))
-    errs = (mistakes + ones) / total
-    if members is not None:
-        errs[np.logical_not(members)] = np.inf
+    values = np.subtract(count_zero, count_one, dtype=np.int64)
+    if members is None or np.count_nonzero(members) == n_h:
+        return (_row_sums(values, hclass.start, hclass.end, hclass.first) + ones) / total
+    members = np.asarray(members, dtype=bool)
+    errs = np.full(n_h, np.inf)
+    errs[members] = (_row_sums(values, *_member_runs(hclass, members)) + ones) / total
     return errs
 
 
 def disagreement_mask(hclass: HypothesisClass, space: VersionSpace) -> np.ndarray:
-    """Boolean mask of domain points where the version space is not unanimous."""
-    sub = hclass.predictions[space.members]
-    return sub.min(axis=0) != sub.max(axis=0)
+    """Boolean mask of domain points where the version space is not unanimous:
+    where the count of member rows predicting 1, a running sum of +1 at each
+    member run's start and -1 at its end, is neither 0 nor the member count."""
+    start, end, first = _member_runs(hclass, space.members)
+    n = hclass.domain_size
+    cover = np.cumsum(np.bincount(start, minlength=n + 1) - np.bincount(end, minlength=n + 1))[:n]
+    return (cover > 0) & (cover < first.size)
 
 
 def disagreement_mass(model: DataModel, region: np.ndarray) -> float:
@@ -493,81 +501,78 @@ def disagreement_mass(model: DataModel, region: np.ndarray) -> float:
 
 
 def distances_from(hclass: HypothesisClass, model: DataModel, center: int) -> np.ndarray:
-    """Distance of every hypothesis from ``center``: the mass where it differs
-    from ``center``'s row.  With uniform weights that is ``d / n`` for ``d``
-    of the ``n`` points, one division of the integer count; otherwise a sum
-    of non-negative weights.  Either way a duplicate of the center is
-    exactly 0.0."""
+    """Distance of every hypothesis from ``center``, the mass where it differs
+    from ``center``'s row: ``d / n`` for ``d`` of the ``n`` points with uniform
+    weights, else a sum of non-negative weights; exactly 0.0 for a copy."""
     _check_center(hclass, model, center)
     if model._uniform:
         return _mismatch_counts(hclass, hclass.row(center)) / hclass.domain_size
     return _mismatch_times(hclass, hclass.row(center), model.weights)
 
 
+def _range_min(lo: np.ndarray, hi: np.ndarray, values: np.ndarray, size: int, none) -> np.ndarray:
+    """In each of ``size`` columns, the least ``values[i]`` over the ranges
+    ``[lo[i], hi[i])`` covering it, else ``none``, which exceeds every value:
+    one sparse-table pass, O(ranges + size log size).  A range of length L is
+    written at level ``floor(log2 L)`` as its first and last block of that
+    size, then each level is pushed into its blocks' halves.  Empty and reversed
+    ranges write the no-op ``none``, a spare column keeping them in bounds."""
+    length = hi - lo
+    values = np.where(length > 0, values, none)
+    level = np.frexp(np.maximum(length, 1))[1] - 1
+    levels, width = int(level.max()) + 1, size + 1
+    table = np.full(levels * width, none, dtype=values.dtype)
+    at = level * np.int64(width)
+    np.minimum.at(table, at + lo, values)
+    np.minimum.at(table, at + hi - (np.int64(1) << level), values)
+    table = table.reshape(levels, width)
+    for k in range(levels - 1, 0, -1):
+        half = 1 << (k - 1)
+        np.minimum(table[k - 1], table[k], out=table[k - 1])
+        np.minimum(table[k - 1, half:], table[k, :-half], out=table[k - 1, half:])
+    return table[0, :size]
+
+
 def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: int) -> float:
-    """Supremum over radii of disagreement mass of the ball around ``center``,
-    divided by the radius.
+    """Supremum over the realized positive radii of the disagreement mass of
+    the ball around ``center`` over the radius; 0.0 if every row copies it.
 
-    The ratio is piecewise maximal at the finitely many realized positive
-    distances, and balls are nested as the radius grows.  Every ball holds
-    ``center``, so its disagreement region is where some member's row
-    differs from the center's.  Each ball takes in the hypotheses at the
-    nearest distance not yet taken in, its radius, and every tie.
-
-    Rank the hypotheses by the stable distance order, ``late`` counting down
-    from ``n_hypotheses`` at the nearest.  Then ``top``, in each column the
-    largest ``late`` of a row differing from the center's there, gives every
-    ball's region at once: the ball of the first ``end`` hypotheses
-    disagrees exactly where ``top > n_hypotheses - end``.  Computing ``top``
-    is one vectorized pass over the cells, in row blocks of at most
-    ``_BLOCK_CELLS``.
-
-    With uniform weights (``DataModel._uniform``) the distances are integer
-    mismatch counts ``d`` and ties are exact.  A ball's region covers ``C``
-    columns, read for every ball at once from a reverse cumulative count of
-    the ``top`` values, and its ratio is ``C / d``, one exact division: the
-    result is the rational maximum rounded once, at O(domain + hypotheses)
-    past the rank pass.  With any other weights the distances are float
-    sums, ties are taken within ``PROB_TOL``, and each distinct positive
-    radius costs one masked sum (``disagreement_mass``).  Returns 0.0 when
-    every hypothesis duplicates the center.
+    A ball's region is where ``near``, in each column the least distance of
+    a row differing there from the center, is at most the radius.  A row
+    differs on its runs where the center predicts 0 and on its gaps where it
+    predicts 1, so ``near`` is one range-min (``_range_min``) of distances
+    over the runs, in columns [0, n), and the gaps, in [n, 2n).  With uniform
+    weights the distances are integer counts ``d``, and a ball's ratio is
+    ``C / d``, C read from one cumulative count of ``near``.  With others a
+    ball takes in every distance within ``PROB_TOL``, at one masked sum each.
     """
     _check_center(hclass, model, center)
-    pred = hclass.predictions
-    base = pred[center]
+    base = hclass.row(center)
+    n = hclass.domain_size
     if model._uniform:
-        d = _mismatch_counts(hclass, base)
+        d, none = _mismatch_counts(hclass, base), n + 1
     else:
-        d = _mismatch_times(hclass, base, model.weights)
-    order = np.argsort(d, kind="stable")
-    n_h, n = pred.shape
-    late = np.empty(n_h, dtype=np.uint16 if n_h < 2**16 else np.uint32)
-    late[order] = np.arange(n_h, 0, -1)
-    top = np.zeros(n, dtype=late.dtype)
-    step = max(1, _BLOCK_CELLS // n)
-    for i in range(0, n_h, step):
-        block = (pred[i : i + step] ^ base) * late[i : i + step, None]
-        np.maximum(top, block.max(axis=0), out=top)
+        d, none = _mismatch_times(hclass, base, model.weights), np.inf
+    # a row's bounds enclose gaps (even stretches) and runs (odd ones); the
+    # stretch from one row's last bound, n, to the next row's 0 is reversed
+    bounds, count = hclass._bounds(0, hclass.n_hypotheses)
+    shift = np.zeros(bounds.size - 1, dtype=np.int64)
+    shift[::2] = n
+    lo, hi = bounds[:-1] + shift, bounds[1:] + shift
+    near = _range_min(lo, hi, np.repeat(d, count)[:-1], 2 * n, none)
+    near = np.where(base == 0, near[:n], near[n:])
     if model._uniform:
-        # covered[j]: columns with top >= n_h - j, the region of the first j + 1
-        covered = np.cumsum(np.bincount(top, minlength=n_h + 1)[::-1])
-        # each distinct count ends at its last hypothesis in the sorted order
-        ranked = d[order]
-        end = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True)) + 1
-        end = end[ranked[end - 1] > 0]
-        return float((covered[end - 1] / ranked[end - 1]).max(initial=0.0))
-    # the distinct distances and the position of each one's first hypothesis;
+        # covered[r]: the columns where some row at most r away differs
+        covered = np.cumsum(np.bincount(near, minlength=n + 2))
+        radii = np.flatnonzero(np.bincount(d))[1:]  # the center's own d is 0
+        return float((covered[radii] / radii).max(initial=0.0))
     # a ball ends just before the first distance past its radius + PROB_TOL
-    radii, first = np.unique(d[order], return_index=True)
-    starts = np.append(first, n_h).tolist()
+    radii = np.unique(d)
     after = np.searchsorted(radii, radii + PROB_TOL, side="right").tolist()
-    best = 0.0
-    k = 0
+    limits, best, k = np.append(radii, np.inf), 0.0, 0
     while k < radii.size:
-        radius, end = float(radii[k]), starts[after[k]]
-        if radius > PROB_TOL:
-            mass = disagreement_mass(model, top > n_h - end)
-            best = max(best, mass / radius)
+        if radii[k] > PROB_TOL:
+            best = max(best, disagreement_mass(model, near < limits[after[k]]) / float(radii[k]))
         k = after[k]
     return best
 
@@ -740,15 +745,11 @@ def thresholds(n: int) -> HypothesisClass:
     if n < 1:
         raise ParameterError("domain size must be positive")
     _check_class_cells(n + 1, n)
-    # positions are compared in the smallest integer type holding n, which
-    # moves a fraction of an int64 compare's bytes
-    dtype = np.min_scalar_type(n)
-    pred = np.arange(n, dtype=dtype) >= np.arange(n + 1, dtype=dtype)[:, None]
     names = tuple(f"h{t}" for t in range(1, n + 2))
     # hypothesis t is the run [t - 1, n); the last, all zeros, the empty run
     start, end = np.arange(n + 1), np.full(n + 1, n)
     start[n] = end[n] = 0
-    return HypothesisClass._with_runs(pred.view(np.uint8), names, start, end)
+    return HypothesisClass(start, end, np.arange(n + 1), n, names)
 
 
 def intervals(n: int) -> HypothesisClass:
@@ -756,23 +757,12 @@ def intervals(n: int) -> HypothesisClass:
     if n < 1:
         raise ParameterError("domain size must be positive")
     _check_class_cells(n * (n + 1) // 2 + 1, n)
-    # 0-based bounds of every interval, in the order a, then b >= a; the
-    # empty rule's run is [0, 0) and interval [a, b]'s is [a, b + 1)
+    # the empty rule is the run [0, 0), then [a, b] (0-based, b >= a) is [a, b + 1)
     a, b = np.triu_indices(n)
     start, end = np.insert(a, 0, 0), np.insert(b + 1, 0, 0)
-    # the n - lo intervals starting at column lo hold, in columns lo.., the
-    # lower triangle of a square, so each block is copied from one triangle:
-    # about a quarter of the time of comparing every cell with its bounds
-    tri = np.tri(n, dtype=bool)
-    pred = np.zeros((a.size + 1, n), dtype=bool)
-    row = 1
-    for lo in range(n):
-        k = n - lo
-        pred[row : row + k, lo:] = tri[:k, :k]
-        row += k
     number = [str(i) for i in range(1, n + 1)]
     names = ("empty",) + tuple(f"[{s},{t}]" for i, s in enumerate(number) for t in number[i:])
-    return HypothesisClass._with_runs(pred.view(np.uint8), names, start, end)
+    return HypothesisClass(start, end, np.arange(a.size + 1), n, names)
 
 
 def worst_case(n: int) -> HypothesisClass:
@@ -785,17 +775,27 @@ def worst_case(n: int) -> HypothesisClass:
     if n < 1:
         raise ParameterError("construction size must be positive")
     _check_class_cells(n + 1, n)
-    # flip i (row i) is the run [i - 1, i): flat cell i * n + i - 1, every
-    # (n + 1)th cell from n; the target is the empty run [0, 0)
-    pred = np.zeros((n + 1, n), dtype=np.uint8)
-    pred.reshape(-1)[n :: n + 1] = 1
+    # flip i (row i) is the run [i - 1, i); the target is the empty run [0, 0)
     names = ("target",) + tuple(f"flip{i}" for i in range(1, n + 1))
     start, end = np.arange(-1, n), np.arange(n + 1)
     start[0] = 0
-    return HypothesisClass._with_runs(pred, names, start, end)
+    return HypothesisClass(start, end, np.arange(n + 1), n, names)
 
 
 def explicit(matrix) -> HypothesisClass:
-    """A class given directly as a 0/1 matrix; its runs of ones are read
-    from the matrix on first use (``HypothesisClass._runs``)."""
-    return HypothesisClass(matrix)
+    """A class given as a 0/1 matrix, one row per hypothesis, checked before
+    any cast (``_zero_one``) and read into runs once."""
+    pred = _zero_one(matrix, "predictions")
+    if pred.ndim != 2 or pred.shape[0] == 0 or pred.shape[1] == 0:
+        raise ParameterError("predictions must be a nonempty 2d matrix")
+    n_h, n = pred.shape
+    # with a 0 on either side, a row's changes alternate between the first
+    # column of a run and the column just past it
+    steps = np.diff(pred.view(bool), axis=1, prepend=False, append=False)
+    row, col = np.divmod(np.flatnonzero(steps), n + 1)
+    per_row = np.bincount(row[::2], minlength=n_h)
+    # a row of zeros gets the one empty run [0, 0)
+    at = np.searchsorted(row[::2], np.flatnonzero(per_row == 0))
+    start, end = np.insert(col[::2], at, 0), np.insert(col[1::2], at, 0)
+    per_row = np.maximum(per_row, 1)
+    return HypothesisClass(start, end, np.cumsum(per_row) - per_row, n)

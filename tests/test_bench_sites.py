@@ -4,7 +4,8 @@ Every library name the benchmark wraps is bound, and wrapping then restoring
 leaves every name as it was.  The report CSVs of the three in-process
 seed-0 workloads are pinned by sha256, so a change that claims the
 benchmark's results did not move is checked here, and the benchmark's own
-full pass over each of them, at its smoke size, must pass its checks.
+full pass over each of them, at its smoke size, must pass its checks and
+report the same CSV when every library site is wrapped.
 """
 
 import hashlib
@@ -100,3 +101,34 @@ def test_bench_full_pass_passes_its_checks(bench_run, name):
     oracle = bench_run.ClassOracle(doc["class"]["generator"], doc["class"]["size"])
     assert bench_run.check_batch(workload, cfg, oracle, outcomes, report) == []
     assert text == report_csv(run_paired_trials(cfg))
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SEED0_DIGESTS))
+def test_traced_full_pass_reports_what_the_untraced_one_does(bench_run, spans, name):
+    # one smoke-size pass with every library site wrapped: the report CSV
+    # does not move, and the counts the wrappers read from their arguments
+    # (the class's cell count, the shared string's draws and the survivors)
+    # are taken
+    workload = bench_run.WORKLOADS[name]
+    doc = bench_run.config_doc(workload, 0, workload.tiny_pairs)
+    cfg, (_, _, plain) = bench_run.full_pass(harness, doc)
+    recorder = spans.Recorder()
+    recorder.install_library()
+    try:
+        _, (_, _, traced) = bench_run.full_pass(harness, doc)
+    finally:
+        recorder.restore()
+    assert traced == plain
+    hclass, _ = harness.build_problem(cfg)
+    _, calls = recorder.self_times()
+    eliminations = calls["core.empirical_errors_from_counts"]
+    assert eliminations > 0
+    assert recorder.counts["core.empirical_errors_from_counts.bytes_computed"] == (
+        17 * hclass.n_hypotheses * hclass.domain_size * eliminations
+    )
+    # the final pick ranks survivors by keyed hash, which draws nothing
+    picks = calls["replicable.final_pick"]
+    assert (picks > 0) == (cfg.algo == "replical")
+    assert ("replicable.final_pick.draws" in recorder.counts) == (picks > 0)
+    assert recorder.counts["replicable.final_pick.draws"] == 0
+    assert recorder.counts["replicable.final_pick.survivors"] >= picks

@@ -417,21 +417,18 @@ def _integer_errors(hclass, c0, c1):
         st.integers(2**24 - 4, 2**24 + 4),
         st.integers(2**53 + 1, 2**62),
     ),
-    block=st.sampled_from([1, 7, None]),
     built_in=st.one_of(st.none(), st.sampled_from([ra.thresholds, ra.intervals, ra.worst_case])),
 )
 @settings(max_examples=150, deadline=None)
-def test_empirical_errors_equal_an_integer_recount(seed, n_h, n_x, draws, block, built_in):
+def test_empirical_errors_equal_an_integer_recount(seed, n_h, n_x, draws, built_in):
     # a sample of ``draws`` points covers from a few to all of the columns;
     # ``draws=None`` puts counts near 2**40 in about half the cells; draws
     # near 2**24, and totals past 2**53 where a float64 sum would round, skew
-    # labels toward 0 so the partial sums come near the total; small blocks
-    # split the class into many row blocks when its runs are read, and
-    # ``block=None`` keeps the module's own block size; a random member
-    # mask, from a single row to every row, is scored on its rows alone; in
-    # about half the examples a built-in class (at most 40 points) stands in
-    # for the random one: it has one run per row, so its scores skip the
-    # per-row reduce
+    # labels toward 0 so the partial sums come near the total; a random
+    # member mask, from a single row to every row, is scored on its rows'
+    # runs alone; in about half the examples a built-in class (at most 40
+    # points) stands in for the random one: it has one run per row, so its
+    # scores skip the per-row reduce, where a random class has many
     g = np.random.default_rng(seed)
     if built_in is None:
         h = _random_class(seed, n_h, n_x)
@@ -447,15 +444,14 @@ def test_empirical_errors_equal_an_integer_recount(seed, n_h, n_x, draws, block,
         c0 = counts - c1
     members = g.random(n_h) < g.random()
     members[g.integers(n_h)] = True
-    with mock.patch.object(core, "_BLOCK_CELLS", block or core._BLOCK_CELLS):
-        errs = ra.empirical_errors_from_counts(h, c0, c1)
-        member_errs = ra.empirical_errors_from_counts(h, c0, c1, members)
+    errs = ra.empirical_errors_from_counts(h, c0, c1)
+    member_errs = ra.empirical_errors_from_counts(h, c0, c1, members)
     expected = _integer_errors(h, c0, c1)
     assert errs.tobytes() == expected.tobytes()
     assert member_errs[members].tobytes() == expected[members].tobytes()
     assert np.all(member_errs[~members] == np.inf)
     if built_in is not None:
-        assert h._runs[0].size == n_h
+        assert h.start.size == n_h
 
 
 @pytest.mark.parametrize("total", [2**24 - 1, 2**24, 2**24 + 1, 2**24 + 2])
@@ -555,9 +551,9 @@ def test_empty_sample_rejected(thresholds8):
 
 def _from_runs(hclass):
     """The 0/1 matrix rebuilt from the class's runs of ones."""
-    start, end, first = hclass._runs
+    start, end, first = hclass.start, hclass.end, hclass.first
     stops = np.append(first[1:], start.size)
-    out = np.zeros_like(hclass.predictions)
+    out = np.zeros((hclass.n_hypotheses, hclass.domain_size), dtype=np.uint8)
     for r in range(hclass.n_hypotheses):
         assert first[r] < stops[r]  # every row owns a run
         for s, e in zip(start[first[r] : stops[r]], end[first[r] : stops[r]]):
@@ -566,14 +562,9 @@ def _from_runs(hclass):
     return out
 
 
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_h=st.integers(1, 30),
-    n_x=st.integers(1, 60),
-    block=st.sampled_from([1, 7, None]),
-)
+@given(seed=st.integers(0, 2**32 - 1), n_h=st.integers(1, 30), n_x=st.integers(1, 60))
 @settings(max_examples=100, deadline=None)
-def test_runs_rebuild_the_predictions(seed, n_h, n_x, block):
+def test_runs_rebuild_the_predictions(seed, n_h, n_x):
     # some rows are forced to all zeros and some to all ones, beside random
     # rows; n_h = 1 and n_x = 1 give a single row and a single column
     g = np.random.default_rng(seed)
@@ -582,38 +573,127 @@ def test_runs_rebuild_the_predictions(seed, n_h, n_x, block):
     pred[fill == 1] = 0
     pred[fill == 2] = 1
     h = ra.explicit(pred)
-    with mock.patch.object(core, "_BLOCK_CELLS", block or core._BLOCK_CELLS):
-        rebuilt = _from_runs(h)
+    rebuilt = _from_runs(h)
     assert rebuilt.tobytes() == h.predictions.tobytes()
-    start, end, first = h._runs
+    start, end, first = h.start, h.end, h.first
     assert np.all(start[first][~pred.any(axis=1)] == 0)
     assert np.all(end[first][~pred.any(axis=1)] == 0)
-    assert all(arr.dtype == np.int64 for arr in h._runs)
+    assert all(arr.dtype == np.int64 for arr in (start, end, first))
 
 
 @pytest.mark.parametrize("generator", [ra.thresholds, ra.intervals, ra.worst_case])
 def test_built_in_classes_have_one_run_per_row(generator):
     for n in range(1, 65):
         h = generator(n)
-        start, end, first = h._runs
+        start, end, first = h.start, h.end, h.first
         assert start.size == end.size == h.n_hypotheses
         assert np.array_equal(first, np.arange(h.n_hypotheses))
         assert _from_runs(h).tobytes() == h.predictions.tobytes()
 
 
-def test_runs_are_read_only_and_computed_once(thresholds8):
-    # a generator's class carries its runs from construction; an explicit
-    # class derives them from its matrix on first use
-    explicit8 = ra.explicit(thresholds8.predictions)
-    c0, c1 = np.ones(8, dtype=np.int64), np.zeros(8, dtype=np.int64)
-    assert "_runs" not in vars(explicit8)
-    ra.empirical_errors_from_counts(explicit8, c0, c1)
-    runs = vars(explicit8)["_runs"]
-    ra.empirical_errors_from_counts(explicit8, c0, c1, np.ones(9, dtype=bool))
-    assert explicit8._runs is runs
-    for arr in runs + thresholds8._runs:
+# a valid class beside each defect: rows [1, 0, 0, 0] and [0, 0, 1, 1]
+_VALID_RUNS = dict(start=[0, 2], end=[1, 4], first=[0, 1], domain_size=4, names=None)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(start=[[0, 2]]),
+        dict(start=[0.0, 2.0]),
+        dict(end=[1]),
+        dict(names=("a",)),
+        dict(domain_size=0),
+        dict(domain_size=4.0),
+        dict(first=[]),
+        dict(first=[1, 1]),
+        dict(first=[0, 0]),
+        dict(first=[0, 2]),
+        dict(start=[-1, 2]),
+        dict(end=[1, 5]),
+        dict(start=[0, 2], end=[1, 2]),
+        dict(start=[1, 2], end=[0, 4]),
+        dict(start=[0, 0, 2], end=[0, 1, 4], first=[0, 2]),
+        dict(start=[0, 1], end=[2, 3], first=[0]),
+        dict(start=[2, 0], end=[3, 1], first=[0]),
+    ],
+    ids=[
+        "2d-start", "float-runs", "unequal-run-counts", "names-length", "no-domain",
+        "float-domain", "no-hypotheses", "first-not-zero", "first-not-increasing",
+        "row-without-run", "run-before-domain", "run-past-domain", "empty-run",
+        "reversed-run", "empty-run-beside-another", "overlapping-runs", "decreasing-runs",
+    ],
+)
+def test_malformed_runs_are_parameter_errors(change):
+    ra.HypothesisClass(**_VALID_RUNS)
+    with pytest.raises(ra.ParameterError):
+        ra.HypothesisClass(**{**_VALID_RUNS, **change})
+
+
+def test_runs_are_read_only_int64_copies():
+    # touching runs need not be merged; the caller's arrays stay writable
+    start, end, first = np.array([0, 2, 0], np.int32), np.array([2, 3, 0], np.int32), [0, 2]
+    h = ra.HypothesisClass(start, end, first, 4)
+    assert h.predictions.tolist() == [[1, 1, 1, 0], [0, 0, 0, 0]]
+    for arr in (h.start, h.end, h.first, h.predictions):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
+    assert h.start.dtype == h.end.dtype == h.first.dtype == np.int64
+    start[0] = 1
+    assert h.start[0] == 0
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_h=st.integers(1, 30),
+    n_x=st.integers(1, 40),
+    eta=st.sampled_from([0.0, 0.1]),
+    block=st.sampled_from([1, 7, None]),
+)
+@settings(max_examples=60, deadline=None)
+def test_run_form_round_trips_an_explicit_matrix(seed, n_h, n_x, eta, block):
+    # rows are random (about n_x / 4 runs each), all zeros, all ones or
+    # alternating (a run per other column); n_h = 1 and n_x = 1 give a
+    # single row and a single column.  Every reader of the runs is checked
+    # against the matrix: rows and signatures, the disagreement region of
+    # random member masks against the rows' min != max, and theta against
+    # the row scan under random weights, whose products build the rows in
+    # blocks of ``block`` cells (the module's own for None), and under
+    # uniform ones the exact rational oracle, which the row scan's float
+    # sums match only approximately
+    g = np.random.default_rng(seed)
+    pred = g.integers(0, 2, (n_h, n_x)).astype(np.uint8)
+    fill = g.integers(0, 4, n_h)
+    pred[fill == 1] = 0
+    pred[fill == 2] = 1
+    pred[fill == 3] = np.arange(n_x) % 2
+    h = ra.explicit(pred)
+    assert h.predictions.dtype == np.uint8
+    assert h.predictions.tobytes() == pred.tobytes()
+    for r in range(n_h):
+        assert h.row(r).tobytes() == h.signature(r) == pred[r].tobytes()
+    for _ in range(4):
+        members = g.random(n_h) < g.random()
+        members[g.integers(n_h)] = True
+        sub = pred[members]
+        region = ra.disagreement_mask(h, ra.VersionSpace(members))
+        assert region.tolist() == (sub.min(axis=0) != sub.max(axis=0)).tolist()
+    base = int(g.integers(n_h))
+    for center in {0, base, n_h - 1}:
+        weighted = ra.DataModel.agnostic(h, base, eta, g.dirichlet(np.ones(n_x)))
+        with mock.patch.object(core, "_BLOCK_CELLS", block or core._BLOCK_CELLS):
+            theta = ra.disagreement_coefficient(h, weighted, center)
+            assert theta == _theta_row_scan(h, weighted, center)
+            # the product's bits depend on the row blocks, which must be the
+            # matrix's own
+            step = max(1, core._BLOCK_CELLS // n_x)
+            expected = [(pred[i : i + step] != pred[center]) @ weighted.weights
+                        for i in range(0, n_h, step)]
+            products = core._mismatch_times(h, pred[center], weighted.weights)
+        assert products.tobytes() == np.concatenate(expected).tobytes()
+        uniform = ra.DataModel.agnostic(h, base, eta)
+        theta = ra.disagreement_coefficient(h, uniform, center)
+        assert theta == float(_exact_geometry(h, center)[1])
+        assert theta == pytest.approx(_theta_row_scan(h, uniform, center))
 
 
 def _intervals_by_formula(n):
@@ -660,8 +740,9 @@ _LITERAL_NAMES = {
 )
 def test_generators_supply_the_runs_their_matrix_has(generator, n):
     h = getattr(ra, generator)(n)
-    derived = ra.explicit(h.predictions)._runs
-    for supplied, read in zip(h._runs, derived):
+    derived = ra.explicit(h.predictions)
+    for what in ("start", "end", "first"):
+        supplied, read = getattr(h, what), getattr(derived, what)
         assert (supplied.dtype, supplied.flags.writeable) == (read.dtype, read.flags.writeable)
         assert supplied.tobytes() == read.tobytes()
     pred, names = _GENERATOR_FORMULAS[generator](n)

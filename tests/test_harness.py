@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ralearn as ra
-from ralearn import baselines, core, harness, replicable
+from ralearn import baselines, cli, core, harness, replicable
 from ralearn.harness import (
     ALGORITHMS,
     CONFIG_SCHEMA,
@@ -425,29 +425,35 @@ def _cal_cfg(**kwargs):
     return ExperimentConfig(**base)
 
 
-def test_built_in_problems_never_read_runs_from_the_matrix(monkeypatch):
-    """Generators hand their classes the runs they know: set-up and a paired
-    trial of each learner that eliminates by runs never derive them from the
-    matrix, which an explicit class does once."""
-    derived = []
-    from_matrix = core.HypothesisClass._runs.func
+def test_no_library_computation_reads_the_prediction_matrix(monkeypatch, tmp_path, capsys):
+    """Every computation reads the class's runs: with ``predictions`` made to
+    raise, set-up, one paired trial of each learner, ``theta`` and
+    ``gridcheck`` all succeed on every generator and on an explicit class."""
 
-    def counting(hclass):
-        derived.append(hclass)
-        return from_matrix(hclass)
+    def refuse(hclass):
+        raise AssertionError("the library read HypothesisClass.predictions")
 
-    monkeypatch.setattr(core.HypothesisClass._runs, "func", counting)
-    for class_name in ("thresholds", "intervals", "worst_case"):
-        for algo in ("cal", "replical"):
-            cfg = _cal_cfg(class_name=class_name, algo=algo, trials=1)
+    monkeypatch.setattr(core.HypothesisClass, "predictions", property(refuse))
+    # an explicit class of two runs per row beside thresholds' rows
+    matrix = np.triu(np.ones((17, 16), dtype=int))
+    matrix[::2, 3] ^= 1
+    classes = [{"generator": name, "size": 16} for name in ("thresholds", "intervals", "worst_case")]
+    classes.append({"generator": "explicit", "matrix": matrix.tolist(), "target": 8})
+    for cls in classes:
+        for algo in ALGORITHMS:
+            noisy = algo in ("a2", "replica2")
+            doc = {"class": {**cls, "eta": 0.05 if noisy else 0.0}, "algo": algo, "epsilon": 0.1,
+                   "delta": 0.1, "rho": 0.3, "trials": 1}
+            cfg = ExperimentConfig.from_dict(doc)
             hclass, model = build_problem(cfg)
             problem_stats(hclass, model, cfg)
             (outcome,) = iter_paired_runs(cfg, hclass, model)
-            assert outcome.result_first is not None and outcome.result_second is not None
-    assert derived == []
-    explicit = ra.explicit(ra.thresholds(16).predictions)
-    next(iter_paired_runs(_cal_cfg(), explicit, ra.DataModel.realizable(explicit, 8)))
-    assert derived == [explicit]
+            assert None not in (outcome.result_first, outcome.result_second), (cls, algo)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"class": cls, "rho": 0.3}))
+        for command in ("theta", "gridcheck"):
+            assert cli.main([command, "--config", str(path)]) == 0, (cls, command)
+    capsys.readouterr()
 
 
 def test_identical_sides_share_the_stream_key():
