@@ -96,9 +96,10 @@ def _zero_one(values, what: str) -> np.ndarray:
 class HypothesisClass:
     """Binary hypotheses on ``range(domain_size)``: row ``r`` predicts 1 on
     ``[start[i], end[i])`` for its runs of ones ``first[r] <= i < first[r + 1]``
-    (``start.size`` past the last row), which increase and do not overlap; a
-    row of zeros holds the one run ``[0, 0)``.  The arrays are kept as
-    read-only int64, and malformed runs are refused in O(runs).  The 0/1
+    (``start.size`` past the last row), which increase and do not overlap
+    (touching runs are accepted, not merged); a row of zeros holds the one
+    run ``[0, 0)``.  The arrays are kept as read-only int64, with each run's
+    row (``_row``), and malformed runs are refused in O(runs).  The 0/1
     matrix, ``predictions``, is built on first access; the library never
     reads it."""
 
@@ -107,6 +108,7 @@ class HypothesisClass:
     first: np.ndarray
     domain_size: int
     names: Optional[tuple[str, ...]] = None
+    _row: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for what in ("start", "end", "first"):
@@ -117,7 +119,8 @@ class HypothesisClass:
             raw.setflags(write=False)
             object.__setattr__(self, what, raw)
         start, end, first, n = self.start, self.end, self.first, self.domain_size
-        if not isinstance(n, (int, np.integer)) or n < 1 or start.size != end.size:
+        integral = isinstance(n, (int, np.integer)) and not isinstance(n, (bool, np.bool_))
+        if not integral or n < 1 or start.size != end.size:
             raise ParameterError("domain size must be a positive integer, with one end per run")
         object.__setattr__(self, "domain_size", int(n))
         if self.names is not None and len(self.names) != first.size:
@@ -134,33 +137,25 @@ class HypothesisClass:
         ordered = apart.all() and lone.all() and not np.any(start[empty] | end[empty])
         if not ordered or start.min() < 0 or end.max() > n:
             raise ParameterError(f"runs must be ordered, in [0, {n}], nonempty but a lone [0, 0)")
+        row = np.repeat(np.arange(first.size), per_row)
+        row.setflags(write=False)
+        object.__setattr__(self, "_row", row)
 
     @property
     def n_hypotheses(self) -> int:
         return self.first.size
 
-    def _bounds(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | int]:
-        """Rows ``lo`` to ``hi - 1`` as their bounds 0, each run's start and end,
-        ``domain_size``, row after row, and each row's count of bounds."""
-        first = self.first[lo:hi]
-        a, b = first[0], self.first[hi] if hi < self.n_hypotheses else self.start.size
-        if b - a == hi - lo:
-            bounds = np.zeros((hi - lo, 4), dtype=np.int64)
-            bounds[:, 1], bounds[:, 2] = self.start[a:b], self.end[a:b]
-            bounds[:, 3] = self.domain_size
-            return bounds.reshape(-1), 4
-        per_row = np.diff(first, append=b)
-        bounds = np.full(2 * (b - a + hi - lo), self.domain_size)
-        bounds[2 * (first - a + np.arange(hi - lo))] = 0
-        run = 2 * (np.arange(b - a) + np.repeat(np.arange(hi - lo), per_row)) + 1
-        bounds[run], bounds[run + 1] = self.start[a:b], self.end[a:b]
-        return bounds, 2 * per_row + 2
-
     def _block(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``lo`` to ``hi - 1`` as a uint8 matrix, stretches of 0, 1, 0, ..."""
-        n = self.domain_size
-        bounds, count = self._bounds(lo, hi)
-        bounds += np.repeat(np.arange(0, (hi - lo) * n, n), count)
+        """Rows ``lo`` to ``hi - 1`` as a uint8 matrix: each row's bounds 0,
+        each run's start and end, ``domain_size``, offset by the row's place
+        in the block, enclose stretches of 0, 1, 0, ..."""
+        n, first = self.domain_size, self.first[lo:hi]
+        a, b = first[0], self.first[hi] if hi < self.n_hypotheses else self.start.size
+        bounds = np.full(2 * (b - a + hi - lo), n)
+        bounds[2 * (first - a + np.arange(hi - lo))] = 0
+        run = 2 * (np.arange(b - a) + self._row[a:b] - lo) + 1
+        bounds[run], bounds[run + 1] = self.start[a:b], self.end[a:b]
+        bounds += np.repeat(np.arange(0, (hi - lo) * n, n), 2 * np.diff(first, append=b) + 2)
         bits = np.zeros(bounds.size - 1, dtype=np.uint8)
         bits[1::2] = 1
         return np.repeat(bits, np.diff(bounds)).reshape(hi - lo, n)
@@ -170,7 +165,8 @@ class HypothesisClass:
         return np.frombuffer(self.signature(h), dtype=np.uint8)
 
     def signature(self, h: int) -> bytes:
-        """The prediction row as bytes; equal signatures mean equal behavior."""
+        """The prediction row as bytes; equal signatures mean equal behavior.
+        Joined from the row's stretches: on a few runs, a tenth of ``_block``."""
         if not 0 <= h < self.n_hypotheses:
             raise IndexError(f"hypothesis index {h} out of range")
         lo, hi = self.first[h], self.first[h + 1] if h + 1 < self.n_hypotheses else self.start.size
@@ -370,25 +366,26 @@ def _check_center(hclass: HypothesisClass, model: DataModel, center: int) -> Non
         raise ParameterError(f"center index {center} out of range")
 
 
-def _member_runs(hclass: HypothesisClass, members: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(start, end, first)`` of the rows in the boolean mask ``members`` alone."""
-    start, end, first = hclass.start, hclass.end, hclass.first
-    if start.size == first.size:  # one run per row
-        return start[members], end[members], np.arange(np.count_nonzero(members))
-    per_row = np.diff(first, append=start.size)
-    kept, runs = per_row[members], np.repeat(members, per_row)
-    return start[runs], end[runs], np.cumsum(kept) - kept
+def _member_runs(hclass: HypothesisClass, members: Optional[np.ndarray]) -> np.ndarray | slice:
+    """An index of the class's runs that keeps those of the rows in the
+    boolean mask ``members``, every run when None.  With one run per row the
+    runs are the rows, and ``members`` is that index itself."""
+    if members is None:
+        return slice(None)
+    return members if hclass.start.size == hclass.n_hypotheses else members[hclass._row]
 
 
-def _row_sums(values: np.ndarray, start: np.ndarray, end: np.ndarray, first: np.ndarray):
-    """Each row's int64 sum of the int64 ``values`` over its runs ``(start,
-    end, first)``, two lookups per run in a prefix sum: O(domain + runs), and
-    no reduce when every row is one run.  Exact while the sums fit int64."""
+def _row_sums(hclass: HypothesisClass, values: np.ndarray, members: Optional[np.ndarray] = None):
+    """Each row's int64 sum of the int64 ``values`` over its runs, for the
+    rows in the boolean mask ``members`` (every row when None): two lookups
+    per run in a prefix sum, O(domain + runs), and no reduce when every row
+    of the class is one run.  Exact while the sums fit int64."""
     prefix = np.zeros(values.size + 1, dtype=np.int64)
     np.cumsum(values, out=prefix[1:])
-    sums = prefix[end] - prefix[start]
-    if start.size != first.size:
-        sums = np.add.reduceat(sums, first)
+    runs = _member_runs(hclass, members)
+    sums = prefix[hclass.end[runs]] - prefix[hclass.start[runs]]
+    if hclass.start.size != hclass.n_hypotheses:
+        sums = np.add.reduceat(sums, np.flatnonzero(np.diff(hclass._row[runs], prepend=-1)))
     return sums
 
 
@@ -396,7 +393,7 @@ def _mismatch_counts(hclass: HypothesisClass, base: np.ndarray) -> np.ndarray:
     """Each row's int64 count of cells differing from the 0/1 row ``base``: its
     ones, plus over the row's ones +1 where ``base`` is 0 and -1 where it is 1."""
     values = 1 - 2 * base.astype(np.int64)
-    return _row_sums(values, hclass.start, hclass.end, hclass.first) + int(np.count_nonzero(base))
+    return _row_sums(hclass, values) + int(np.count_nonzero(base))
 
 
 def _mismatch_times(hclass: HypothesisClass, base: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -474,11 +471,11 @@ def empirical_errors_from_counts(
     if total == 0:
         raise ParameterError("empirical error of an empty sample is undefined")
     values = np.subtract(count_zero, count_one, dtype=np.int64)
-    if members is None or np.count_nonzero(members) == n_h:
-        return (_row_sums(values, hclass.start, hclass.end, hclass.first) + ones) / total
+    if members is None:
+        return (_row_sums(hclass, values) + ones) / total
     members = np.asarray(members, dtype=bool)
     errs = np.full(n_h, np.inf)
-    errs[members] = (_row_sums(values, *_member_runs(hclass, members)) + ones) / total
+    errs[members] = (_row_sums(hclass, values, members) + ones) / total
     return errs
 
 
@@ -486,10 +483,11 @@ def disagreement_mask(hclass: HypothesisClass, space: VersionSpace) -> np.ndarra
     """Boolean mask of domain points where the version space is not unanimous:
     where the count of member rows predicting 1, a running sum of +1 at each
     member run's start and -1 at its end, is neither 0 nor the member count."""
-    start, end, first = _member_runs(hclass, space.members)
+    runs = _member_runs(hclass, space.members)
     n = hclass.domain_size
-    cover = np.cumsum(np.bincount(start, minlength=n + 1) - np.bincount(end, minlength=n + 1))[:n]
-    return (cover > 0) & (cover < first.size)
+    opened = np.bincount(hclass.start[runs], minlength=n + 1)
+    cover = np.cumsum(opened - np.bincount(hclass.end[runs], minlength=n + 1))[:n]
+    return (cover > 0) & (cover < np.count_nonzero(space.members))
 
 
 def disagreement_mass(model: DataModel, region: np.ndarray) -> float:
@@ -515,8 +513,8 @@ def _range_min(lo: np.ndarray, hi: np.ndarray, values: np.ndarray, size: int, no
     ``[lo[i], hi[i])`` covering it, else ``none``, which exceeds every value:
     one sparse-table pass, O(ranges + size log size).  A range of length L is
     written at level ``floor(log2 L)`` as its first and last block of that
-    size, then each level is pushed into its blocks' halves.  Empty and reversed
-    ranges write the no-op ``none``, a spare column keeping them in bounds."""
+    size, then each level is pushed into its blocks' halves.  Empty ranges
+    write the no-op ``none``, a spare column keeping them in bounds."""
     length = hi - lo
     values = np.where(length > 0, values, none)
     level = np.frexp(np.maximum(length, 1))[1] - 1
@@ -553,13 +551,15 @@ def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: 
         d, none = _mismatch_counts(hclass, base), n + 1
     else:
         d, none = _mismatch_times(hclass, base, model.weights), np.inf
-    # a row's bounds enclose gaps (even stretches) and runs (odd ones); the
-    # stretch from one row's last bound, n, to the next row's 0 is reversed
-    bounds, count = hclass._bounds(0, hclass.n_hypotheses)
-    shift = np.zeros(bounds.size - 1, dtype=np.int64)
-    shift[::2] = n
-    lo, hi = bounds[:-1] + shift, bounds[1:] + shift
-    near = _range_min(lo, hi, np.repeat(d, count)[:-1], 2 * n, none)
+    # a row's gaps: before each run, from the previous run's end or 0, and after its last
+    start, end, first = hclass.start, hclass.end, hclass.first
+    before = np.roll(end, 1)
+    before[first] = 0
+    last = np.append(first[1:], start.size) - 1
+    lo = np.concatenate((start, before + n, end[last] + n))
+    hi = np.concatenate((end, start + n, np.full(first.size, 2 * n)))
+    per_run = d[hclass._row]
+    near = _range_min(lo, hi, np.concatenate((per_run, per_run, d)), 2 * n, none)
     near = np.where(base == 0, near[:n], near[n:])
     if model._uniform:
         # covered[r]: the columns where some row at most r away differs

@@ -604,6 +604,8 @@ _VALID_RUNS = dict(start=[0, 2], end=[1, 4], first=[0, 1], domain_size=4, names=
         dict(names=("a",)),
         dict(domain_size=0),
         dict(domain_size=4.0),
+        dict(domain_size=True),
+        dict(domain_size=np.bool_(True)),
         dict(first=[]),
         dict(first=[1, 1]),
         dict(first=[0, 0]),
@@ -618,7 +620,7 @@ _VALID_RUNS = dict(start=[0, 2], end=[1, 4], first=[0, 1], domain_size=4, names=
     ],
     ids=[
         "2d-start", "float-runs", "unequal-run-counts", "names-length", "no-domain",
-        "float-domain", "no-hypotheses", "first-not-zero", "first-not-increasing",
+        "float-domain", "bool-domain", "numpy-bool-domain", "no-hypotheses", "first-not-zero", "first-not-increasing",
         "row-without-run", "run-before-domain", "run-past-domain", "empty-run",
         "reversed-run", "empty-run-beside-another", "overlapping-runs", "decreasing-runs",
     ],
@@ -634,6 +636,7 @@ def test_runs_are_read_only_int64_copies():
     start, end, first = np.array([0, 2, 0], np.int32), np.array([2, 3, 0], np.int32), [0, 2]
     h = ra.HypothesisClass(start, end, first, 4)
     assert h.predictions.tolist() == [[1, 1, 1, 0], [0, 0, 0, 0]]
+    assert h.signature(0) == h.predictions[0].tobytes()
     for arr in (h.start, h.end, h.first, h.predictions):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
