@@ -86,13 +86,14 @@ class RoundRecord:
     """State of one elimination round, captured before the update.
 
     ``disagreement`` is the exact mass for baselines and the replicable
-    estimate for the replicable learners; ``threshold`` is the error cutoff
-    applied this round when the learner uses one; ``slack`` is the additive
-    widening on top of the base threshold (Hoeffding radius or noise term),
-    except in ``replica2``'s final record, where it is the empirical floor
-    the threshold is measured from (None when no final sample was drawn).
-    ``labels_so_far`` counts the labels drawn through this round, its own
-    draw included.
+    estimate for the replicable learners' loop rounds; ``replica2``'s final
+    record holds the exact mass of its final region.  ``threshold`` is the
+    error cutoff applied this round when the learner uses one; ``slack`` is
+    the additive widening on top of the base threshold (Hoeffding radius or
+    noise term), except in ``replica2``'s final record, where it is the
+    empirical floor the threshold is measured from (None when no final
+    sample was drawn).  ``labels_so_far`` counts the labels drawn through
+    this round, its own draw included.
     """
 
     round: int

@@ -252,7 +252,7 @@ def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str
         problem.sizing_theta, cfg.eps, cfg.delta, cfg.rho, problem.nu, hclass.n_hypotheses,
         cfg.constants,
     )
-    phase = "realizable" if sched.sq_final is None else "agnostic-loop"
+    phase = "agnostic-loop" if sched.top_final > 0.0 else "realizable"
     grid = build_grid(sched.top_loop, sched.interval_count, phase, RandomString(cfg.b_seed))
     mask = problem.region
     if mask.any():

@@ -706,11 +706,7 @@ def sample_labeled_counts(
     counts and the generator in the same state.
     """
     _check_draws(k)
-    mask = np.asarray(region, dtype=bool)
-    if mask.shape == model.weights.shape and mask.all():
-        w = model._whole_domain_weights
-    else:
-        w = conditional_weights(model, mask)
+    w = conditional_weights(model, region)
     counters.labels += k
     counts = rng.multinomial(k, w)
     certain = model._certain_ones

@@ -6,9 +6,9 @@ their data differs:
 
 - "grid-origin", "grid-origin-final": uniform draws placing the grid origins;
 - "grid-index": the selected threshold slot (reused by the final grid);
-- "region-estimate-{r}" / "region-estimate-final": one grid offset per
-  disagreement-mass query, keyed by round so runs that exit at different
-  rounds still share every offset they both use;
+- "region-estimate-{r}": one grid offset per loop guard query of the
+  disagreement mass, keyed by round so runs that exit at different rounds
+  still share every offset they both use;
 - "final-order": a keyed-hash rank per distinct surviving prediction
   signature (``RandomString.rank``, no draws consumed); the minimum is
   returned.
@@ -36,7 +36,6 @@ from .baselines import (
 )
 from .core import (
     PROB_TOL,
-    DataModel,
     EmptyVersionSpaceError,
     HypothesisClass,
     ParameterError,
@@ -129,12 +128,14 @@ def build_grid(
 class ScheduleParams:
     """Every deterministic size used by one replicable run, its grids
     included: the loop and final grids span ``top_loop`` and ``top_final``
-    (0.0 without a final phase) with ``interval_count`` selectable
-    thresholds each.
+    with ``interval_count`` selectable thresholds each.
 
-    ``sq_final`` is None in the realizable setting.  ``sq_loop`` is None
-    once replica2's loop exit level 16 * theta * nu reaches 1 (``t_unlabeled``
-    is then 0); the learner skips straight to the final phase.
+    ``top_final`` is positive exactly in the agnostic setting, where
+    ``k_final`` labels make replica2's final cut; it and ``k_final`` are 0 in
+    the realizable one.  ``sq_loop`` is the loop guard's query, answered from
+    ``t_unlabeled`` unlabeled draws per round.  It is None once replica2's
+    loop exit level 16 * theta * nu reaches 1 (``t_unlabeled`` is then 0);
+    the learner skips straight to the final phase.
     """
 
     n_max: int
@@ -144,19 +145,10 @@ class ScheduleParams:
     k_rep: int
     k_final: int
     t_unlabeled: int
-    t_final: int
     sq_loop: Optional[SQParams]
-    sq_final: Optional[SQParams]
     top_loop: float
     top_final: float
     interval_count: int
-
-
-def _unlabeled_draws(sq: Optional[SQParams], constants: Constants) -> int:
-    if sq is None:
-        return 0
-    need = required_sample_size(sq)
-    return max(need, int(math.ceil(constants.c_t * need / 2.0)))
 
 
 def size_schedule(
@@ -177,9 +169,9 @@ def size_schedule(
     grid of a run holds max(1, floor(c_grid ln|H| / rho**2)) selectable
     thresholds.
 
-    Raises ParameterError when nu is negative, when any derived query margin
-    is nonpositive (in particular whenever rho <= 2 * delta), and when a
-    size leaves the float range.
+    Raises ParameterError when nu is negative, when rho <= 2 * delta (a
+    query's margin is then nonpositive), and when a size leaves the float
+    range.
     """
     constants = constants or Constants()
     if not 0.0 < eps < 1.0:
@@ -198,7 +190,6 @@ def size_schedule(
         if nu <= PROB_TOL:
             n_max = cal_round_bound(eps)
             sq_loop = SQParams(rho / (2.0 * n_max), eps / 2.0, delta / (2.0 * n_max))
-            sq_final = None
             top_loop, top_final = 1.0 / (8.0 * theta), 0.0
             # the accuracy leg grows with theta, the agreement leg shrinks with it
             err_scale, rep_scale = theta, theta
@@ -207,9 +198,14 @@ def size_schedule(
             n_max = max(1, int(math.ceil(math.log2(1.0 / guard))) + 1) if guard < 1.0 else 1
             budget = rho / (2.0 * (n_max + 1))
             fail = delta / (2.0 * (n_max + 1))
+            if budget <= 2.0 * fail:
+                # SQParams's rule, checked here too since a skipped loop makes no query
+                raise ParameterError(
+                    "replicability budget must exceed twice the failure budget, "
+                    f"got rho={budget}, delta={fail}"
+                )
             # replica2's loop exits once its estimate falls below 16 theta nu
             sq_loop = SQParams(budget, guard, fail) if 16.0 * theta * nu < 1.0 else None
-            sq_final = SQParams(budget, eps / 2.0, fail)
             top_loop, top_final = 1.0 / (32.0 * theta), eps / (64.0 * theta * nu)
             err_scale, rep_scale = theta**2, 1.0
         m = max(1, int(math.floor(constants.c_grid * math.log(class_size) / rho**2)))
@@ -222,10 +218,14 @@ def size_schedule(
 
         k_err = int(math.ceil(constants.c_k1 * err_scale * math.log(class_size * n_max / delta)))
         k_rep = rep_labels(top_loop)
-        k_final = 0
-        if sq_final is not None:
+        k_final, t_unlabeled = 0, 0
+        if nu > PROB_TOL:
+            # keyed on the setting, so a final range that underflows to 0 is refused
             k_acc = constants.c_k3 * theta**2 * (nu / eps) ** 2 * math.log(class_size / delta)
             k_final = max(int(math.ceil(k_acc)), rep_labels(top_final))
+        if sq_loop is not None:
+            need = required_sample_size(sq_loop)
+            t_unlabeled = max(need, int(math.ceil(constants.c_t * need / 2.0)))
         return ScheduleParams(
             n_max=n_max,
             round_cap=ROUND_CAP_FACTOR * n_max,
@@ -233,10 +233,8 @@ def size_schedule(
             k_err=k_err,
             k_rep=k_rep,
             k_final=k_final,
-            t_unlabeled=_unlabeled_draws(sq_loop, constants),
-            t_final=_unlabeled_draws(sq_final, constants),
+            t_unlabeled=t_unlabeled,
             sq_loop=sq_loop,
-            sq_final=sq_final,
             top_loop=top_loop,
             top_final=top_final,
             interval_count=m,
@@ -249,22 +247,6 @@ def size_schedule(
 # shared pieces
 
 
-def _replicable_region_estimate(
-    model: DataModel,
-    region: np.ndarray,
-    sq: SQParams,
-    t_draws: int,
-    rs: RandomString,
-    label: str,
-    rng: np.random.Generator,
-    counters: SampleCounters,
-) -> float:
-    """Replicable estimate of a region's mass from t_draws fresh unlabeled
-    draws (t_draws >= 1, as the schedule guarantees)."""
-    hits = region_hit_count(model, region, t_draws, rng, counters)
-    return rstat_answer_from_mean(sq, hits / t_draws, rs, label)
-
-
 def _loop_estimate(
     problem: Problem,
     sched: ScheduleParams,
@@ -274,14 +256,14 @@ def _loop_estimate(
     exit_below: float,
 ) -> Callable[[np.ndarray, int], tuple[float, bool]]:
     """The loop guard of both learners: a replicable estimate of the region's
-    mass under "region-estimate-{round}", done once it falls below
-    ``exit_below``."""
+    mass from ``sched.t_unlabeled`` fresh unlabeled draws (at least 1 when
+    the schedule has a loop query), under "region-estimate-{round}", done
+    once it falls below ``exit_below``."""
+    t = sched.t_unlabeled
 
     def measure(region: np.ndarray, rounds: int) -> tuple[float, bool]:
-        label = f"region-estimate-{rounds}"
-        est = _replicable_region_estimate(
-            problem.model, region, sched.sq_loop, sched.t_unlabeled, rs, label, rng, counters
-        )
+        hits = region_hit_count(problem.model, region, t, rng, counters)
+        est = rstat_answer_from_mean(sched.sq_loop, hits / t, rs, f"region-estimate-{rounds}")
         return est, est < exit_below
 
     return measure
@@ -378,7 +360,11 @@ def run_replica2(
     floor + v_final, where floor is the lowest such error among the members
     of V (the A² rule, with the shared grid value in place of a confidence
     radius).  The survivor of least keyed-hash rank on the shared string is
-    the winner (see ``_select_final``).
+    the winner (see ``_select_final``).  As in ``a2``, the final sample is
+    drawn only when the exact mass of V's region is positive (otherwise the
+    run is flagged "final-region-zero-mass"); that mass is the final record's
+    ``disagreement`` and the result's ``final_disagreement_estimate``.  The
+    loop guard's queries are the run's only unlabeled draws.
 
     Error bound.  Let Delta be the mass of V's disagreement region, c(h) the
     conditional error there, and r the uniform deviation of the k_final-draw
@@ -423,15 +409,10 @@ def run_replica2(
     v_final = build_grid(
         sched.top_final, sched.interval_count, "agnostic-final", shared, grid.selected_index
     ).threshold
-    est_final = _replicable_region_estimate(
-        model, region, sched.sq_final, sched.t_final, shared, "region-estimate-final", rng,
-        counters,
-    )
-    if est_final <= PROB_TOL:
-        flags.append("final-estimate-zero")
     pre_size = space.size
+    dmass = disagreement_mass(model, region)
     floor_final: Optional[float] = None
-    if disagreement_mass(model, region) > PROB_TOL:
+    if dmass > PROB_TOL:
         count0, count1 = sample_labeled_counts(model, region, sched.k_final, rng, counters)
         errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
         # the cut is measured from the best member, so the shared threshold
@@ -442,11 +423,11 @@ def run_replica2(
         flags.append("final-region-zero-mass")
     trace.append(
         RoundRecord(
-            rounds, est_final, pre_size, threshold=v_final, slack=floor_final,
+            rounds, dmass, pre_size, threshold=v_final, slack=floor_final,
             labels_so_far=counters.labels,
         )
     )
     chosen = _select_final(hclass, space, shared)
     return _result(
-        "replica2", problem, chosen, space, counters, rounds, est_final, trace, flags=tuple(flags)
+        "replica2", problem, chosen, space, counters, rounds, dmass, trace, flags=tuple(flags)
     )

@@ -197,7 +197,6 @@ def test_run_replica2_zero_final_region_prints_strict_json(capsys):
     )
     assert code == 0
     payload = json.loads(out, parse_constant=_reject_constant)
-    assert "final-estimate-zero" in payload["flags"]
     assert "final-region-zero-mass" in payload["flags"]
     final = payload["trace"][-1]
     assert final["slack"] is None

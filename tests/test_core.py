@@ -1291,21 +1291,29 @@ def test_whole_domain_weights_are_cached_read_only_and_exact():
             cached[0] = 0.0
 
 
-def test_only_a_partial_region_gets_its_own_weights(monkeypatch, thresholds8, uniform8, counters):
-    seen = []
-    original = core.conditional_weights
+class _RecordingGenerator:
+    """A numpy Generator that keeps every ``pvals`` passed to ``multinomial``."""
 
-    def counting(model, mask):
-        seen.append(np.array(mask))
-        return original(model, mask)
+    def __init__(self, rng):
+        self.rng, self.pvals = rng, []
 
-    monkeypatch.setattr(core, "conditional_weights", counting)
-    full = np.ones(8, dtype=bool)
-    ra.sample_labeled_counts(uniform8, full, 10, np.random.default_rng(0), counters)
-    assert seen == []
+    def multinomial(self, n, pvals):
+        self.pvals.append(pvals)
+        return self.rng.multinomial(n, pvals)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_only_a_partial_region_gets_its_own_weights(thresholds8, uniform8, counters):
+    full = _RecordingGenerator(np.random.default_rng(0))
+    ra.sample_labeled_counts(uniform8, np.ones(8, dtype=bool), 10, full, counters)
+    assert len(full.pvals) == 1 and full.pvals[0] is uniform8._whole_domain_weights
     part = ra.disagreement_mask(thresholds8, ra.VersionSpace.from_indices([1, 4], 9))
-    ra.sample_labeled_counts(uniform8, part, 10, np.random.default_rng(0), counters)
-    assert len(seen) == 1 and seen[0].tolist() == part.tolist()
+    partial = _RecordingGenerator(np.random.default_rng(0))
+    ra.sample_labeled_counts(uniform8, part, 10, partial, counters)
+    assert len(partial.pvals) == 1 and partial.pvals[0] is not uniform8._whole_domain_weights
+    assert partial.pvals[0].tolist() == ra.conditional_weights(uniform8, part).tolist()
     with pytest.raises(ra.ParameterError, match="region mask shape"):
         ra.sample_labeled_counts(uniform8, np.ones(9, dtype=bool), 10, np.random.default_rng(0), counters)
 

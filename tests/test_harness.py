@@ -615,6 +615,56 @@ def test_learners_derive_one_region_per_version_space(monkeypatch, algo):
     assert len(calls) == result.rounds + 1
 
 
+def _expected_use(cfg, problem, result):
+    """(labels, unlabeled) a side must report, from its learner's sizes: k
+    labels per loop round plus any final sample, and t_unlabeled draws per
+    loop guard query (rounds + 1 of them, none when the loop is skipped)."""
+    n_h = problem.hclass.n_hypotheses
+    if cfg.algo == "erm":
+        return baselines.erm_sample_size(n_h, cfg.eps, cfg.delta, cfg.constants), 0
+    if cfg.algo == "cal":
+        k = baselines.cal_sample_size(n_h, problem.sizing_theta, cfg.eps, cfg.delta, cfg.constants)
+        return result.rounds * k, 0
+    sched = replicable.size_schedule(
+        problem.sizing_theta, cfg.eps, cfg.delta, cfg.rho, problem.nu, n_h, cfg.constants
+    )
+    final = 0 if "final-region-zero-mass" in result.flags else sched.k_final
+    queries = 0 if sched.sq_loop is None else result.rounds + 1
+    return result.rounds * sched.k + final, queries * sched.t_unlabeled
+
+
+# replica2's problems, each with the flags its sides raise: the golden one,
+# one whose loop is skipped, and one whose final region has zero mass; the
+# noiseless learners run on the same domains and targets without noise
+_ACCOUNTING_PROBLEMS = {
+    "golden": (dict(domain_size=32, target=32, eta=0.05, eps=0.1), set()),
+    "skipped-loop": (
+        dict(domain_size=16, target=8, eta=0.05, eps=0.1), {"loop-guard-unsatisfiable"}
+    ),
+    "zero-final-region": (
+        dict(domain_size=8, target=None, eta=0.01, eps=0.2), {"final-region-zero-mass"}
+    ),
+}
+
+
+@pytest.mark.parametrize("algo", ["erm", "cal", "replical", "replica2"])
+@pytest.mark.parametrize("case", sorted(_ACCOUNTING_PROBLEMS))
+def test_every_side_uses_exactly_its_scheduled_sizes(algo, case):
+    given, replica2_flags = _ACCOUNTING_PROBLEMS[case]
+    if algo != "replica2":
+        given = {**given, "eta": 0.0}
+    cfg = replace(GOLDEN_BATCHES[algo], trials=20, **given)
+    problem = ra.Problem(*build_problem(cfg))
+    flags = set()
+    for o in iter_paired_runs(cfg, problem=problem):
+        for r in (o.result_first, o.result_second):
+            assert r is not None
+            flags.update(r.flags)
+            assert (r.labels_used, r.unlabeled_used) == _expected_use(cfg, problem, r)
+    if algo == "replica2":
+        assert flags == replica2_flags
+
+
 def test_replical_runs_at_the_default_budgets():
     # the schedule needs rho > 2 * delta; the defaults 0.1 and 0.01 meet it
     report = run_paired_trials(ExperimentConfig(algo="replical", trials=2))
@@ -732,7 +782,7 @@ GOLDEN_REPORT_DIGESTS = {
     "erm": "cdc9fa77a35fa62422200b85fbb61edfa520fffeb21dba5ab05455682b0d9807",
     "cal": "b8f1ad7fd428e9c33ebd4f85f18783f3288082694289c8330defdaa46626a818",
     "a2": "4d8b17162f32ef7e9a91cc5380a9865ccaade39a066e9d8372a438329fe17758",
-    "replica2": "a3a5c0c1f6e28c78978812f302ff8242562324e7febbbda0645bde8ef103c2fb",
+    "replica2": "aa34585df478721b2cc5f80a3e148931e25170d509d6906654007b8ae12d936d",
 }
 
 GOLDEN_RESULT_DIGESTS = {
@@ -740,7 +790,7 @@ GOLDEN_RESULT_DIGESTS = {
     "cal": "d7b9af168564e1cf3e0594ed6f8a5dfc13af44420d6046fee6ca9776e7e4c160",
     "a2": "920e7aef1f1254549177bf6030488a44938780859d890422f92b20e98f6fab0f",
     "replical": "888f3436ccec598ae7877d9296770495bbdfa71e471f8bbc533c638717845dbb",
-    "replica2": "ea4f29ec4bf7da9a40fb533aee372fead4216d48cfbf13d093f31c35cdb2b843",
+    "replica2": "a1af1099ad5466064974da5142c782bf3282c523f8f0aa62dc1bd57321d0d702",
 }
 
 

@@ -152,7 +152,7 @@ def test_realizable_schedule_hand_evaluation():
     beta = 0.3 / 12 - 2 * (0.1 / 12)
     need = math.ceil((1 + beta) ** 2 * math.log(2 / (0.1 / 12)) / (2 * 0.025**2 * beta**2))
     assert sched.t_unlabeled == need
-    assert sched.k_final == 0 and sched.t_final == 0 and sched.sq_final is None
+    assert sched.k_final == 0
 
 
 def test_agnostic_schedule_hand_evaluation():
@@ -168,16 +168,18 @@ def test_agnostic_schedule_hand_evaluation():
     k_final_err = math.ceil(1 * (0.05 / 0.1) ** 2 * math.log(129 / 0.1))
     k_final_rep = math.ceil(math.log(3 / 0.3) / spacing_final**2)
     assert sched.k_final == max(k_final_err, k_final_rep)
-    assert sched.sq_loop is not None and sched.sq_final is not None
+    assert sched.sq_loop is not None
     assert sched.sq_loop.tau == pytest.approx(0.4)
-    assert sched.sq_final.tau == pytest.approx(0.05)
     assert sched.sq_loop.rho == pytest.approx(0.3 / 8)
-    assert sched.sq_final.delta == pytest.approx(0.1 / 8)
+    assert sched.sq_loop.delta == pytest.approx(0.1 / 8)
 
 
 def test_schedule_rejects_rho_at_most_twice_delta():
     with pytest.raises(ra.ParameterError):
         size_schedule(2.0, 0.05, 0.1, 0.1, 0.0, 129)
+    # also when the agnostic schedule sizes no loop query
+    with pytest.raises(ra.ParameterError, match="twice the failure budget"):
+        size_schedule(2.0, 0.1, 0.1, 0.2, 0.5, 65)
 
 
 def test_schedule_loop_phase_vanishes_when_guard_saturates():
@@ -185,14 +187,14 @@ def test_schedule_loop_phase_vanishes_when_guard_saturates():
     assert sched.sq_loop is None
     assert sched.n_max == 1
     assert sched.t_unlabeled == 0
-    assert sched.sq_final is not None
+    assert sched.top_final > 0.0
 
 
 def test_schedule_reads_nu_up_to_prob_tol_as_realizable():
     real = size_schedule(2.0, 0.05, 0.1, 0.3, 0.0, 129)
     for nu in (1e-13, ra.PROB_TOL):
         assert size_schedule(2.0, 0.05, 0.1, 0.3, nu, 129) == real
-    assert size_schedule(2.0, 0.05, 0.1, 0.3, 1e-6, 129).sq_final is not None
+    assert size_schedule(2.0, 0.05, 0.1, 0.3, 1e-6, 129).top_final > 0.0
 
 
 @pytest.mark.parametrize("nu, loop_query", [(0.06, True), (0.0625, False), (0.07, False)])
@@ -202,7 +204,14 @@ def test_schedule_sizes_a_loop_query_only_below_the_loop_exit_level(nu, loop_que
     sched = size_schedule(1.0, 0.1, 0.1, 0.3, nu, 129)
     assert (sched.sq_loop is not None) == loop_query
     assert (sched.t_unlabeled > 0) == loop_query
-    assert sched.n_max == (3 if loop_query else 2) and sched.sq_final is not None
+    assert sched.n_max == (3 if loop_query else 2) and sched.top_final > 0.0
+
+
+def test_schedule_refuses_a_final_range_that_underflows():
+    # eps / (64 theta nu) underflows to 0.0; refusing it keeps top_final > 0
+    # in every agnostic schedule, which gridcheck reads the phase from
+    with pytest.raises(ra.ParameterError, match="no finite sample size"):
+        size_schedule(1.0, 5e-324, 0.1, 0.3, 0.5, 129)
 
 
 def test_schedule_halving_eps_adds_a_round():
@@ -219,9 +228,9 @@ def test_schedule_is_deterministic():
 def test_schedule_reads_the_setting_from_nu():
     # no noise sizes no final phase; any noise sizes one
     noiseless = size_schedule(2.0, 0.05, 0.1, 0.3, 0.0, 129)
-    assert noiseless.sq_final is None and noiseless.top_final == 0.0
+    assert noiseless.top_final == 0.0 and noiseless.k_final == 0
     noisy = size_schedule(2.0, 0.05, 0.1, 0.3, 1e-9, 129)
-    assert noisy.sq_final is not None and noisy.top_final > 0.0
+    assert noisy.top_final > 0.0 and noisy.k_final > 0
 
 
 # ---------------------------------------------------------------------------
