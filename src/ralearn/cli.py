@@ -184,16 +184,13 @@ def _cmd_theta(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, st
         "best_index": center,
         "class_size": hclass.n_hypotheses,
         "domain_size": hclass.domain_size,
+        "best_name": hclass.name(center),
     }
-    if hclass.names is not None:
-        payload["best_name"] = hclass.names[center]
     if args.format == "json":
         text = json_text(payload) + "\n"
     else:
         lines = [f"theta={_fmt_number(theta)}", f"nu={_fmt_number(nu)}", f"best_index={center}"]
-        if hclass.names is not None:
-            lines.append(f"best_name={hclass.names[center]}")
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(lines + [f"best_name={payload['best_name']}"]) + "\n"
     return text, text
 
 

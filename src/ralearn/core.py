@@ -107,7 +107,6 @@ class HypothesisClass:
     end: np.ndarray
     first: np.ndarray
     domain_size: int
-    names: Optional[tuple[str, ...]] = None
     _row: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -123,8 +122,6 @@ class HypothesisClass:
         if not integral or n < 1 or start.size != end.size:
             raise ParameterError("domain size must be a positive integer, with one end per run")
         object.__setattr__(self, "domain_size", int(n))
-        if self.names is not None and len(self.names) != first.size:
-            raise ParameterError("names length must match the number of hypotheses")
         per_row = np.diff(first, append=start.size)
         if first.size == 0 or first[0] != 0 or per_row.min() < 1:
             raise ParameterError("first must start at 0 and strictly increase below the run count")
@@ -164,17 +161,26 @@ class HypothesisClass:
         """Hypothesis ``h``'s read-only uint8 row, built from its runs."""
         return np.frombuffer(self.signature(h), dtype=np.uint8)
 
-    def signature(self, h: int) -> bytes:
-        """The prediction row as bytes; equal signatures mean equal behavior.
-        Joined from the row's stretches: on a few runs, a tenth of ``_block``."""
+    def _runs(self, h: int) -> Iterable[tuple[int, int]]:
+        """Hypothesis ``h``'s runs as ``(start, end)`` pairs of ints."""
         if not 0 <= h < self.n_hypotheses:
             raise IndexError(f"hypothesis index {h} out of range")
         lo, hi = self.first[h], self.first[h + 1] if h + 1 < self.n_hypotheses else self.start.size
+        return zip(self.start[lo:hi].tolist(), self.end[lo:hi].tolist())
+
+    def signature(self, h: int) -> bytes:
+        """The prediction row as bytes; equal signatures mean equal behavior.
+        Joined from the row's stretches: on a few runs, a tenth of ``_block``."""
         parts, at = [], 0
-        for s, e in zip(self.start[lo:hi].tolist(), self.end[lo:hi].tolist()):
+        for s, e in self._runs(h):
             parts += (bytes(s - at), b"\1" * (e - s))
             at = e
         return b"".join(parts) + bytes(self.domain_size - at)
+
+    def name(self, h: int) -> str:
+        """Hypothesis ``h``'s runs, 1-based and closed, as ``[a,b]`` joined by
+        ``+`` (``[1,1]+[3,4]``); ``empty`` for the lone run ``[0, 0)``."""
+        return "+".join(f"[{s + 1},{e}]" for s, e in self._runs(h) if e) or "empty"
 
     @cached_property
     def predictions(self) -> np.ndarray:
@@ -741,11 +747,10 @@ def thresholds(n: int) -> HypothesisClass:
     if n < 1:
         raise ParameterError("domain size must be positive")
     _check_class_cells(n + 1, n)
-    names = tuple(f"h{t}" for t in range(1, n + 2))
     # hypothesis t is the run [t - 1, n); the last, all zeros, the empty run
     start, end = np.arange(n + 1), np.full(n + 1, n)
     start[n] = end[n] = 0
-    return HypothesisClass(start, end, np.arange(n + 1), n, names)
+    return HypothesisClass(start, end, np.arange(n + 1), n)
 
 
 def intervals(n: int) -> HypothesisClass:
@@ -756,9 +761,7 @@ def intervals(n: int) -> HypothesisClass:
     # the empty rule is the run [0, 0), then [a, b] (0-based, b >= a) is [a, b + 1)
     a, b = np.triu_indices(n)
     start, end = np.insert(a, 0, 0), np.insert(b + 1, 0, 0)
-    number = [str(i) for i in range(1, n + 1)]
-    names = ("empty",) + tuple(f"[{s},{t}]" for i, s in enumerate(number) for t in number[i:])
-    return HypothesisClass(start, end, np.arange(a.size + 1), n, names)
+    return HypothesisClass(start, end, np.arange(a.size + 1), n)
 
 
 def worst_case(n: int) -> HypothesisClass:
@@ -772,10 +775,9 @@ def worst_case(n: int) -> HypothesisClass:
         raise ParameterError("construction size must be positive")
     _check_class_cells(n + 1, n)
     # flip i (row i) is the run [i - 1, i); the target is the empty run [0, 0)
-    names = ("target",) + tuple(f"flip{i}" for i in range(1, n + 1))
     start, end = np.arange(-1, n), np.arange(n + 1)
     start[0] = 0
-    return HypothesisClass(start, end, np.arange(n + 1), n, names)
+    return HypothesisClass(start, end, np.arange(n + 1), n)
 
 
 def explicit(matrix) -> HypothesisClass:

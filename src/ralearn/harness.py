@@ -217,6 +217,8 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ParameterError("trials must be at least 1")
+        if not isinstance(self.constants, Constants):
+            raise ParameterError(f"constants must be a Constants, got {self.constants!r}")
         # the schema's number rule: True would read as 1.0
         given = [("epsilon", self.eps), ("delta", self.delta), ("rho", self.rho), ("eta", self.eta)]
         given += [(f"weights[{i}]", w) for i, w in enumerate(self.weights or ())]

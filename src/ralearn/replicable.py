@@ -29,6 +29,7 @@ from .baselines import (
     Constants,
     RoundRecord,
     RunResult,
+    _check_accuracy_params,
     _eliminate,
     _result,
     _unsizable,
@@ -174,10 +175,7 @@ def size_schedule(
     range.
     """
     constants = constants or Constants()
-    if not 0.0 < eps < 1.0:
-        raise ParameterError(f"accuracy target must lie in (0, 1), got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise ParameterError(f"failure budget must lie in (0, 1), got {delta}")
+    _check_accuracy_params(eps, delta)
     if not 0.0 < rho < 1.0:
         raise ParameterError(f"replicability budget must lie in (0, 1), got {rho}")
     if class_size < 1:

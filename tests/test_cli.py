@@ -55,6 +55,33 @@ def test_theta_json_format(capsys):
     assert payload["theta"] == 2.0
 
 
+# every class is named by its runs, so intervals keep their "[a,b]" names
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--class", "thresholds"], "[5,8]"),
+        (["--class", "intervals"], "[3,5]"),
+        (["--class", "intervals", "--target", "0"], "empty"),
+        (["--class", "intervals", "--target", "36"], "[8,8]"),
+        (["--class", "worst_case"], "empty"),
+        (["--class", "worst_case", "--target", "3"], "[3,3]"),
+        (["--config", "explicit.json"], "[1,1]+[3,4]"),
+    ],
+)
+def test_theta_names_the_best_hypothesis(capsys, tmp_path, monkeypatch, flags, name):
+    monkeypatch.chdir(tmp_path)
+    matrix = [[0, 0, 0, 0], [1, 0, 1, 1], [1, 1, 1, 1]]
+    doc = {"class": {"generator": "explicit", "matrix": matrix, "target": 1}}
+    (tmp_path / "explicit.json").write_text(json.dumps(doc))
+    argv = ["theta", *flags] + ([] if "--config" in flags else ["--domain-size", "8"])
+    code, text, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert text.splitlines()[-1] == f"best_name={name}"
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["best_name"] == name
+
+
 def test_run_smallest_domain(capsys):
     code, out, _ = run_cli(
         capsys,

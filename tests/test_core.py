@@ -142,7 +142,7 @@ def test_thresholds_shape_and_rows():
     assert h.row(8).tolist() == [0] * 8
     # h5 fires on x >= 5, i.e. positions 4..7
     assert h.row(4).tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
-    assert h.names[4] == "h5"
+    assert h.name(4) == "[5,8]"
 
 
 def test_worst_case_rows():
@@ -166,7 +166,7 @@ def test_intervals_match_a_literal_row_loop():
         h = ra.intervals(n)
         assert h.predictions.dtype == np.uint8
         assert np.array_equal(h.predictions, np.stack(rows))
-        assert h.names == tuple(names)
+        assert list(map(h.name, range(h.n_hypotheses))) == names
 
 
 def test_thresholds_match_a_literal_triangle():
@@ -174,7 +174,8 @@ def test_thresholds_match_a_literal_triangle():
         h = ra.thresholds(n)
         assert h.predictions.dtype == np.uint8
         assert np.array_equal(h.predictions, np.triu(np.ones((n + 1, n), dtype=np.uint8)))
-        assert h.names == tuple(f"h{t}" for t in range(1, n + 2))
+        named = [h.name(i) for i in range(n + 1)]
+        assert named == [f"[{t},{n}]" for t in range(1, n + 1)] + ["empty"]
 
 
 def test_intervals_count():
@@ -592,7 +593,7 @@ def test_built_in_classes_have_one_run_per_row(generator):
 
 
 # a valid class beside each defect: rows [1, 0, 0, 0] and [0, 0, 1, 1]
-_VALID_RUNS = dict(start=[0, 2], end=[1, 4], first=[0, 1], domain_size=4, names=None)
+_VALID_RUNS = dict(start=[0, 2], end=[1, 4], first=[0, 1], domain_size=4)
 
 
 @pytest.mark.parametrize(
@@ -601,7 +602,6 @@ _VALID_RUNS = dict(start=[0, 2], end=[1, 4], first=[0, 1], domain_size=4, names=
         dict(start=[[0, 2]]),
         dict(start=[0.0, 2.0]),
         dict(end=[1]),
-        dict(names=("a",)),
         dict(domain_size=0),
         dict(domain_size=4.0),
         dict(domain_size=True),
@@ -619,7 +619,7 @@ _VALID_RUNS = dict(start=[0, 2], end=[1, 4], first=[0, 1], domain_size=4, names=
         dict(start=[2, 0], end=[3, 1], first=[0]),
     ],
     ids=[
-        "2d-start", "float-runs", "unequal-run-counts", "names-length", "no-domain",
+        "2d-start", "float-runs", "unequal-run-counts", "no-domain",
         "float-domain", "bool-domain", "numpy-bool-domain", "no-hypotheses", "first-not-zero", "first-not-increasing",
         "row-without-run", "run-before-domain", "run-past-domain", "empty-run",
         "reversed-run", "empty-run-beside-another", "overlapping-runs", "decreasing-runs",
@@ -643,6 +643,27 @@ def test_runs_are_read_only_int64_copies():
     assert h.start.dtype == h.end.dtype == h.first.dtype == np.int64
     start[0] = 1
     assert h.start[0] == 0
+
+
+def test_name_spells_the_runs_as_stored():
+    # 1-based closed runs joined by "+"; touching runs are named as stored
+    touching = ra.HypothesisClass([0, 2, 0], [2, 3, 0], [0, 2], 4)
+    assert [touching.name(0), touching.name(1)] == ["[1,2]+[3,3]", "empty"]
+    h = ra.explicit([[1, 0, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 0, 1]])
+    named = [h.name(i) for i in range(4)]
+    assert named == ["[1,1]+[3,4]", "empty", "[1,4]", "[2,2]+[4,4]"]
+    for i, name in enumerate(named):
+        row = np.zeros(4, dtype=np.uint8)
+        for run in name.split("+") if name != "empty" else ():
+            a, b = map(int, run.strip("[]").split(","))
+            row[a - 1 : b] = 1
+        assert row.tobytes() == h.signature(i)
+    # out of range as signature is, never wrapped
+    for i in (-1, 4):
+        with pytest.raises(IndexError):
+            h.name(i)
+        with pytest.raises(IndexError):
+            h.signature(i)
 
 
 @given(
@@ -713,25 +734,25 @@ def _intervals_by_formula(n):
 _GENERATOR_FORMULAS = {
     "thresholds": lambda n: (
         (np.arange(n) >= np.arange(n + 1)[:, None]).view(np.uint8),
-        tuple(f"h{t}" for t in range(1, n + 2)),
+        tuple(f"[{t},{n}]" for t in range(1, n + 1)) + ("empty",),
     ),
     "intervals": _intervals_by_formula,
     "worst_case": lambda n: (
         np.vstack([np.zeros(n, dtype=np.uint8), np.eye(n, dtype=np.uint8)]),
-        ("target",) + tuple(f"flip{i}" for i in range(1, n + 1)),
+        ("empty",) + tuple(f"[{i},{i}]" for i in range(1, n + 1)),
     ),
 }
 
 _LITERAL_NAMES = {
-    ("thresholds", 1): ("h1", "h2"),
-    ("thresholds", 2): ("h1", "h2", "h3"),
-    ("thresholds", 3): ("h1", "h2", "h3", "h4"),
+    ("thresholds", 1): ("[1,1]", "empty"),
+    ("thresholds", 2): ("[1,2]", "[2,2]", "empty"),
+    ("thresholds", 3): ("[1,3]", "[2,3]", "[3,3]", "empty"),
     ("intervals", 1): ("empty", "[1,1]"),
     ("intervals", 2): ("empty", "[1,1]", "[1,2]", "[2,2]"),
     ("intervals", 3): ("empty", "[1,1]", "[1,2]", "[1,3]", "[2,2]", "[2,3]", "[3,3]"),
-    ("worst_case", 1): ("target", "flip1"),
-    ("worst_case", 2): ("target", "flip1", "flip2"),
-    ("worst_case", 3): ("target", "flip1", "flip2", "flip3"),
+    ("worst_case", 1): ("empty", "[1,1]"),
+    ("worst_case", 2): ("empty", "[1,1]", "[2,2]"),
+    ("worst_case", 3): ("empty", "[1,1]", "[2,2]", "[3,3]"),
 }
 
 
@@ -751,9 +772,10 @@ def test_generators_supply_the_runs_their_matrix_has(generator, n):
     pred, names = _GENERATOR_FORMULAS[generator](n)
     assert h.predictions.dtype == np.uint8
     assert h.predictions.tobytes() == pred.tobytes()
-    assert h.names == names
+    named = tuple(map(h.name, range(h.n_hypotheses)))
+    assert named == names
     if n <= 3:
-        assert h.names == _LITERAL_NAMES[generator, n]
+        assert named == _LITERAL_NAMES[generator, n]
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,16 @@ def test_config_rejects_bad_fields(kwargs):
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("constants", [{"c_cal": 1.0}, 3, None], ids=["dict", "int", "none"])
+def test_config_refuses_constants_that_are_not_constants(constants):
+    # refused where the config is built: a trial would meet it as an
+    # AttributeError, which no failure accounting counts
+    with pytest.raises(ra.ParameterError, match="constants must be a Constants"):
+        ExperimentConfig(domain_size=16, algo="cal", trials=1, constants=constants)
+    given = ra.Constants(c_cal=1.0)
+    assert ExperimentConfig(domain_size=16, trials=1, constants=given).constants is given
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
