@@ -2,8 +2,9 @@
 
 Every library name the benchmark wraps is bound, and wrapping then restoring
 leaves every name as it was.  The report CSVs of the three in-process
-seed-0 workloads are pinned by sha256, so a change that claims the
-benchmark's results did not move is checked here, and the benchmark's own
+workloads are pinned by sha256 on seed 0 and on the held-out seed 3, so a
+change that claims the benchmark's results did not move is checked here, and
+the benchmark's own
 full pass over each of them, at its smoke size, must pass its checks and
 report the same CSV when every library site is wrapped.
 """
@@ -83,12 +84,28 @@ def bench_run(monkeypatch):
     return importlib.import_module("run")
 
 
+# the same on seed 3, whose b_seed and data_seed config_doc derives per workload
+BENCH_SEED3_DIGESTS = {
+    "cal-t1024": "744b7f44784668288f31eda29f32e6429842f927aadcdfa8adcf9a1c2bf3fdc9",
+    "erm-t1024": "0aef31940d906393cc5995684b2fde72c7607cb339cae8e0d9938777d4af6a1f",
+    "replical-i48": "18d31497aa4ac7b2bb094ac9ceff48297807f72e37d93005bf362cbbe3c499d8",
+}
+
+
+def _bench_report_digest(bench_run, name, seed):
+    workload = bench_run.WORKLOADS[name]
+    cfg = ExperimentConfig.from_dict(bench_run.config_doc(workload, seed, workload.pairs))
+    return hashlib.sha256(report_csv(run_paired_trials(cfg)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(BENCH_SEED0_DIGESTS))
 def test_bench_seed0_report_is_pinned(bench_run, name):
-    workload = bench_run.WORKLOADS[name]
-    cfg = ExperimentConfig.from_dict(bench_run.config_doc(workload, 0, workload.pairs))
-    text = report_csv(run_paired_trials(cfg))
-    assert hashlib.sha256(text.encode()).hexdigest() == BENCH_SEED0_DIGESTS[name]
+    assert _bench_report_digest(bench_run, name, 0) == BENCH_SEED0_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SEED3_DIGESTS))
+def test_bench_seed3_report_is_pinned(bench_run, name):
+    assert _bench_report_digest(bench_run, name, 3) == BENCH_SEED3_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_SEED0_DIGESTS))
