@@ -8,8 +8,12 @@ engine (`harness`), and a CLI (`cli`).
 """
 from .baselines import (
     Constants,
+    Plan,
     RoundRecord,
     RunResult,
+    a2_plan,
+    cal_plan,
+    erm_plan,
     run_a2,
     run_cal,
     run_passive_erm,
@@ -31,7 +35,6 @@ from .core import (
     disagreement_coefficient,
     disagreement_mask,
     disagreement_mass,
-    distances_from,
     empirical_errors_from_counts,
     explicit,
     intervals,
@@ -70,6 +73,8 @@ from .replicable import (
     ScheduleParams,
     ThresholdGrid,
     build_grid,
+    replica2_plan,
+    replical_plan,
     run_replica2,
     run_replical,
     size_schedule,

@@ -4,9 +4,12 @@ agnostic LB/UB elimination learner A².
 These set the accuracy and label-complexity baselines the replicable learners
 are compared against.  Loop guards use the exact disagreement mass (the
 simulator knows the distribution); sample sizes follow the standard finite
-class bounds with configurable leading constants.  ``_eliminate`` is the one
-elimination loop of all four active learners, the replicable ones included;
-each supplies only its loop guard and its cut.
+class bounds with configurable leading constants.  Every size is a function
+of the batch alone, so each learner is split in two: a sizing function
+(``erm_plan``, ``cal_plan``, ``a2_plan``) makes every parameter check and
+gives the ``Plan``, once per batch, and a run function draws one side from it.
+``_eliminate`` is the one elimination loop of all four active learners, the
+replicable ones included; each supplies only its loop guard and its cut.
 """
 from __future__ import annotations
 
@@ -19,13 +22,14 @@ import numpy as np
 
 from .core import (
     PROB_TOL,
+    EmptyVersionSpaceError,
     ParameterError,
     Problem,
     RoundCapExceededError,
     SampleCounters,
     VersionSpace,
     WrongSettingError,
-    disagreement_mask,
+    _coverage_region,
     disagreement_mass,
     empirical_errors_from_counts,
     hash_signature,
@@ -137,6 +141,24 @@ class RunResult:
         return doc
 
 
+@dataclass(frozen=True)
+class Plan:
+    """The sizes of one baseline run, fixed for a whole batch.
+
+    ``eps`` is the accuracy target they were computed for, where ``cal``'s
+    loop exits; ``k`` the labels drawn each round (``erm``: its one sample);
+    ``n_max`` the nominal round bound, past ``ROUND_CAP_FACTOR`` times which
+    a loop raises RoundCapExceededError; ``k_final`` and ``radius`` are
+    ``a2``'s final sample and per-round confidence radius.
+    """
+
+    eps: float
+    k: int
+    n_max: int = 0
+    k_final: int = 0
+    radius: float = 0.0
+
+
 def _check_accuracy_params(eps: float, delta: float) -> None:
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"accuracy target must lie in (0, 1), got {eps}")
@@ -200,25 +222,33 @@ def _eliminate(
     slack)``: members with error at most ``keep_bound`` survive, and the
     other two go into the round's record.  Returns the last version space,
     its region, the last guard value and the number of rounds run.
+
+    The members stay a plain boolean mask until the exit: None, every row,
+    before the first cut, whose region is ``problem.region``.
     """
     hclass = problem.hclass
-    space = VersionSpace.full(hclass.n_hypotheses)
+    members, size = None, hclass.n_hypotheses
     region = problem.region
     rounds = 0
     while True:
         value, done = measure(region, rounds)
         if done:
+            space = VersionSpace.full(size) if members is None else VersionSpace(members)
             return space, region, value, rounds
         if rounds >= cap:
             raise RoundCapExceededError(
                 f"no exit after {rounds} rounds (cap {cap}); disagreement still {value}"
             )
         count0, count1 = sample_labeled_counts(problem.model, region, k, rng, counters)
-        errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
+        errs = empirical_errors_from_counts(hclass, count0, count1, members)
         keep_bound, threshold, slack = cut(errs, value)
-        trace.append(RoundRecord(rounds, value, space.size, threshold, slack, counters.labels))
-        space = VersionSpace(space.members & (errs <= keep_bound + PROB_TOL))
-        region = disagreement_mask(hclass, space)
+        trace.append(RoundRecord(rounds, value, size, threshold, slack, counters.labels))
+        kept = errs <= keep_bound + PROB_TOL
+        members = kept if members is None else members & kept
+        size = int(np.count_nonzero(members))
+        if size == 0:
+            raise EmptyVersionSpaceError("version space must be nonempty")
+        region = _coverage_region(hclass, members, size)
         rounds += 1
 
 
@@ -233,22 +263,23 @@ def erm_sample_size(n_hypotheses: int, eps: float, delta: float, constants: Cons
         raise _unsizable(e, epsilon=eps, delta=delta) from None
 
 
-def run_passive_erm(
-    problem: Problem,
-    eps: float,
-    delta: float,
-    rng: np.random.Generator,
-    constants: Optional[Constants] = None,
-) -> RunResult:
-    """Draw one unconditional labeled sample and return its empirical minimizer."""
+def erm_plan(
+    problem: Problem, eps: float, delta: float, constants: Optional[Constants] = None
+) -> Plan:
+    """``run_passive_erm``'s plan: its one sample size."""
     _check_accuracy_params(eps, delta)
     constants = constants or Constants()
+    return Plan(eps, erm_sample_size(problem.hclass.n_hypotheses, eps, delta, constants))
+
+
+def run_passive_erm(problem: Problem, plan: Plan, rng: np.random.Generator) -> RunResult:
+    """Draw one unconditional labeled sample of ``plan.k`` labels and return
+    its empirical minimizer."""
     counters = SampleCounters()
     hclass, model = problem.hclass, problem.model
-    m = erm_sample_size(hclass.n_hypotheses, eps, delta, constants)
     # full version space: labels come from D itself, not a conditional region
     count0, count1 = sample_labeled_counts(
-        model, np.ones(hclass.domain_size, dtype=bool), m, rng, counters
+        model, np.ones(hclass.domain_size, dtype=bool), plan.k, rng, counters
     )
     errs = empirical_errors_from_counts(hclass, count0, count1)
     best = int(np.argmin(errs))
@@ -286,34 +317,34 @@ def cal_sample_size(
         raise _unsizable(e, epsilon=eps, delta=delta) from None
 
 
-def run_cal(
-    problem: Problem,
-    eps: float,
-    delta: float,
-    rng: np.random.Generator,
-    constants: Optional[Constants] = None,
-) -> RunResult:
-    """Disagreement-region consistency elimination for noiseless labels.
-
-    Each round queries a fixed-size labeled sample from the current
-    disagreement region and keeps exactly the hypotheses consistent with
-    every label.  The loop exits once the exact disagreement mass is at most
-    the accuracy target.
-    """
+def cal_plan(
+    problem: Problem, eps: float, delta: float, constants: Optional[Constants] = None
+) -> Plan:
+    """``run_cal``'s plan; noisy labels raise WrongSettingError."""
     _check_accuracy_params(eps, delta)
     constants = constants or Constants()
-    counters = SampleCounters()
-    hclass, model = problem.hclass, problem.model
     if problem.nu > PROB_TOL:
         raise WrongSettingError(
             f"consistency elimination needs a zero-error hypothesis, best has error {problem.nu}"
         )
     n_max = cal_round_bound(eps)
-    k = cal_sample_size(hclass.n_hypotheses, problem.sizing_theta, eps, delta, constants)
+    k = cal_sample_size(problem.hclass.n_hypotheses, problem.sizing_theta, eps, delta, constants)
+    return Plan(eps, k, n_max)
+
+
+def run_cal(problem: Problem, plan: Plan, rng: np.random.Generator) -> RunResult:
+    """Disagreement-region consistency elimination for noiseless labels.
+
+    Each round queries ``plan.k`` labels from the current disagreement region
+    and keeps exactly the hypotheses consistent with every label.  The loop
+    exits once the exact disagreement mass is at most ``plan.eps``.
+    """
+    counters = SampleCounters()
+    model = problem.model
 
     def measure(region, rounds):
         dmass = disagreement_mass(model, region)
-        return dmass, dmass <= eps + PROB_TOL
+        return dmass, dmass <= plan.eps + PROB_TOL
 
     def consistent(errs, dmass):
         # mistakes are integer counts, so any inconsistency puts the error at >= 1/k
@@ -321,7 +352,7 @@ def run_cal(
 
     trace: list[RoundRecord] = []
     space, _, dmass, rounds = _eliminate(
-        problem, k, ROUND_CAP_FACTOR * n_max, rng, counters, measure, consistent, trace
+        problem, plan.k, ROUND_CAP_FACTOR * plan.n_max, rng, counters, measure, consistent, trace
     )
     chosen = int(space.indices()[0])
     return _result("cal", problem, chosen, space, counters, rounds, dmass, trace)
@@ -341,28 +372,16 @@ def a2_round_bound(theta: float, nu: float, eps: float) -> int:
     return cal_round_bound(eps)
 
 
-def run_a2(
-    problem: Problem,
-    eps: float,
-    delta: float,
-    rng: np.random.Generator,
-    constants: Optional[Constants] = None,
-) -> RunResult:
-    """Agnostic elimination by confidence intervals, then a final refit.
-
-    Each round keeps every hypothesis whose error lower bound does not exceed
-    the smallest upper bound; the loop runs while the exact disagreement mass
-    is at least 8 * theta * nu, and a last conditional sample picks the
-    empirical minimizer among the survivors.
-    """
+def a2_plan(
+    problem: Problem, eps: float, delta: float, constants: Optional[Constants] = None
+) -> Plan:
+    """``run_a2``'s plan: ``n_max`` is ``a2_round_bound``, and each round's
+    confidence radius is sized for its share of the failure budget."""
     _check_accuracy_params(eps, delta)
     constants = constants or Constants()
-    counters = SampleCounters()
-    hclass, model, nu = problem.hclass, problem.model, problem.nu
-    t_size = problem.sizing_theta
+    nu, t_size, n_c = problem.nu, problem.sizing_theta, problem.hclass.n_hypotheses
     n_loop = a2_round_bound(t_size, nu, eps)
     delta_round = delta / (1.0 + n_loop)
-    n_c = hclass.n_hypotheses
     try:
         k = int(math.ceil(constants.c_a2 * t_size**2 * math.log(n_c * n_loop / delta_round)))
         radius = math.sqrt(math.log(2.0 * n_c / delta_round) / (2.0 * k))
@@ -371,24 +390,38 @@ def run_a2(
         )
     except ArithmeticError as e:
         raise _unsizable(e, epsilon=eps, delta=delta, nu=nu) from None
+    return Plan(eps, k, n_loop, k_final, radius)
+
+
+def run_a2(problem: Problem, plan: Plan, rng: np.random.Generator) -> RunResult:
+    """Agnostic elimination by confidence intervals, then a final refit.
+
+    Each round keeps every hypothesis whose error lower bound does not exceed
+    the smallest upper bound; the loop runs while the exact disagreement mass
+    is at least 8 * theta * nu, and a last conditional sample picks the
+    empirical minimizer among the survivors.
+    """
+    counters = SampleCounters()
+    hclass, model, nu = problem.hclass, problem.model, problem.nu
+    t_size = problem.sizing_theta
 
     def measure(region, rounds):
         dmass = disagreement_mass(model, region)
-        done = dmass < 8.0 * t_size * nu if nu > PROB_TOL else rounds >= n_loop
+        done = dmass < 8.0 * t_size * nu if nu > PROB_TOL else rounds >= plan.n_max
         return dmass, dmass <= PROB_TOL or done
 
     def cut(errs, dmass):
         # keep h iff its lower bound stays within the best upper bound; the
         # round's empirical minimizer always satisfies this, so V stays nonempty
-        cutoff = float(errs.min()) + 2.0 * radius
-        return cutoff, cutoff, radius
+        cutoff = float(errs.min()) + 2.0 * plan.radius
+        return cutoff, cutoff, plan.radius
 
     trace: list[RoundRecord] = []
     space, region, dmass, rounds = _eliminate(
-        problem, k, ROUND_CAP_FACTOR * n_loop, rng, counters, measure, cut, trace
+        problem, plan.k, ROUND_CAP_FACTOR * plan.n_max, rng, counters, measure, cut, trace
     )
-    if k_final > 0 and dmass > PROB_TOL:
-        count0, count1 = sample_labeled_counts(model, region, k_final, rng, counters)
+    if plan.k_final > 0 and dmass > PROB_TOL:
+        count0, count1 = sample_labeled_counts(model, region, plan.k_final, rng, counters)
         errs = empirical_errors_from_counts(hclass, count0, count1, space.members)
         chosen = int(np.argmin(errs))
     else:

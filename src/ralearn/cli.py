@@ -40,6 +40,10 @@ from .harness import (
 from .randomness import RandomString
 from .replicable import build_grid, size_schedule
 
+# gridcheck profiles one cell and prints one line per selectable threshold,
+# so it refuses a grid of more than this many (about 40 MB of text)
+MAX_GRIDCHECK_THRESHOLDS = 2**20
+
 
 def _constant_pair(text: str) -> tuple[str, float]:
     if "=" not in text:
@@ -198,7 +202,8 @@ def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, str]
     problem = Problem(*build_problem(cfg))
     shared = RandomString(cfg.b_seed)
     rng = data_stream(cfg.data_seed, 0, 0)
-    result = LEARNERS[cfg.algo](problem, cfg, shared, rng)
+    learner = LEARNERS[cfg.algo]
+    result = learner.run(problem, learner.size(problem, cfg), shared, rng)
     text = json_text(result.to_jsonable()) + "\n"
     return text, text
 
@@ -249,6 +254,11 @@ def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str
         problem.sizing_theta, cfg.eps, cfg.delta, cfg.rho, problem.nu, hclass.n_hypotheses,
         cfg.constants,
     )
+    if sched.interval_count > MAX_GRIDCHECK_THRESHOLDS:
+        raise ParameterError(
+            f"gridcheck prints at most {MAX_GRIDCHECK_THRESHOLDS} thresholds; "
+            f"rho={cfg.rho!r} gives {sched.interval_count}"
+        )
     phase = "agnostic-loop" if sched.top_final > 0.0 else "realizable"
     grid = build_grid(sched.top_loop, sched.interval_count, phase, RandomString(cfg.b_seed))
     mask = problem.region

@@ -485,15 +485,21 @@ def empirical_errors_from_counts(
     return errs
 
 
-def disagreement_mask(hclass: HypothesisClass, space: VersionSpace) -> np.ndarray:
-    """Boolean mask of domain points where the version space is not unanimous:
-    where the count of member rows predicting 1, a running sum of +1 at each
-    member run's start and -1 at its end, is neither 0 nor the member count."""
-    runs = _member_runs(hclass, space.members)
+def _coverage_region(hclass: HypothesisClass, members: np.ndarray, size: int) -> np.ndarray:
+    """Boolean mask of domain points where the ``size`` rows in the boolean
+    mask ``members`` are not unanimous: where the count of them predicting 1,
+    a running sum of +1 at each of their runs' starts and -1 at its end, is
+    neither 0 nor ``size``."""
+    runs = _member_runs(hclass, members)
     n = hclass.domain_size
     opened = np.bincount(hclass.start[runs], minlength=n + 1)
     cover = np.cumsum(opened - np.bincount(hclass.end[runs], minlength=n + 1))[:n]
-    return (cover > 0) & (cover < np.count_nonzero(space.members))
+    return (cover > 0) & (cover < size)
+
+
+def disagreement_mask(hclass: HypothesisClass, space: VersionSpace) -> np.ndarray:
+    """Boolean mask of domain points where the version space is not unanimous."""
+    return _coverage_region(hclass, space.members, np.count_nonzero(space.members))
 
 
 def disagreement_mass(model: DataModel, region: np.ndarray) -> float:
@@ -502,16 +508,6 @@ def disagreement_mass(model: DataModel, region: np.ndarray) -> float:
     if mask.shape != model.weights.shape:
         raise ParameterError("region mask shape must match the domain")
     return float(model.weights[mask].sum())
-
-
-def distances_from(hclass: HypothesisClass, model: DataModel, center: int) -> np.ndarray:
-    """Distance of every hypothesis from ``center``, the mass where it differs
-    from ``center``'s row: ``d / n`` for ``d`` of the ``n`` points with uniform
-    weights, else a sum of non-negative weights; exactly 0.0 for a copy."""
-    _check_center(hclass, model, center)
-    if model._uniform:
-        return _mismatch_counts(hclass, hclass.row(center)) / hclass.domain_size
-    return _mismatch_times(hclass, hclass.row(center), model.weights)
 
 
 def _range_min(lo: np.ndarray, hi: np.ndarray, values: np.ndarray, size: int, none) -> np.ndarray:

@@ -16,11 +16,20 @@ import numbers
 import operator
 import re
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .baselines import Constants, RunResult, run_a2, run_cal, run_passive_erm
+from .baselines import (
+    Constants,
+    RunResult,
+    a2_plan,
+    cal_plan,
+    erm_plan,
+    run_a2,
+    run_cal,
+    run_passive_erm,
+)
 from .core import (
     DataModel,
     HypothesisClass,
@@ -32,30 +41,44 @@ from .core import (
     worst_case,
 )
 from .randomness import RandomString
-from .replicable import run_replica2, run_replical
+from .replicable import replica2_plan, replical_plan, run_replica2, run_replical
 
 # not called here since Problem computes the geometry; bench/spans.py wraps
 # these names at every module that imports them, this one included
 from .core import disagreement_coefficient, noise_rate  # noqa: F401
 
-# One entry per learner: (problem, cfg, shared, rng) -> RunResult.  Each
-# looks its run_* function up in this module's globals when called, so a
-# wrapper put on those names (the traced benchmark run does) sees every call.
+
+class Learner(NamedTuple):
+    """A learner in two halves: ``size(problem, cfg)`` makes every parameter
+    check and returns the batch's plan, and ``run(problem, plan, shared,
+    rng)`` returns one side's RunResult from it."""
+
+    size: Callable
+    run: Callable
+
+
+# Each entry looks its functions up in this module's globals when called, so
+# a wrapper put on those names (the traced benchmark run does) sees every call.
 LEARNERS = {
-    "erm": lambda p, cfg, shared, rng: run_passive_erm(
-        p, cfg.eps, cfg.delta, rng, constants=cfg.constants
+    "erm": Learner(
+        lambda p, cfg: erm_plan(p, cfg.eps, cfg.delta, cfg.constants),
+        lambda p, plan, shared, rng: run_passive_erm(p, plan, rng),
     ),
-    "cal": lambda p, cfg, shared, rng: run_cal(
-        p, cfg.eps, cfg.delta, rng, constants=cfg.constants
+    "cal": Learner(
+        lambda p, cfg: cal_plan(p, cfg.eps, cfg.delta, cfg.constants),
+        lambda p, plan, shared, rng: run_cal(p, plan, rng),
     ),
-    "a2": lambda p, cfg, shared, rng: run_a2(
-        p, cfg.eps, cfg.delta, rng, constants=cfg.constants
+    "a2": Learner(
+        lambda p, cfg: a2_plan(p, cfg.eps, cfg.delta, cfg.constants),
+        lambda p, plan, shared, rng: run_a2(p, plan, rng),
     ),
-    "replical": lambda p, cfg, shared, rng: run_replical(
-        p, cfg.eps, cfg.delta, cfg.rho, shared, rng, constants=cfg.constants
+    "replical": Learner(
+        lambda p, cfg: replical_plan(p, cfg.eps, cfg.delta, cfg.rho, cfg.constants),
+        lambda p, plan, shared, rng: run_replical(p, plan, shared, rng),
     ),
-    "replica2": lambda p, cfg, shared, rng: run_replica2(
-        p, cfg.eps, cfg.delta, cfg.rho, shared, rng, constants=cfg.constants
+    "replica2": Learner(
+        lambda p, cfg: replica2_plan(p, cfg.eps, cfg.delta, cfg.rho, cfg.constants),
+        lambda p, plan, shared, rng: run_replica2(p, plan, shared, rng),
     ),
 }
 ALGORITHMS = tuple(LEARNERS)
@@ -391,16 +414,22 @@ def iter_paired_runs(
 
     A caller that already holds the batch's ``problem`` passes it, and
     ``hclass`` and ``model`` are then ignored.  Otherwise the problem's
-    geometry is computed once, before the first pair.  Each pair derives one
-    shared string from the master seed and the pair index; the two sides draw
-    data from independent streams.  A failing side is recorded by exception type instead of
-    aborting the batch.
+    geometry is computed once, before the first pair, and so is the
+    learner's plan.  Each pair derives one shared string from the master
+    seed and the pair index; the two sides draw data from independent
+    streams.  A failing side is recorded by exception type instead of
+    aborting the batch; a plan that cannot be made fails every side.
     """
     if problem is None:
         if hclass is None or model is None:
             hclass, model = build_problem(cfg)
         problem = Problem(hclass, model)
     learner = LEARNERS[cfg.algo]
+    plan, unsized = None, None
+    try:
+        plan = learner.size(problem, cfg)
+    except (ParameterError, RuntimeError) as e:
+        unsized = type(e).__name__
     master = RandomString(cfg.b_seed)
     for i in range(cfg.trials):
         b = master.spawn(f"pair/{i}")
@@ -408,14 +437,15 @@ def iter_paired_runs(
         failures: list[Optional[str]] = []
         seeds: list[str] = []
         for side in (0, 1):
-            rng = data_stream(cfg.data_seed, i, side)
             seeds.append(f"{cfg.data_seed}:{i}:{side}")
-            try:
-                sides.append(learner(problem, cfg, b, rng))
-                failures.append(None)
-            except (ParameterError, RuntimeError) as e:
-                sides.append(None)
-                failures.append(type(e).__name__)
+            result, failure = None, unsized
+            if unsized is None:
+                try:
+                    result = learner.run(problem, plan, b, data_stream(cfg.data_seed, i, side))
+                except (ParameterError, RuntimeError) as e:
+                    failure = type(e).__name__
+            sides.append(result)
+            failures.append(failure)
         agreed = (
             sides[0] is not None
             and sides[1] is not None
@@ -543,7 +573,8 @@ class SweepTable:
 
 
 def label_complexity_sweep(cfg: ExperimentConfig, eps_list: Sequence[float]) -> SweepTable:
-    """Mean label usage per accuracy target per algorithm, over single runs.
+    """Mean label usage per accuracy target per algorithm, over single runs,
+    each learner sized once per accuracy target.
 
     The within-target fraction compares each run's exact error against the
     best-in-class error plus the accuracy target, which reduces to the plain
@@ -556,15 +587,16 @@ def label_complexity_sweep(cfg: ExperimentConfig, eps_list: Sequence[float]) -> 
     master = RandomString(cfg.b_seed)
     rows: list[SweepRow] = []
     for ai, algo in enumerate(algos):
+        learner = LEARNERS[algo]
         for ei, eps in enumerate(eps_list):
-            sub = replace(cfg, eps=float(eps))
+            plan = learner.size(problem, replace(cfg, eps=float(eps)))
             labels: list[int] = []
             unlabeled: list[int] = []
             errors: list[float] = []
             for t in range(cfg.trials):
                 b = master.spawn(f"sweep/{algo}/{ei}/{t}")
                 rng = data_stream(cfg.data_seed, ai, ei, t)
-                result = LEARNERS[algo](problem, sub, b, rng)
+                result = learner.run(problem, plan, b, rng)
                 labels.append(result.labels_used)
                 unlabeled.append(result.unlabeled_used)
                 errors.append(result.error)

@@ -25,6 +25,9 @@ from .core import ParameterError
 _TWO53 = float(1 << 53)
 _TWO64 = 1 << 64
 
+# derive_choice draws from 64-bit blocks, so it chooses among at most this many
+MAX_CHOICE = _TWO64
+
 
 class RandomString:
     """Cloneable label-addressed random stream with a fixed-width key."""
@@ -88,10 +91,14 @@ class RandomString:
     def derive_choice(self, label: str, n: int) -> int:
         """Next uniform integer in [0, n) from the sub-stream ``label``.
 
-        Rejection sampling on 64-bit blocks keeps the choice exactly uniform.
+        Rejection sampling on 64-bit blocks keeps the choice exactly uniform;
+        ``n`` above ``MAX_CHOICE`` raises ParameterError, since no block
+        could be accepted.
         """
         if n < 1:
             raise ParameterError(f"choice range must be positive, got {n}")
+        if n > MAX_CHOICE:
+            raise ParameterError(f"choice range {n} is more than the {MAX_CHOICE} blocks can take")
         limit = _TWO64 - (_TWO64 % n)
         while True:
             x = int.from_bytes(self._next_block(label), "big")

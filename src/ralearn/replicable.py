@@ -15,6 +15,10 @@ their data differs:
 
 Data randomness (which points are drawn, which labels flip) never touches the
 shared string; it comes from the caller's numpy Generator.
+
+As in ``baselines``, each learner is a sizing function (``replical_plan``,
+``replica2_plan``: the setting check, then ``size_schedule``), called once
+per batch, and a run function that takes its ``ScheduleParams``.
 """
 from __future__ import annotations
 
@@ -49,7 +53,7 @@ from .core import (
     region_hit_count,
     sample_labeled_counts,
 )
-from .randomness import RandomString
+from .randomness import MAX_CHOICE, RandomString
 from .rstat import SQParams, required_sample_size, rstat_answer_from_mean
 
 # not called here since learners take a Problem; bench/spans.py wraps these
@@ -134,9 +138,11 @@ class ScheduleParams:
     ``top_final`` is positive exactly in the agnostic setting, where
     ``k_final`` labels make replica2's final cut; it and ``k_final`` are 0 in
     the realizable one.  ``sq_loop`` is the loop guard's query, answered from
-    ``t_unlabeled`` unlabeled draws per round.  It is None once replica2's
-    loop exit level 16 * theta * nu reaches 1 (``t_unlabeled`` is then 0);
-    the learner skips straight to the final phase.
+    ``t_unlabeled`` unlabeled draws per round; the loop exits once its
+    answer falls below ``exit_level``, eps / 2 in the realizable setting and
+    16 * theta * nu in the agnostic one.  ``sq_loop`` is None once that
+    level reaches 1 (``t_unlabeled`` is then 0); replica2 then skips
+    straight to the final phase.
     """
 
     n_max: int
@@ -147,6 +153,7 @@ class ScheduleParams:
     k_final: int
     t_unlabeled: int
     sq_loop: Optional[SQParams]
+    exit_level: float
     top_loop: float
     top_final: float
     interval_count: int
@@ -171,8 +178,9 @@ def size_schedule(
     thresholds.
 
     Raises ParameterError when nu is negative, when rho <= 2 * delta (a
-    query's margin is then nonpositive), and when a size leaves the float
-    range.
+    query's margin is then nonpositive), when a size leaves the float range,
+    and when rho is so small that the interval count passes ``MAX_CHOICE``,
+    the most slots the shared string can choose among.
     """
     constants = constants or Constants()
     _check_accuracy_params(eps, delta)
@@ -187,7 +195,8 @@ def size_schedule(
     try:
         if nu <= PROB_TOL:
             n_max = cal_round_bound(eps)
-            sq_loop = SQParams(rho / (2.0 * n_max), eps / 2.0, delta / (2.0 * n_max))
+            exit_level = eps / 2.0
+            sq_loop = SQParams(rho / (2.0 * n_max), exit_level, delta / (2.0 * n_max))
             top_loop, top_final = 1.0 / (8.0 * theta), 0.0
             # the accuracy leg grows with theta, the agreement leg shrinks with it
             err_scale, rep_scale = theta, theta
@@ -202,8 +211,8 @@ def size_schedule(
                     "replicability budget must exceed twice the failure budget, "
                     f"got rho={budget}, delta={fail}"
                 )
-            # replica2's loop exits once its estimate falls below 16 theta nu
-            sq_loop = SQParams(budget, guard, fail) if 16.0 * theta * nu < 1.0 else None
+            exit_level = 16.0 * theta * nu
+            sq_loop = SQParams(budget, guard, fail) if exit_level < 1.0 else None
             top_loop, top_final = 1.0 / (32.0 * theta), eps / (64.0 * theta * nu)
             err_scale, rep_scale = theta**2, 1.0
         m = max(1, int(math.floor(constants.c_grid * math.log(class_size) / rho**2)))
@@ -224,6 +233,11 @@ def size_schedule(
         if sq_loop is not None:
             need = required_sample_size(sq_loop)
             t_unlabeled = max(need, int(math.ceil(constants.c_t * need / 2.0)))
+        if m > MAX_CHOICE:
+            raise ParameterError(
+                f"rho={rho!r} gives a grid of {m} thresholds, more than the "
+                f"{MAX_CHOICE} a shared-string choice can draw from"
+            )
         return ScheduleParams(
             n_max=n_max,
             round_cap=ROUND_CAP_FACTOR * n_max,
@@ -233,6 +247,7 @@ def size_schedule(
             k_final=k_final,
             t_unlabeled=t_unlabeled,
             sq_loop=sq_loop,
+            exit_level=exit_level,
             top_loop=top_loop,
             top_final=top_final,
             interval_count=m,
@@ -251,18 +266,17 @@ def _loop_estimate(
     rs: RandomString,
     rng: np.random.Generator,
     counters: SampleCounters,
-    exit_below: float,
 ) -> Callable[[np.ndarray, int], tuple[float, bool]]:
     """The loop guard of both learners: a replicable estimate of the region's
     mass from ``sched.t_unlabeled`` fresh unlabeled draws (at least 1 when
     the schedule has a loop query), under "region-estimate-{round}", done
-    once it falls below ``exit_below``."""
+    once it falls below ``sched.exit_level``."""
     t = sched.t_unlabeled
 
     def measure(region: np.ndarray, rounds: int) -> tuple[float, bool]:
         hits = region_hit_count(problem.model, region, t, rng, counters)
         est = rstat_answer_from_mean(sched.sq_loop, hits / t, rs, f"region-estimate-{rounds}")
-        return est, est < exit_below
+        return est, est < sched.exit_level
 
     return measure
 
@@ -292,16 +306,28 @@ def _select_final(hclass: HypothesisClass, space: VersionSpace, rs: RandomString
 # RepliCAL
 
 
-def run_replical(
+def replical_plan(
     problem: Problem,
     eps: float,
     delta: float,
     rho: float,
-    rs: RandomString,
-    rng: np.random.Generator,
     constants: Optional[Constants] = None,
+) -> ScheduleParams:
+    """``run_replical``'s schedule; noisy labels raise WrongSettingError."""
+    if problem.nu > PROB_TOL:
+        raise WrongSettingError(
+            f"this learner needs a zero-error hypothesis, best has error {problem.nu}"
+        )
+    return size_schedule(
+        problem.sizing_theta, eps, delta, rho, problem.nu, problem.hclass.n_hypotheses, constants
+    )
+
+
+def run_replical(
+    problem: Problem, sched: ScheduleParams, rs: RandomString, rng: np.random.Generator
 ) -> RunResult:
-    """Replicable consistency-style elimination for noiseless labels.
+    """Replicable consistency-style elimination for noiseless labels, sized
+    by ``replical_plan``'s schedule.
 
     Differs from the plain disagreement learner in three places: the loop is
     guarded by a replicable estimate of the disagreement mass instead of the
@@ -311,23 +337,15 @@ def run_replical(
     shared string (see ``_select_final``).
     """
     counters = SampleCounters()
-    hclass = problem.hclass
-    if problem.nu > PROB_TOL:
-        raise WrongSettingError(
-            f"this learner needs a zero-error hypothesis, best has error {problem.nu}"
-        )
-    sched = size_schedule(
-        problem.sizing_theta, eps, delta, rho, problem.nu, hclass.n_hypotheses, constants
-    )
     shared = rs.clone()
     v = build_grid(sched.top_loop, sched.interval_count, "realizable", shared).threshold
     trace: list[RoundRecord] = []
     space, _, est, rounds = _eliminate(
         problem, sched.k, sched.round_cap, rng, counters,
-        _loop_estimate(problem, sched, shared, rng, counters, eps / 2.0),
+        _loop_estimate(problem, sched, shared, rng, counters),
         lambda errs, est: (v, v, None), trace  # keep errors up to the shared threshold
     )
-    chosen = _select_final(hclass, space, shared)
+    chosen = _select_final(problem.hclass, space, shared)
     return _result("replical", problem, chosen, space, counters, rounds, est, trace)
 
 
@@ -335,19 +353,32 @@ def run_replical(
 # ReplicA-squared
 
 
-def run_replica2(
+def replica2_plan(
     problem: Problem,
     eps: float,
     delta: float,
     rho: float,
-    rs: RandomString,
-    rng: np.random.Generator,
     constants: Optional[Constants] = None,
-) -> RunResult:
-    """Replicable agnostic elimination, then a final cut relative to the best.
+) -> ScheduleParams:
+    """``run_replica2``'s schedule; noiseless labels (nu <= PROB_TOL) raise
+    WrongSettingError."""
+    nu = problem.nu
+    if nu <= PROB_TOL:
+        raise WrongSettingError(
+            f"this learner needs a best error above {PROB_TOL}, best has error {nu}"
+        )
+    return size_schedule(
+        problem.sizing_theta, eps, delta, rho, nu, problem.hclass.n_hypotheses, constants
+    )
 
-    Noiseless labels (nu <= PROB_TOL) raise WrongSettingError.  Without a
-    loop query in the schedule (``sq_loop`` None) the run skips the loop,
+
+def run_replica2(
+    problem: Problem, sched: ScheduleParams, rs: RandomString, rng: np.random.Generator
+) -> RunResult:
+    """Replicable agnostic elimination, then a final cut relative to the best,
+    sized by ``replica2_plan``'s schedule.
+
+    Without a loop query in the schedule (``sq_loop`` None) the run skips the loop,
     flagged "loop-guard-unsatisfiable".  Loop rounds keep hypotheses whose
     conditional empirical error stays under the shared threshold plus a
     noise allowance tied to the current estimated disagreement mass.  Once
@@ -380,11 +411,6 @@ def run_replica2(
     counters = SampleCounters()
     hclass, model, nu = problem.hclass, problem.model, problem.nu
     theta = problem.sizing_theta
-    if nu <= PROB_TOL:
-        raise WrongSettingError(
-            f"this learner needs a best error above {PROB_TOL}, best has error {nu}"
-        )
-    sched = size_schedule(theta, eps, delta, rho, nu, hclass.n_hypotheses, constants)
     shared = rs.clone()
     grid = build_grid(sched.top_loop, sched.interval_count, "agnostic-loop", shared)
     v = grid.threshold
@@ -402,7 +428,7 @@ def run_replica2(
     else:
         space, region, _, rounds = _eliminate(
             problem, sched.k, sched.round_cap, rng, counters,
-            _loop_estimate(problem, sched, shared, rng, counters, 16.0 * theta * nu), cut, trace
+            _loop_estimate(problem, sched, shared, rng, counters), cut, trace
         )
     v_final = build_grid(
         sched.top_final, sched.interval_count, "agnostic-final", shared, grid.selected_index

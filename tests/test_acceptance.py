@@ -128,10 +128,11 @@ def test_criterion_05_cal_correctness_and_rounds(criterion):
     hclass = ra.thresholds(128)
     problem = ra.Problem(hclass, ra.DataModel.realizable(hclass, 65))
     cap = cal_round_bound(0.05)
+    plan = ra.cal_plan(problem, 0.05, 0.05)
     within = rounds_ok = 0
     traces = []
     for t in range(200):
-        result = ra.run_cal(problem, 0.05, 0.05, data_stream("05", t))
+        result = ra.run_cal(problem, plan, data_stream("05", t))
         within += result.error <= 0.05 + 1e-12
         rounds_ok += result.rounds <= cap
         traces.append(result.trace)
@@ -270,17 +271,18 @@ def test_criterion_09_replay(criterion):
 
     def once(algo, seed):
         if algo == "erm":
-            return ra.run_passive_erm(real, 0.1, 0.1, data_stream(seed, 0))
+            return ra.run_passive_erm(real, ra.erm_plan(real, 0.1, 0.1), data_stream(seed, 0))
         if algo == "cal":
-            return ra.run_cal(real, 0.1, 0.1, data_stream(seed, 1))
+            return ra.run_cal(real, ra.cal_plan(real, 0.1, 0.1), data_stream(seed, 1))
         if algo == "a2":
-            return ra.run_a2(agn, 0.1, 0.1, data_stream(seed, 2))
+            return ra.run_a2(agn, ra.a2_plan(agn, 0.1, 0.1), data_stream(seed, 2))
         if algo == "replical":
             return ra.run_replical(
-                real, 0.1, 0.1, 0.3, ra.RandomString(seed), data_stream(seed, 3)
+                real, ra.replical_plan(real, 0.1, 0.1, 0.3), ra.RandomString(seed),
+                data_stream(seed, 3),
             )
         return ra.run_replica2(
-            agn, 0.1, 0.1, 0.3, ra.RandomString(seed), data_stream(seed, 4)
+            agn, ra.replica2_plan(agn, 0.1, 0.1, 0.3), ra.RandomString(seed), data_stream(seed, 4)
         )
 
     checks = mismatches = 0
@@ -383,9 +385,10 @@ def agnostic_problem():
 def test_criterion_11_a2_agnostic_correctness(criterion, agnostic_problem):
     hclass, model, nu = agnostic_problem
     problem = ra.Problem(hclass, model)
+    plan = ra.a2_plan(problem, 0.1, 0.1)
     hits = 0
     for t in range(200):
-        result = ra.run_a2(problem, 0.1, 0.1, data_stream("11", t))
+        result = ra.run_a2(problem, plan, data_stream("11", t))
         hits += result.error <= nu + 0.1 + 1e-9
     rate = hits / 200
     assert criterion(

@@ -8,9 +8,12 @@ import pytest
 import ralearn as ra
 from ralearn.baselines import (
     Constants,
+    a2_plan,
     a2_round_bound,
+    cal_plan,
     cal_round_bound,
     cal_sample_size,
+    erm_plan,
     erm_sample_size,
     run_a2,
     run_cal,
@@ -20,6 +23,27 @@ from ralearn.baselines import (
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+# one side of each learner, sized first as a batch sizes it
+def _erm(problem, eps, delta, rng, constants=None):
+    return run_passive_erm(problem, erm_plan(problem, eps, delta, constants), rng)
+
+
+def _cal(problem, eps, delta, rng, constants=None):
+    return run_cal(problem, cal_plan(problem, eps, delta, constants), rng)
+
+
+def _a2(problem, eps, delta, rng, constants=None):
+    return run_a2(problem, a2_plan(problem, eps, delta, constants), rng)
+
+
+def _replical(problem, eps, delta, rho, rs, rng):
+    return ra.run_replical(problem, ra.replical_plan(problem, eps, delta, rho), rs, rng)
+
+
+def _replica2(problem, eps, delta, rho, rs, rng):
+    return ra.run_replica2(problem, ra.replica2_plan(problem, eps, delta, rho), rs, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +76,7 @@ def test_constants_updated_returns_new_object():
 def test_erm_singleton_class_draws_full_sample():
     h = ra.explicit([[0, 1, 0, 1]])
     m = ra.DataModel.realizable(h, 0)
-    res = run_passive_erm(ra.Problem(h, m), 0.1, 0.1, _rng())
+    res = _erm(ra.Problem(h, m), 0.1, 0.1, _rng())
     assert res.hypothesis_index == 0
     assert res.labels_used == erm_sample_size(1, 0.1, 0.1, Constants())
     assert res.rounds == 0
@@ -72,7 +96,7 @@ def test_erm_learns_thresholds():
     m = ra.DataModel.realizable(h, 65)
     good = 0
     for t in range(50):
-        res = run_passive_erm(ra.Problem(h, m), 0.05, 0.05, _rng(t))
+        res = _erm(ra.Problem(h, m), 0.05, 0.05, _rng(t))
         good += res.error <= 0.05
     assert good >= 45
 
@@ -80,7 +104,7 @@ def test_erm_learns_thresholds():
 def test_erm_result_is_jsonable():
     h = ra.thresholds(8)
     m = ra.DataModel.realizable(h, 4)
-    res = run_passive_erm(ra.Problem(h, m), 0.1, 0.1, _rng(1))
+    res = _erm(ra.Problem(h, m), 0.1, 0.1, _rng(1))
     doc = res.to_jsonable()
     assert doc["algo"] == "erm"
     assert doc["signature"] == res.signature.hex()
@@ -99,7 +123,7 @@ def test_cal_round_bound_values():
 def test_cal_singleton_class_is_immediate():
     h = ra.explicit([[1, 0, 1]])
     m = ra.DataModel.realizable(h, 0)
-    res = run_cal(ra.Problem(h, m), 0.1, 0.1, _rng())
+    res = _cal(ra.Problem(h, m), 0.1, 0.1, _rng())
     assert res.labels_used == 0
     assert res.rounds == 0
     assert res.hypothesis_index == 0
@@ -117,7 +141,7 @@ def test_cal_consistency_filter_hand_case(thresholds8):
 def test_cal_recovers_target():
     h = ra.thresholds(128)
     m = ra.DataModel.realizable(h, 65)
-    res = run_cal(ra.Problem(h, m), 0.05, 0.05, _rng(3))
+    res = _cal(ra.Problem(h, m), 0.05, 0.05, _rng(3))
     assert res.error <= 0.05
     assert res.rounds <= cal_round_bound(0.05)
     assert res.labels_used > 0
@@ -127,7 +151,7 @@ def test_cal_never_eliminates_target():
     h = ra.thresholds(64)
     m = ra.DataModel.realizable(h, 20)
     for t in range(100):
-        res = run_cal(ra.Problem(h, m), 0.1, 0.1, _rng(t))
+        res = _cal(ra.Problem(h, m), 0.1, 0.1, _rng(t))
         assert 20 in res.survivors
 
 
@@ -135,13 +159,13 @@ def test_cal_rejects_noisy_models():
     h = ra.thresholds(16)
     m = ra.DataModel.agnostic(h, 8, 0.1)
     with pytest.raises(ra.WrongSettingError):
-        run_cal(ra.Problem(h, m), 0.1, 0.1, _rng())
+        _cal(ra.Problem(h, m), 0.1, 0.1, _rng())
 
 
 def test_cal_trace_shrinks_monotonically():
     h = ra.thresholds(128)
     m = ra.DataModel.realizable(h, 65)
-    res = run_cal(ra.Problem(h, m), 0.05, 0.05, _rng(8))
+    res = _cal(ra.Problem(h, m), 0.05, 0.05, _rng(8))
     sizes = [r.version_size for r in res.trace]
     assert sizes == sorted(sizes, reverse=True)
     masses = [r.disagreement for r in res.trace]
@@ -158,9 +182,9 @@ def test_cal_accuracy_param_validation():
     h = ra.thresholds(8)
     m = ra.DataModel.realizable(h, 4)
     with pytest.raises(ra.ParameterError):
-        run_cal(ra.Problem(h, m), 0.0, 0.1, _rng())
+        _cal(ra.Problem(h, m), 0.0, 0.1, _rng())
     with pytest.raises(ra.ParameterError):
-        run_cal(ra.Problem(h, m), 0.1, 1.5, _rng())
+        _cal(ra.Problem(h, m), 0.1, 1.5, _rng())
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +200,7 @@ def test_a2_round_bound_cases():
 def test_a2_runs_in_realizable_limit():
     h = ra.thresholds(32)
     m = ra.DataModel.realizable(h, 16)
-    res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(5))
+    res = _a2(ra.Problem(h, m), 0.1, 0.1, _rng(5))
     assert res.error <= 0.1 + 1e-12
     assert res.algo == "a2"
 
@@ -188,7 +212,7 @@ def test_a2_agnostic_accuracy_with_tuned_sizes():
     assert best == 128 and nu == pytest.approx(0.05)
     good = 0
     for t in range(30):
-        res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(t))
+        res = _a2(ra.Problem(h, m), 0.1, 0.1, _rng(t))
         good += res.error <= nu + 0.1 + 1e-12
     assert good >= 25
 
@@ -198,7 +222,7 @@ def test_a2_best_hypothesis_survives_elimination():
     m = ra.DataModel.agnostic(h, 128, 0.05)
     kept = 0
     for t in range(30):
-        res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(100 + t))
+        res = _a2(ra.Problem(h, m), 0.1, 0.1, _rng(100 + t))
         kept += 128 in res.survivors
     assert kept >= 27
 
@@ -209,13 +233,13 @@ def test_a2_default_sizes_hit_round_cap():
     h = ra.thresholds(128)
     m = ra.DataModel.agnostic(h, 128, 0.05)
     with pytest.raises(ra.RoundCapExceededError):
-        run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(0), Constants().updated({"c_a2": 1.0}))
+        _a2(ra.Problem(h, m), 0.1, 0.1, _rng(0), Constants().updated({"c_a2": 1.0}))
 
 
 def test_a2_trace_records_cutoffs():
     h = ra.thresholds(128)
     m = ra.DataModel.agnostic(h, 128, 0.05)
-    res = run_a2(ra.Problem(h, m), 0.1, 0.1, _rng(2))
+    res = _a2(ra.Problem(h, m), 0.1, 0.1, _rng(2))
     assert len(res.trace) == res.rounds
     for rec in res.trace:
         assert rec.threshold is not None and rec.slack is not None
@@ -234,12 +258,12 @@ def _problem(n, target, eta=0.0):
 
 # one run per active learner that goes through at least one loop round
 _LOOP_RUNS = {
-    "cal": lambda: run_cal(_problem(128, 65), 0.01, 0.05, _rng(1)),
-    "a2": lambda: run_a2(_problem(64, 32, 0.01), 0.1, 0.1, _rng(1)),
-    "replical": lambda: ra.run_replical(
+    "cal": lambda: _cal(_problem(128, 65), 0.01, 0.05, _rng(1)),
+    "a2": lambda: _a2(_problem(64, 32, 0.01), 0.1, 0.1, _rng(1)),
+    "replical": lambda: _replical(
         _problem(128, 65), 0.05, 0.05, 0.3, ra.RandomString("0abc"), _rng(1)
     ),
-    "replica2": lambda: ra.run_replica2(
+    "replica2": lambda: _replica2(
         _problem(64, 32, 0.01), 0.1, 0.1, 0.3, ra.RandomString("0abc"), _rng(1)
     ),
 }

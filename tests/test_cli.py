@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ralearn import replicable
+from ralearn import cli, replicable
 from ralearn.core import PROB_TOL
 from ralearn.cli import build_parser, load_config, main
 from ralearn.harness import (
@@ -191,6 +191,48 @@ def test_unsizable_gridcheck_is_parameter_error(capsys):
     code, out, err = run_cli(capsys, ["gridcheck", "--rho", "1e-300", "--delta", "1e-301"])
     assert (code, out) == (3, "")
     assert err.startswith("parameter error: no finite sample size at ")
+
+
+def test_tiny_rho_run_is_parameter_error_in_a_child_process():
+    # at rho 5.2e-12 the grid has about 5e22 thresholds, more than a
+    # shared-string choice can draw from; its slot draw once spun forever,
+    # so a child process with a timeout turns a hang into a failure
+    argv = [
+        "run", "--algo", "replical", "--class", "thresholds", "--domain-size", "3",
+        "--epsilon", "0.1", "--delta", "1e-300", "--rho", "5.2e-12",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ralearn", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "rho=5.2e-12" in proc.stderr
+
+
+def test_gridcheck_refuses_a_grid_it_cannot_print(capsys):
+    # 2.0e14 selectable thresholds: profiling them once asked numpy for
+    # 1.43 PiB and escaped as an uncounted memory error
+    argv = [
+        "gridcheck", "--class", "worst_case", "--domain-size", "2", "--nu", "0.05",
+        "--rho", "7.4e-8", "--epsilon", "0.1", "--delta", "1e-9",
+    ]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert f"at most {cli.MAX_GRIDCHECK_THRESHOLDS} thresholds" in err
+
+
+def test_gridcheck_prints_a_grid_at_its_bound(capsys, monkeypatch):
+    # the bound refuses only what is past it
+    argv = ["gridcheck", "--class", "thresholds", "--domain-size", "16", "--rho", "0.3"]
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    count = json.loads(out)["count"]
+    monkeypatch.setattr(cli, "MAX_GRIDCHECK_THRESHOLDS", count)
+    assert run_cli(capsys, argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_GRIDCHECK_THRESHOLDS", count - 1)
+    assert run_cli(capsys, argv)[0] == 3
 
 
 def test_runtime_failure_maps_to_exit_4(capsys):

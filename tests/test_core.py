@@ -33,9 +33,23 @@ def _hypothesis_distance(hclass, model, h1, h2):
     return ra.disagreement_mass(model, hclass.row(h1) != hclass.row(h2))
 
 
+def _distances_from(hclass, model, center):
+    """Oracle: each hypothesis's distance from ``center``, the mass where its
+    row differs from the center's.  Under uniform weights it is the count of
+    such points over n, counted on the rows (exact).  Under others it is
+    the sum of their weights as the float geometry's one product
+    (``_mismatch_times``) adds them, since theta divides by those very sums
+    and the row scan below must match it exactly."""
+    base = hclass.row(center)
+    if model._uniform:
+        differ = [np.count_nonzero(hclass.row(h) != base) for h in range(hclass.n_hypotheses)]
+        return np.array(differ) / hclass.domain_size
+    return core._mismatch_times(hclass, base, model.weights)
+
+
 def _error_ball(hclass, model, center, radius):
     """Oracle: all hypotheses within ``radius`` of ``center``."""
-    return ra.VersionSpace(ra.distances_from(hclass, model, center) <= radius + PROB_TOL)
+    return ra.VersionSpace(_distances_from(hclass, model, center) <= radius + PROB_TOL)
 
 
 def _theta_row_scan(hclass, model, center):
@@ -43,7 +57,7 @@ def _theta_row_scan(hclass, model, center):
     hypothesis at a time in the stable distance order, OR-ing each row's
     disagreement with the center into the region, and taking one masked sum
     per distance (within ``PROB_TOL``)."""
-    d = ra.distances_from(hclass, model, center)
+    d = _distances_from(hclass, model, center)
     order = np.argsort(d, kind="stable")
     pred = hclass.predictions
     base = pred[center]
@@ -106,7 +120,7 @@ def _check_exact_geometry(hclass, model, center):
     assert errs.min() == eta  # the base row is in the class
     d, theta = _exact_geometry(hclass, center)
     dist = {di: float(Fraction(di, n)) for di in set(d.tolist())}
-    assert ra.distances_from(hclass, model, center).tolist() == [dist[di] for di in d.tolist()]
+    assert _distances_from(hclass, model, center).tolist() == [dist[di] for di in d.tolist()]
     assert ra.disagreement_coefficient(hclass, model, center) == float(theta)
 
 
@@ -249,7 +263,7 @@ def test_weights_within_tolerance_are_normalized_once():
     model = ra.DataModel.realizable(h, 1, np.array([0.9999999999999999]))
     assert model.weights.tolist() == [1.0] and not model._uniform
     assert ra.true_errors(h, model).tolist() == [1.0, 0.0]
-    assert ra.distances_from(h, model, 1).tolist() == [1.0, 0.0]
+    assert _distances_from(h, model, 1).tolist() == [1.0, 0.0]
     assert ra.disagreement_mass(model, np.ones(1, dtype=bool)) == 1.0
     assert model._whole_domain_weights.tolist() == [1.0]
 
@@ -474,7 +488,7 @@ def test_exact_errors_are_float64(thresholds8, uniform8):
         errs = ra.empirical_errors_from_counts(thresholds8, c0, c1, members)
         assert errs.dtype == np.float64
     assert ra.true_errors(thresholds8, uniform8).dtype == np.float64
-    assert ra.distances_from(thresholds8, uniform8, 4).dtype == np.float64
+    assert _distances_from(thresholds8, uniform8, 4).dtype == np.float64
 
 
 @pytest.mark.parametrize("draws", [49, 1986])
@@ -925,7 +939,7 @@ def test_coefficient_matches_dense_radius_scan(seed):
     g = np.random.default_rng(seed)
     h = _random_class(seed, int(g.integers(2, 9)), int(g.integers(2, 7)))
     m = ra.DataModel.realizable(h, 0)
-    d = ra.distances_from(h, m, 0)
+    d = _distances_from(h, m, 0)
     best = 0.0
     for r in sorted(set(float(x) for x in d if x > PROB_TOL)):
         ball = _error_ball(h, m, 0, r)
@@ -1030,9 +1044,8 @@ def test_coefficient_of_more_rows_than_uint16_ranks():
 
 @pytest.mark.parametrize("center", [-1, 9])
 def test_center_outside_the_class_is_a_parameter_error(thresholds8, uniform8, center):
-    for fn in (ra.distances_from, ra.disagreement_coefficient):
-        with pytest.raises(ra.ParameterError, match="center index"):
-            fn(thresholds8, uniform8, center)
+    with pytest.raises(ra.ParameterError, match="center index"):
+        ra.disagreement_coefficient(thresholds8, uniform8, center)
 
 
 # ---------------------------------------------------------------------------
@@ -1063,7 +1076,7 @@ def test_ball_membership_is_distance_cut(seed, radius):
     h = _random_class(seed, int(g.integers(2, 8)), int(g.integers(2, 6)))
     m = ra.DataModel.realizable(h, 0)
     ball = set(_error_ball(h, m, 0, radius).indices().tolist())
-    d = ra.distances_from(h, m, 0)
+    d = _distances_from(h, m, 0)
     for i in range(h.n_hypotheses):
         assert (i in ball) == (d[i] <= radius + PROB_TOL)
 

@@ -553,12 +553,12 @@ def test_batch_computes_the_geometry_once(monkeypatch):
 def test_batch_computes_the_full_class_region_once(monkeypatch):
     # every side starts from the problem's region instead of masking the full
     # class again; later masks belong to smaller version spaces
-    calls = _count_calls(monkeypatch, "disagreement_mask")
+    calls = _count_calls(monkeypatch, "_coverage_region")
     cfg = _cal_cfg(trials=5)
     outcomes = list(iter_paired_runs(cfg))
     assert len(outcomes) == 5
     assert all(o.result_first is not None and o.result_second is not None for o in outcomes)
-    full = [space for _, space in calls if space.members.all()]
+    full = [members for _, members, _ in calls if members.all()]
     assert len(full) == 1
     assert len(calls) == 1 + sum(o.result_first.rounds + o.result_second.rounds for o in outcomes)
 
@@ -615,14 +615,65 @@ def test_learners_derive_one_region_per_version_space(monkeypatch, algo):
     # space; on thresholds(128) at epsilon 0.02 (noise 0.01 for the agnostic
     # learners) every learner runs at least two loop rounds, so the count
     # covers regions re-derived from a cut version space
-    calls = _count_calls(monkeypatch, "disagreement_mask")
+    calls = _count_calls(monkeypatch, "_coverage_region")
     noisy = dict(target=128, eta=0.01) if GOLDEN_BATCHES[algo].eta else {}
     cfg = replace(GOLDEN_BATCHES[algo], domain_size=128, eps=0.02, **noisy)
     problem = ra.Problem(*build_problem(cfg))
     shared, rng = ra.RandomString(cfg.b_seed), data_stream(cfg.data_seed, 0, 0)
-    result = harness.LEARNERS[algo](problem, cfg, shared, rng)
+    learner = harness.LEARNERS[algo]
+    result = learner.run(problem, learner.size(problem, cfg), shared, rng)
     assert result.rounds >= 2
     assert len(calls) == result.rounds + 1
+
+
+def _count_sizing(monkeypatch, algos) -> list:
+    """Wrap each learner's sizing function in the registry; returns the
+    (algo, eps) of every call."""
+    calls = []
+    for algo in algos:
+        learner = harness.LEARNERS[algo]
+
+        def counting(problem, cfg, algo=algo, size=learner.size):
+            calls.append((algo, cfg.eps))
+            return size(problem, cfg)
+
+        monkeypatch.setitem(harness.LEARNERS, algo, learner._replace(size=counting))
+    return calls
+
+
+@pytest.mark.parametrize("algo", ["replical", "replica2"])
+def test_replicable_batch_sizes_its_schedule_once(monkeypatch, algo):
+    calls = []
+    size = replicable.size_schedule
+    monkeypatch.setattr(replicable, "size_schedule", lambda *a: calls.append(a) or size(*a))
+    report = run_paired_trials(replace(GOLDEN_BATCHES[algo], trials=6))
+    assert report.pairs == 6 and not report.failure_counts
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("algo", ["erm", "cal", "a2"])
+def test_baseline_batch_sizes_once(monkeypatch, algo):
+    calls = _count_sizing(monkeypatch, [algo])
+    report = run_paired_trials(replace(GOLDEN_BATCHES[algo], trials=6))
+    assert report.pairs == 6 and not report.failure_counts
+    assert calls == [(algo, GOLDEN_BATCHES[algo].eps)]
+
+
+def test_sweep_sizes_once_per_learner_and_target(monkeypatch):
+    calls = _count_sizing(monkeypatch, ["erm", "cal"])
+    cfg = replace(GOLDEN_BATCHES["cal"], algos=("erm", "cal"), trials=3)
+    table = label_complexity_sweep(cfg, [0.2, 0.1])
+    assert len(table.rows) == 4
+    assert calls == [("erm", 0.2), ("erm", 0.1), ("cal", 0.2), ("cal", 0.1)]
+
+
+def test_unsizable_batch_fails_every_side_without_running(monkeypatch):
+    # a plan that cannot be made is recorded on every side, and no side runs
+    runs = _count_calls(monkeypatch, "sample_labeled_counts")
+    cfg = replace(GOLDEN_BATCHES["replical"], delta=0.2, rho=0.3, trials=5)
+    report = run_paired_trials(cfg)
+    assert report.failure_counts == (("ParameterError", 10),)
+    assert report.rows == () and runs == []
 
 
 def _expected_use(cfg, problem, result):

@@ -1,5 +1,10 @@
 """Shared-randomness stream: determinism, independence, distribution checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -115,6 +120,29 @@ def test_choice_bounds_and_errors():
     assert all(0 <= a.derive_choice("c5", 5) < 5 for _ in range(200))
     with pytest.raises(ra.ParameterError):
         a.derive_choice("bad", 0)
+    # every 64-bit block is accepted at 2**64
+    assert 0 <= a.derive_choice("wide", 2**64) < 2**64
+
+
+def test_choice_past_two_to_the_64_is_refused_in_a_child_process():
+    # above 2**64 no 64-bit block could be accepted, and the draw once spun
+    # forever; a child process with a timeout turns a hang into a failure
+    code = (
+        "import ralearn as ra\n"
+        "rs = ra.RandomString('01')\n"
+        "try:\n"
+        "    rs.derive_choice('wider', 2**64 + 1)\n"
+        "except ra.ParameterError:\n"
+        "    print(rs.draws_made('wider'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def test_two_labels_decorrelated():

@@ -12,6 +12,8 @@ from ralearn.replicable import (
     ThresholdGrid,
     _select_final,
     build_grid,
+    replica2_plan,
+    replical_plan,
     run_replica2,
     run_replical,
     size_schedule,
@@ -20,6 +22,15 @@ from ralearn.replicable import (
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+# one side of each learner, sized first as a batch sizes it
+def _replical(problem, eps, delta, rho, rs, rng):
+    return run_replical(problem, replical_plan(problem, eps, delta, rho), rs, rng)
+
+
+def _replica2(problem, eps, delta, rho, rs, rng):
+    return run_replica2(problem, replica2_plan(problem, eps, delta, rho), rs, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +225,13 @@ def test_schedule_refuses_a_final_range_that_underflows():
         size_schedule(1.0, 5e-324, 0.1, 0.3, 0.5, 129)
 
 
+def test_schedule_refuses_more_thresholds_than_a_choice_draws_from():
+    # floor(ln 4 / rho**2) thresholds, past the 2**64 a slot draw takes
+    assert math.floor(math.log(4) / 5.2e-12**2) > 2**64
+    with pytest.raises(ra.ParameterError, match="rho=5.2e-12"):
+        size_schedule(1.0, 0.1, 1e-300, 5.2e-12, 0.0, 4)
+
+
 def test_schedule_halving_eps_adds_a_round():
     a = size_schedule(2.0, 0.05, 0.1, 0.3, 0.0, 129)
     b = size_schedule(2.0, 0.025, 0.1, 0.3, 0.0, 129)
@@ -316,7 +334,7 @@ def test_final_pick_agreement_matches_jaccard_similarity():
 def test_replical_singleton_class_uses_no_labels():
     h = ra.explicit([[0, 1, 0]])
     m = ra.DataModel.realizable(h, 0)
-    res = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("01"), _rng())
+    res = _replical(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("01"), _rng())
     assert res.hypothesis_index == 0
     assert res.labels_used == 0
     assert res.rounds == 0
@@ -326,8 +344,8 @@ def test_replical_singleton_class_uses_no_labels():
 def test_replical_replays_bit_identically():
     h = ra.thresholds(64)
     m = ra.DataModel.realizable(h, 20)
-    a = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("c0de"), _rng(5))
-    b = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("c0de"), _rng(5))
+    a = _replical(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("c0de"), _rng(5))
+    b = _replical(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("c0de"), _rng(5))
     assert a == b
 
 
@@ -335,9 +353,9 @@ def test_replical_does_not_mutate_callers_string():
     h = ra.thresholds(32)
     m = ra.DataModel.realizable(h, 16)
     rs = ra.RandomString("77aa")
-    run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(1))
-    first = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(1))
-    second = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(1))
+    _replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(1))
+    first = _replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(1))
+    second = _replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(1))
     assert first == second  # entry clone keeps the caller's counters untouched
 
 
@@ -347,8 +365,8 @@ def test_replical_pairs_mostly_agree_when_sharing_the_string():
     agree = 0
     for i in range(20):
         rs = ra.RandomString(f"{i:02x}")
-        r1 = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(2 * i))
-        r2 = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(2 * i + 1))
+        r1 = _replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(2 * i))
+        r2 = _replical(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(2 * i + 1))
         agree += r1.signature == r2.signature
     assert agree >= 12  # budget allows 30% disagreement; this is far inside it
 
@@ -357,7 +375,7 @@ def test_replical_target_always_survives():
     h = ra.thresholds(64)
     m = ra.DataModel.realizable(h, 20)
     for i in range(30):
-        res = run_replical(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString(f"{i + 1:04x}"), _rng(i))
+        res = _replical(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString(f"{i + 1:04x}"), _rng(i))
         assert 20 in res.survivors
         assert res.error <= 0.1 + 1e-12
 
@@ -367,7 +385,7 @@ def test_replical_label_accounting_matches_schedule():
     m = ra.DataModel.realizable(h, 65)
     theta = ra.disagreement_coefficient(h, m, 65)
     sched = size_schedule(theta, 0.05, 0.05, 0.3, 0.0, 129)
-    res = run_replical(ra.Problem(h, m), 0.05, 0.05, 0.3, ra.RandomString("0abc"), _rng(9))
+    res = _replical(ra.Problem(h, m), 0.05, 0.05, 0.3, ra.RandomString("0abc"), _rng(9))
     assert res.labels_used == sched.k * res.rounds
     assert res.unlabeled_used == sched.t_unlabeled * (res.rounds + 1)
     assert res.rounds <= sched.n_max
@@ -380,14 +398,14 @@ def test_learners_place_the_schedule_grids():
     h = ra.thresholds(32)
     rs = ra.RandomString("0c0c")
     real = ra.Problem(h, ra.DataModel.realizable(h, 16))
-    res = run_replical(real, 0.1, 0.1, 0.3, rs, _rng(1))
+    res = _replical(real, 0.1, 0.1, 0.3, rs, _rng(1))
     sched = size_schedule(real.sizing_theta, 0.1, 0.1, 0.3, 0.0, 33)
     grid = build_grid(sched.top_loop, sched.interval_count, "realizable", rs.clone())
     assert res.rounds >= 1
     assert {rec.threshold for rec in res.trace} == {grid.threshold}
 
     noisy = ra.Problem(h, ra.DataModel.agnostic(h, 32, 0.01))
-    res = run_replica2(noisy, 0.1, 0.1, 0.3, rs, _rng(1))
+    res = _replica2(noisy, 0.1, 0.1, 0.3, rs, _rng(1))
     sched = size_schedule(noisy.sizing_theta, 0.1, 0.1, 0.3, noisy.nu, 33)
     shared = rs.clone()
     loop = build_grid(sched.top_loop, sched.interval_count, "agnostic-loop", shared)
@@ -402,7 +420,7 @@ def test_learners_place_the_schedule_grids():
 def test_replical_trace_is_monotone():
     h = ra.thresholds(128)
     m = ra.DataModel.realizable(h, 65)
-    res = run_replical(ra.Problem(h, m), 0.05, 0.05, 0.3, ra.RandomString("0abd"), _rng(4))
+    res = _replical(ra.Problem(h, m), 0.05, 0.05, 0.3, ra.RandomString("0abd"), _rng(4))
     sizes = [r.version_size for r in res.trace]
     assert sizes == sorted(sizes, reverse=True)
     for rec in res.trace:
@@ -416,9 +434,9 @@ def test_replical_rejects_bad_budgets():
     h = ra.thresholds(8)
     m = ra.DataModel.realizable(h, 4)
     with pytest.raises(ra.ParameterError):
-        run_replical(ra.Problem(h, m), 0.1, 0.2, 0.3, ra.RandomString("01"), _rng())
+        _replical(ra.Problem(h, m), 0.1, 0.2, 0.3, ra.RandomString("01"), _rng())
     with pytest.raises(ra.ParameterError):
-        run_replical(ra.Problem(h, m), 1.2, 0.05, 0.3, ra.RandomString("01"), _rng())
+        _replical(ra.Problem(h, m), 1.2, 0.05, 0.3, ra.RandomString("01"), _rng())
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +453,12 @@ def test_replica2_rejects_noiseless_models():
     h = ra.thresholds(16)
     m = ra.DataModel.realizable(h, 8)
     with pytest.raises(ra.WrongSettingError):
-        run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("01"), _rng())
+        _replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("01"), _rng())
 
 
 def test_replica2_runs_on_edge_noise():
     h, m = _edge_noise_problem()
-    res = run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("0101"), _rng(3))
+    res = _replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("0101"), _rng(3))
     assert res.algo == "replica2"
     assert res.labels_used > 0
     assert len(res.trace) == res.rounds + 1  # loop rounds plus the final phase record
@@ -449,8 +467,8 @@ def test_replica2_runs_on_edge_noise():
 
 def test_replica2_replays_bit_identically():
     h, m = _edge_noise_problem()
-    a = run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("fe01"), _rng(7))
-    b = run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("fe01"), _rng(7))
+    a = _replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("fe01"), _rng(7))
+    b = _replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString("fe01"), _rng(7))
     assert a == b
 
 
@@ -465,7 +483,7 @@ def test_replica2_flags_unsatisfiable_loop_guard():
         problem = ra.Problem(h, m)
         sched = ra.size_schedule(problem.sizing_theta, 0.1, 0.1, 0.3, problem.nu, 16)
         assert sched.sq_loop is None
-        res = run_replica2(problem, 0.1, 0.1, 0.3, ra.RandomString("33"), _rng(2))
+        res = _replica2(problem, 0.1, 0.1, 0.3, ra.RandomString("33"), _rng(2))
         assert "loop-guard-unsatisfiable" in res.flags
         assert res.rounds == 0
 
@@ -474,7 +492,7 @@ def test_replica2_best_hypothesis_usually_survives():
     h, m = _edge_noise_problem(32)
     kept = 0
     for i in range(20):
-        res = run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString(f"{i:02x}"), _rng(i))
+        res = _replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, ra.RandomString(f"{i:02x}"), _rng(i))
         kept += 32 in res.survivors
     assert kept >= 18
 
@@ -484,7 +502,7 @@ def test_replica2_pairs_mostly_agree():
     agree = 0
     for i in range(20):
         rs = ra.RandomString(f"a0{i:02x}")
-        r1 = run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(50 + 2 * i))
-        r2 = run_replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(51 + 2 * i))
+        r1 = _replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(50 + 2 * i))
+        r2 = _replica2(ra.Problem(h, m), 0.1, 0.1, 0.3, rs, _rng(51 + 2 * i))
         agree += r1.signature == r2.signature
     assert agree >= 12
