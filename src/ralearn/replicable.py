@@ -378,8 +378,8 @@ def run_replica2(
     """Replicable agnostic elimination, then a final cut relative to the best,
     sized by ``replica2_plan``'s schedule.
 
-    Without a loop query in the schedule (``sq_loop`` None) the run skips the loop,
-    flagged "loop-guard-unsatisfiable".  Loop rounds keep hypotheses whose
+    Without a loop query in the schedule (``sq_loop`` None) the run skips
+    the loop, flagged "loop-guard-unsatisfiable".  Loop rounds keep hypotheses whose
     conditional empirical error stays under the shared threshold plus a
     noise allowance tied to the current estimated disagreement mass.  Once
     the estimate drops below 16 * theta * nu, a finer grid (same selected

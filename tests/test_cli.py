@@ -206,7 +206,7 @@ def test_tiny_rho_run_is_parameter_error_in_a_child_process():
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
-        timeout=5,
+        timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (3, "")
     assert "rho=5.2e-12" in proc.stderr
@@ -227,7 +227,7 @@ def test_gridcheck_refuses_a_grid_it_cannot_print(capsys):
 def test_gridcheck_prints_a_grid_at_its_bound(capsys, monkeypatch):
     # the bound refuses only what is past it
     argv = ["gridcheck", "--class", "thresholds", "--domain-size", "16", "--rho", "0.3"]
-    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    _, out, _ = run_cli(capsys, [*argv, "--format", "json"])
     count = json.loads(out)["count"]
     monkeypatch.setattr(cli, "MAX_GRIDCHECK_THRESHOLDS", count)
     assert run_cli(capsys, argv)[0] == 0

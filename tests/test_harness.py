@@ -667,15 +667,6 @@ def test_sweep_sizes_once_per_learner_and_target(monkeypatch):
     assert calls == [("erm", 0.2), ("erm", 0.1), ("cal", 0.2), ("cal", 0.1)]
 
 
-def test_unsizable_batch_fails_every_side_without_running(monkeypatch):
-    # a plan that cannot be made is recorded on every side, and no side runs
-    runs = _count_calls(monkeypatch, "sample_labeled_counts")
-    cfg = replace(GOLDEN_BATCHES["replical"], delta=0.2, rho=0.3, trials=5)
-    report = run_paired_trials(cfg)
-    assert report.failure_counts == (("ParameterError", 10),)
-    assert report.rows == () and runs == []
-
-
 def _expected_use(cfg, problem, result):
     """(labels, unlabeled) a side must report, from its learner's sizes: k
     labels per loop round plus any final sample, and t_unlabeled draws per
