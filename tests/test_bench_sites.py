@@ -6,7 +6,8 @@ workloads are pinned by sha256 on seed 0 and on the held-out seed 3, so a
 change that claims the benchmark's results did not move is checked here, and
 the benchmark's own
 full pass over each of them, at its smoke size, must pass its checks and
-report the same CSV when every library site is wrapped.
+report the same CSV when every library site is wrapped.  The calls each
+span takes in that wrapped pass are pinned too.
 """
 
 import hashlib
@@ -120,6 +121,17 @@ def test_bench_full_pass_passes_its_checks(bench_run, name):
     assert text == report_csv(run_paired_trials(cfg))
 
 
+def _traced_pass(bench_run, spans, doc):
+    """The recorder and report CSV of one full pass with every site wrapped."""
+    recorder = spans.Recorder()
+    recorder.install_library()
+    try:
+        _, (_, _, text) = bench_run.full_pass(harness, doc)
+    finally:
+        recorder.restore()
+    return recorder, text
+
+
 @pytest.mark.parametrize("name", sorted(BENCH_SEED0_DIGESTS))
 def test_traced_full_pass_reports_what_the_untraced_one_does(bench_run, spans, name):
     # one smoke-size pass with every library site wrapped: the report CSV
@@ -129,12 +141,7 @@ def test_traced_full_pass_reports_what_the_untraced_one_does(bench_run, spans, n
     workload = bench_run.WORKLOADS[name]
     doc = bench_run.config_doc(workload, 0, workload.tiny_pairs)
     cfg, (_, _, plain) = bench_run.full_pass(harness, doc)
-    recorder = spans.Recorder()
-    recorder.install_library()
-    try:
-        _, (_, _, traced) = bench_run.full_pass(harness, doc)
-    finally:
-        recorder.restore()
+    recorder, traced = _traced_pass(bench_run, spans, doc)
     assert traced == plain
     hclass, _ = harness.build_problem(cfg)
     _, calls = recorder.self_times()
@@ -149,3 +156,28 @@ def test_traced_full_pass_reports_what_the_untraced_one_does(bench_run, spans, n
     assert ("replicable.final_pick.draws" in recorder.counts) == (picks > 0)
     assert recorder.counts["replicable.final_pick.draws"] == 0
     assert recorder.counts["replicable.final_pick.survivors"] >= picks
+
+
+# calls per span of one smoke-size seed-0 pass: a span whose count moves has
+# had work moved in or out from under it
+_SPAN_COUNTS = (
+    "core.sample_labeled_counts",
+    "core.empirical_errors_from_counts",
+    "core.disagreement_mass",
+    "core.disagreement_mask",
+    "replicable.final_pick",
+    "baselines.result",
+)
+SMOKE_SPAN_COUNTS = {
+    "cal-t1024": (18, 18, 26, 1, 0, 8),
+    "replical-i48": (8, 8, 14, 1, 6, 6),
+    "erm-t1024": (40, 40, 0, 0, 0, 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_SPAN_COUNTS))
+def test_traced_span_counts_are_pinned(bench_run, spans, name):
+    workload = bench_run.WORKLOADS[name]
+    recorder, _ = _traced_pass(bench_run, spans, bench_run.config_doc(workload, 0, workload.tiny_pairs))
+    _, calls = recorder.self_times()
+    assert tuple(calls[span] for span in _SPAN_COUNTS) == SMOKE_SPAN_COUNTS[name]

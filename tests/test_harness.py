@@ -891,3 +891,114 @@ def test_golden_sweep_json_digest():
     assert _sha256(json_text(table.to_jsonable())) == (
         "0796de27e4690cc8887562d667e7ef71d8a6bc04898b56f81671fd73e913df36"
     )
+
+
+# Goldens whose sums are inexact in binary: the class has no power-of-two
+# domain and the weights are not dyadic, so a changed summation order in an
+# error, a mass or a conditional distribution moves a digest.  intervals(37)
+# weighs point i by (i % 5 + 1) / 108; the explicit class has constant first,
+# second and last columns, so its full disagreement region is not all True,
+# and weighs column j by (j + 1) / 45.  Each batch pins its report CSV and
+# the JSON of every side of every pair.
+_INEXACT_COMMON = dict(eps=0.03, delta=0.1, rho=0.3, trials=4, b_seed="5eed", data_seed="d47a")
+_INTERVALS37 = dict(
+    class_name="intervals",
+    domain_size=37,
+    weights=tuple((i % 5 + 1) / 108 for i in range(37)),
+    target=300,
+)
+_EXPLICIT9 = dict(
+    class_name="explicit",
+    matrix=tuple((1, 0, *(int(b) for b in f"{v * 37 % 64:06b}"), 1) for v in range(20)),
+    weights=tuple((j + 1) / 45 for j in range(9)),
+    target=3,
+)
+INEXACT_BATCHES = {
+    **{
+        f"{algo}-weighted": ExperimentConfig(algo=algo, **_INTERVALS37, **_INEXACT_COMMON)
+        for algo in ("erm", "cal", "replical")
+    },
+    **{
+        f"{algo}-noisy": ExperimentConfig(algo=algo, eta=0.005, **_INTERVALS37, **_INEXACT_COMMON)
+        for algo in ("erm", "a2", "replica2")
+    },
+    **{
+        f"{algo}-explicit": ExperimentConfig(
+            algo=algo, eta=0.01 if algo in ("a2", "replica2") else 0.0,
+            **_EXPLICIT9, **_INEXACT_COMMON,
+        )
+        for algo in ALGORITHMS
+    },
+}
+
+# (report CSV sha256, sha256 of every side's RunResult JSON, one per line)
+INEXACT_DIGESTS = {
+    "a2-explicit": (
+        "568e56a8085d8abcece581280548a1ca5c6a72f30effbb2bb4f0f68af5552294",
+        "795bc41eed7311a8e6f7101021f7f4bd43eba30567a123718900a6ed7693ff5b",
+    ),
+    "a2-noisy": (
+        "df63e7df453bb5fe20895ee4386aaf0c2e0965e92c961b98d1b924220266c4aa",
+        "62fba5f3dafdc4995a20d8e28681b73d6bb9b56d6524157233f37152cd53c83c",
+    ),
+    "cal-explicit": (
+        "a3c39533ba704f9b96cb4d60c47703b6985088a553e6f74cc2df269818cf2263",
+        "1c88b54642db0eebd5b1770b07705f6fe0a8a63f224fcdfd16a2124b94f96530",
+    ),
+    "cal-weighted": (
+        "30c480bd6dbf74f56b66fd7cf49504eb6e336e3d2b71b8f9275f7dde017b990f",
+        "ec513a1f46e4c5e644d91e629fa4c314af1091c5802b3053675448e43d2999d1",
+    ),
+    "erm-explicit": (
+        "f81419d9c919b50238ca99c443219a2d885f89671528298ab48f3388e7191a4d",
+        "55d8adf0bf32558fc70f68744a4e32df2408f21a12b5ecc38c149ad0f22dfd53",
+    ),
+    "erm-noisy": (
+        "59ea5c767a66e2a8be17bb86f2670406d0f5ad3cf3a93024ee941cd06ff28afc",
+        "935d434c08c86c4d6c2a2c36588ece5660b356f8d6291612a2ec579aa46f7ac0",
+    ),
+    "erm-weighted": (
+        "97dfb29ac03e10f2402284c3fec33c46936c51f80ea4151cf79b06d40a9cf118",
+        "ec18c8f2e948c10177b77a359fdf22dcf29dc6c79c33819f70aca762dff9dbf6",
+    ),
+    "replica2-explicit": (
+        "74adeb7f7e731e6a971c5ecab95ab33981fd3ec9363be90334ba9f31e0250b36",
+        "bfa801c5a911471a278b944de0718d8c27b26007a1a51fdbb4ab5c6fe0754afb",
+    ),
+    "replica2-noisy": (
+        "ead74cdd688b48ce507a3ff6fcad6259c6ac34337246d072618767b77673cc24",
+        "7f622133a8111de45194d8e480b6f07fdf132ddd5d617793c7ba466c877eb490",
+    ),
+    "replical-explicit": (
+        "dcfbd66364363fe2255e184d10f85d4ba031dec22bf7a24dcd7c0108b2caa153",
+        "29e5ffa9e969875bfa3acfe09f349422edbc36d9c6ee9412c7b9395f3ce135a9",
+    ),
+    "replical-weighted": (
+        "b916bc5c9f4e752748b7c56778c5d39f450b00386bdb6c8c7cbdf8ee704bcd75",
+        "23f9a821955a21de1d3fee72f1fdd2df01bb909149fdb635e524df7cd4e0a613",
+    ),
+}
+
+
+def test_inexact_batches_exercise_what_they_are_for():
+    explicit = ra.Problem(*build_problem(INEXACT_BATCHES["cal-explicit"]))
+    assert not explicit.region.all()
+    for name, cfg in INEXACT_BATCHES.items():
+        _, model = build_problem(cfg)
+        assert not model._uniform, name
+        report = run_paired_trials(cfg)
+        assert report.failure_counts == (), name
+        if cfg.algo != "erm":
+            assert min(row.rounds for row in report.rows) >= 1, name
+
+
+@pytest.mark.parametrize("name", sorted(INEXACT_BATCHES))
+def test_inexact_golden_digests(name):
+    cfg = INEXACT_BATCHES[name]
+    sides = [
+        json.dumps(result.to_jsonable(), sort_keys=True)
+        for outcome in iter_paired_runs(cfg)
+        for result in (outcome.result_first, outcome.result_second)
+    ]
+    digests = (_sha256(report_csv(run_paired_trials(cfg))), _sha256("\n".join(sides)))
+    assert digests == INEXACT_DIGESTS[name]

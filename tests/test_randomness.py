@@ -1,5 +1,6 @@
 """Shared-randomness stream: determinism, independence, distribution checks."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -204,3 +205,85 @@ def test_rank_consumes_no_draws():
     assert a.draws_made("final-order") == 1
     assert a.draws_made("rank") == 0
     assert a.derive_uniform("final-order") == b.derive_uniform("final-order")
+
+
+class _LiteralStream:
+    """The shared string written out as plain keyed BLAKE2b calls: the key
+    is the 32-byte hash of the seed bytes, block ``c`` of a label is the
+    8-byte hash of ``label, 0, c`` (8 bytes little-endian), a rank the
+    8-byte hash of ``"rank", 0, label, 0, item``, and a child's seed the
+    32-byte hash of ``"spawn", 0, label``, as hex."""
+
+    def __init__(self, raw: bytes):
+        self.key = hashlib.blake2b(raw, digest_size=32).digest()
+        self.counters = {}
+
+    def block(self, label):
+        c = self.counters.get(label, 0)
+        self.counters[label] = c + 1
+        msg = label.encode() + b"\x00" + c.to_bytes(8, "little")
+        return int.from_bytes(hashlib.blake2b(msg, key=self.key, digest_size=8).digest(), "big")
+
+    def uniform(self, label):
+        return (self.block(label) >> 11) / 2.0**53
+
+    def choice(self, label, n):
+        limit = 2**64 - 2**64 % n
+        while True:
+            x = self.block(label)
+            if x < limit:
+                return x % n
+
+    def rank(self, label, item):
+        msg = b"rank\x00" + label.encode() + b"\x00" + item
+        return int.from_bytes(hashlib.blake2b(msg, key=self.key, digest_size=8).digest(), "big")
+
+    def spawn(self, label):
+        msg = b"spawn\x00" + label.encode()
+        child = hashlib.blake2b(msg, key=self.key, digest_size=32).hexdigest()
+        return _LiteralStream(bytes.fromhex(child)), child
+
+
+def _agree_with_literal(rs, lit, labels=("grid-origin", "grid-index", "region-estimate-0")):
+    for label in labels:
+        for _ in range(3):
+            assert rs.derive_uniform(label) == lit.uniform(label)
+        # 3 * 2**62 rejects about a quarter of the blocks, so both paths run
+        for n in (1, 7, 1177, 3 * 2**62, 2**64):
+            assert rs.derive_choice(label, n) == lit.choice(label, n)
+        for item in (b"", b"\x00\x01", bytes(range(48))):
+            assert rs.rank(label, item) == lit.rank(label, item)
+    for label in labels:
+        assert rs.draws_made(label) == lit.counters[label]
+
+
+@pytest.mark.parametrize("seed", ["08", "0x5EED", "abc", bytes(range(40))])
+def test_stream_matches_a_literal_blake2b_construction(seed):
+    raw = seed if isinstance(seed, bytes) else bytes.fromhex(ra.RandomString(seed).seed_hex)
+    rs, lit = ra.RandomString(seed), _LiteralStream(raw)
+    _agree_with_literal(rs, lit)
+    # a clone carries the counters on and then runs apart from its parent
+    clone = rs.clone()
+    lit_clone = _LiteralStream(raw)
+    lit_clone.counters = dict(lit.counters)
+    _agree_with_literal(clone, lit_clone)
+    _agree_with_literal(rs, lit)
+    # a child starts fresh under its own key, from a clone as from the parent
+    for parent in (rs, clone):
+        for label in ("pair/0", "pair/17", "sweep/cal/0/3"):
+            child = parent.spawn(label)
+            lit_child, child_hex = lit.spawn(label)
+            assert child.seed_hex == child_hex
+            assert child.draws_made("grid-origin") == 0
+            _agree_with_literal(child, lit_child)
+            _agree_with_literal(child.spawn("pair/1"), lit_child.spawn("pair/1")[0])
+
+
+def test_stream_values_are_pinned():
+    rs = ra.RandomString("08").spawn("pair/0")
+    assert rs.seed_hex == "49361d31a44fb3408583f2489de015ffdfd24c375c3b5d394ee5961e1f880637"
+    assert [rs.derive_uniform("grid-origin") for _ in range(2)] == [
+        0.049149529067269326, 0.3006185797564288
+    ]
+    assert rs.derive_choice("grid-index", 1177) == 274
+    assert rs.rank("final-order", b"\x00\x01") == 7190853738463641323
