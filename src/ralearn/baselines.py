@@ -198,7 +198,7 @@ def _result(
         rounds=rounds,
         final_disagreement_estimate=final_estimate,
         error=float(problem.errors[chosen]),
-        survivors=tuple(int(i) for i in space.indices()),
+        survivors=tuple(space.indices().tolist()),
         trace=tuple(trace),
         flags=flags,
     )
@@ -283,11 +283,13 @@ def run_passive_erm(problem: Problem, plan: Plan, rng: np.random.Generator) -> R
     )
     errs = empirical_errors_from_counts(hclass, count0, count1)
     best = int(np.argmin(errs))
+    chosen = np.zeros(hclass.n_hypotheses, dtype=bool)
+    chosen[best] = True
     return _result(
         "erm",
         problem,
         best,
-        VersionSpace.from_indices([best], hclass.n_hypotheses),
+        VersionSpace(chosen),
         counters,
         rounds=0,
         final_estimate=0.0,

@@ -346,7 +346,7 @@ class VersionSpace:
         return int(self.members.sum())
 
     def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.members)
+        return self.members.nonzero()[0]
 
 
 @dataclass
@@ -387,7 +387,7 @@ def _row_sums(hclass: HypothesisClass, values: np.ndarray, members: Optional[np.
     per run in a prefix sum, O(domain + runs), and no reduce when every row
     of the class is one run.  Exact while the sums fit int64."""
     prefix = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(values, out=prefix[1:])
+    np.add.accumulate(values, out=prefix[1:])
     runs = _member_runs(hclass, members)
     sums = prefix[hclass.end[runs]] - prefix[hclass.start[runs]]
     if hclass.start.size != hclass.n_hypotheses:
@@ -472,8 +472,8 @@ def empirical_errors_from_counts(
         raise ParameterError(f"label counts must have shape ({n},), the class's domain")
     if members is not None and np.shape(members) != (n_h,):
         raise ParameterError(f"members mask must have shape ({n_h},), one entry per hypothesis")
-    ones = int(count_one.sum())
-    total = int(count_zero.sum()) + ones
+    ones = int(np.add.reduce(count_one))
+    total = int(np.add.reduce(count_zero)) + ones
     if total == 0:
         raise ParameterError("empirical error of an empty sample is undefined")
     values = np.subtract(count_zero, count_one, dtype=np.int64)
@@ -492,8 +492,9 @@ def _coverage_region(hclass: HypothesisClass, members: np.ndarray, size: int) ->
     neither 0 nor ``size``."""
     runs = _member_runs(hclass, members)
     n = hclass.domain_size
-    opened = np.bincount(hclass.start[runs], minlength=n + 1)
-    cover = np.cumsum(opened - np.bincount(hclass.end[runs], minlength=n + 1))[:n]
+    count = np.bincount(hclass.start[runs], minlength=n + 1)
+    count -= np.bincount(hclass.end[runs], minlength=n + 1)
+    cover = np.add.accumulate(count[:n], out=count[:n])
     return (cover > 0) & (cover < size)
 
 
@@ -507,7 +508,7 @@ def disagreement_mass(model: DataModel, region: np.ndarray) -> float:
     mask = np.asarray(region, dtype=bool)
     if mask.shape != model.weights.shape:
         raise ParameterError("region mask shape must match the domain")
-    return float(model.weights[mask].sum())
+    return float(np.add.reduce(model.weights[mask]))
 
 
 def _range_min(lo: np.ndarray, hi: np.ndarray, values: np.ndarray, size: int, none) -> np.ndarray:
@@ -644,13 +645,14 @@ def conditional_weights(model: DataModel, region_mask: np.ndarray) -> np.ndarray
     mask = np.asarray(region_mask, dtype=bool)
     if mask.shape != model.weights.shape:
         raise ParameterError("region mask shape must match the domain")
-    if mask.all():
+    if np.count_nonzero(mask) == mask.size:
         return model._whole_domain_weights
     w = model.weights * mask
-    mass = float(w.sum())
+    mass = float(np.add.reduce(w))
     if mass <= PROB_TOL:
         raise ZeroMassRegionError("conditional distribution over a zero-mass region")
-    return w / mass
+    w /= mass
+    return w
 
 
 def _check_draws(m: int) -> None:
@@ -715,7 +717,7 @@ def sample_labeled_counts(
     if certain is None:
         ones = rng.binomial(counts, model.label_one_probabilities())
     else:
-        ones = np.where(certain, counts, 0)
+        ones = counts * certain
         rng.random(np.count_nonzero(ones))
     return counts - ones, ones
 

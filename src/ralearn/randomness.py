@@ -30,9 +30,16 @@ MAX_CHOICE = _TWO64
 
 
 class RandomString:
-    """Cloneable label-addressed random stream with a fixed-width key."""
+    """Cloneable label-addressed random stream with a fixed-width key.
 
-    __slots__ = ("_hex", "_key", "_counters")
+    The seed's bytes are hashed to a 32-byte key, and the keyed BLAKE2b
+    state of that key is made once (``_keyed``, shared by clones, never
+    updated): each block and each rank hashes its message into a copy of
+    it, which gives the digest of ``blake2b(msg, key=key, digest_size=8)``
+    without hashing the key's block again.
+    """
+
+    __slots__ = ("_hex", "_key", "_keyed", "_counters")
 
     def __init__(self, seed: str | bytes):
         if isinstance(seed, str):
@@ -52,6 +59,7 @@ class RandomString:
         self._hex = s
         # normalize any seed length to a fixed-width key
         self._key = hashlib.blake2b(raw, digest_size=32).digest()
+        self._keyed = hashlib.blake2b(key=self._key, digest_size=8)
         self._counters: dict[str, int] = {}
 
     @property
@@ -64,15 +72,15 @@ class RandomString:
         fresh = object.__new__(RandomString)
         fresh._hex = self._hex
         fresh._key = self._key
+        fresh._keyed = self._keyed
         fresh._counters = dict(self._counters)
         return fresh
 
     def spawn(self, label: str) -> "RandomString":
-        """A child stream with an independent key derived from ``label``."""
-        child = hashlib.blake2b(
-            b"spawn\x00" + label.encode(), key=self._key, digest_size=32
-        ).hexdigest()
-        return RandomString(child)
+        """A child stream with an independent key derived from ``label``: its
+        seed is the 32-byte keyed hash of ``"spawn", 0, label``."""
+        child = hashlib.blake2b(b"spawn\x00" + label.encode(), key=self._key, digest_size=32)
+        return RandomString(child.digest())
 
     def draws_made(self, label: str) -> int:
         return self._counters.get(label, 0)
@@ -80,8 +88,9 @@ class RandomString:
     def _next_block(self, label: str) -> bytes:
         c = self._counters.get(label, 0)
         self._counters[label] = c + 1
-        msg = label.encode() + b"\x00" + c.to_bytes(8, "little")
-        return hashlib.blake2b(msg, key=self._key, digest_size=8).digest()
+        h = self._keyed.copy()
+        h.update(label.encode() + b"\x00" + c.to_bytes(8, "little"))
+        return h.digest()
 
     def derive_uniform(self, label: str) -> float:
         """Next uniform draw in [0, 1) from the sub-stream ``label``."""
@@ -116,8 +125,9 @@ class RandomString:
         share their minimum with probability equal to their Jaccard
         similarity (MinHash).
         """
-        msg = b"rank\x00" + label.encode() + b"\x00" + item
-        return int.from_bytes(hashlib.blake2b(msg, key=self._key, digest_size=8).digest(), "big")
+        h = self._keyed.copy()
+        h.update(b"rank\x00" + label.encode() + b"\x00" + item)
+        return int.from_bytes(h.digest(), "big")
 
     def derive_permutation(self, label: str, n: int) -> np.ndarray:
         """Next uniform permutation of range(n) from the sub-stream ``label``."""

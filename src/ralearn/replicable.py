@@ -291,13 +291,17 @@ def _select_final(hclass: HypothesisClass, space: VersionSpace, rs: RandomString
     the string disagree exactly when the minimum of the union of their
     survivor sets falls in the symmetric difference, which has probability
     |S1 xor S2| / |S1 or S2| over the string (MinHash).  The cost is one hash
-    per distinct survivor.
+    per distinct survivor, and none when one signature survives: it is then
+    the minimum whatever its rank, and ranking draws nothing, so skipping it
+    changes no output.
     """
     lowest_by_sig: dict[bytes, int] = {}
     for i in space.indices():
         lowest_by_sig.setdefault(hclass.signature(int(i)), int(i))
     if not lowest_by_sig:
         raise EmptyVersionSpaceError("no surviving signature to select")
+    if len(lowest_by_sig) == 1:
+        return next(iter(lowest_by_sig.values()))
     sig = min(lowest_by_sig, key=lambda s: (rs.rank("final-order", s), s))
     return lowest_by_sig[sig]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import ParameterError
 from .randomness import RandomString
@@ -41,6 +42,13 @@ class SQParams:
     def beta(self) -> float:
         """Slack after reserving the two tail-failure events from the budget."""
         return self.rho - 2.0 * self.delta
+
+    @cached_property
+    def spacing(self) -> float:
+        """``grid_spacing`` of this query, computed on first use and kept on
+        it, so a query asked every round of every run of a batch (a
+        schedule's ``sq_loop``) works it out once."""
+        return grid_spacing(self)
 
 
 def required_sample_size(params: SQParams) -> int:
@@ -81,7 +89,7 @@ def rstat_answer_from_mean(
     """
     if not 0.0 <= mean <= 1.0:
         raise ParameterError(f"empirical mean must lie in [0, 1], got {mean}")
-    s = grid_spacing(params)
+    s = params.spacing
     offset = shared.derive_uniform(label) * s
     return snap_to_grid(mean, offset, s)
 
