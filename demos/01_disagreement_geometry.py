@@ -10,6 +10,8 @@ gets; the single-flip class drives it to the domain size, which is as bad
 as a finite class can be.
 """
 
+import numpy as np
+
 import ralearn as ra
 
 N = 16
@@ -27,8 +29,9 @@ def shrink_report(name, hclass, model, center):
         # drop the worst half by true error, as an idealized learner would
         errs = ra.true_errors(hclass, model)[list(space.indices())]
         order = sorted(zip(errs, space.indices()))
-        keep = [i for _, i in order[: max(1, space.size // 2)]]
-        space = ra.VersionSpace.from_indices(keep, hclass.n_hypotheses)
+        members = np.zeros(hclass.n_hypotheses, dtype=bool)
+        members[[i for _, i in order[: max(1, space.size // 2)]]] = True
+        space = ra.VersionSpace(members)
     print(f"  final survivor: index {next(iter(space.indices()))}")
     print()
 

@@ -184,10 +184,13 @@ def _result(
     final_estimate: float,
     trace: list[RoundRecord],
     flags: tuple[str, ...] = (),
+    sig: Optional[bytes] = None,
 ) -> RunResult:
     """The side's ``RunResult``: its ``error`` is read from ``problem.errors``,
-    the vector ``nu`` comes from, and its hash is of the signature bytes."""
-    sig = problem.hclass.signature(chosen)
+    the vector ``nu`` comes from, and its hash is of the signature bytes,
+    ``sig`` when the caller already holds the chosen row's."""
+    if sig is None:
+        sig = problem.hclass.signature(chosen)
     return RunResult(
         algo=algo,
         hypothesis_index=chosen,

@@ -325,22 +325,6 @@ class VersionSpace:
     def full(cls, n: int) -> "VersionSpace":
         return cls(np.ones(n, dtype=bool))
 
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], n: int) -> "VersionSpace":
-        raw = np.asarray(list(indices))
-        if raw.size:
-            # checked before the cast to int64, which would truncate 1.5 to 1
-            integral = raw.dtype.kind in "iu" or (
-                raw.dtype.kind == "f" and np.all(np.floor(raw) == raw)
-            )
-            if not integral:
-                raise ParameterError(f"hypothesis indices must be integers, got {raw.tolist()!r}")
-            if not (0 <= raw.min() and raw.max() < n):
-                raise ParameterError(f"hypothesis indices must lie in [0, {n})")
-        m = np.zeros(n, dtype=bool)
-        m[raw.astype(np.int64, copy=False)] = True
-        return cls(m)
-
     @property
     def size(self) -> int:
         return int(self.members.sum())

@@ -137,10 +137,27 @@ CONFIG_SCHEMA = {
     },
 }
 
+# each field's key in a config document, dotted under ``class``
+_DOC_KEYS = {
+    "class_name": "class.generator", "domain_size": "class.size", "matrix": "class.matrix",
+    "weights": "class.weights", "target": "class.target", "eta": "class.eta", "algo": "algo",
+    "algos": "algos", "eps": "epsilon", "delta": "delta", "rho": "rho", "trials": "trials",
+    "b_seed": "b_seed", "data_seed": "data_seed", "constants": "constants",
+}
+
+
+def _schema_node(key: str) -> dict:
+    node = CONFIG_SCHEMA
+    for part in key.split("."):
+        node = node["properties"][part]
+    return node
+
+
 # JSON Schema's types; a bool is not a number, and 1.0 is an integer
 _IS_TYPE = {
     "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
+    # a tuple is how a config built in Python spells an array
+    "array": lambda v: isinstance(v, (list, tuple)),
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
@@ -148,6 +165,8 @@ _IS_TYPE = {
     "integer": lambda v: not isinstance(v, bool)
     and (isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())),
 }
+_NOUNS = {"object": "an object", "array": "an array", "string": "a string", "null": "null"}
+_NOUNS.update(boolean="a boolean", number="a number", integer="an integer")
 # (keyword, violated(value, bound), wording); NaN violates none of them
 _BOUNDS = (
     ("minimum", operator.lt, "less than the minimum of"),
@@ -169,7 +188,8 @@ def _check_schema(value, schema: dict, path: str) -> None:
     if "type" in schema:
         names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
         if not any(_IS_TYPE[name](value) for name in names):
-            raise _schema_error(path, f"{value!r} is not of type {' or '.join(names)}")
+            nouns = " or ".join(_NOUNS[name] for name in names)
+            raise _schema_error(path, f"must be {nouns}, got {value!r}")
     # enum equality, except that a bool never equals 0 or 1
     if "enum" in schema and not any(
         value == e and isinstance(value, bool) == isinstance(e, bool) for e in schema["enum"]
@@ -181,9 +201,9 @@ def _check_schema(value, schema: dict, path: str) -> None:
                 raise _schema_error(path, f"{value!r} is {wording} {schema[key]!r}")
     if isinstance(value, str) and "pattern" in schema and not re.search(schema["pattern"], value):
         raise _schema_error(path, f"{value!r} does not match {schema['pattern']!r}")
-    if isinstance(value, list):
+    if _IS_TYPE["array"](value):
         if len(value) < schema.get("minItems", 0):
-            raise _schema_error(path, f"{value!r} has fewer than {schema['minItems']} items")
+            raise _schema_error(path, f"must have at least {schema['minItems']} items")
         if "items" in schema:
             for i, item in enumerate(value):
                 _check_schema(item, schema["items"], f"{path}[{i}]")
@@ -220,42 +240,25 @@ class ExperimentConfig:
     constants: Constants = field(default_factory=Constants)
 
     def __post_init__(self):
-        # the schema's integer rule, so a document and a Python caller get
-        # the same check; 16.0 is kept as 16, for range() and indexing
-        for name in ("domain_size", "target", "trials"):
+        # each field meets its CONFIG_SCHEMA node under its document path, so
+        # a config built in Python gets a document's rules and messages; the
+        # matrix is explicit's to check, Constants checks its own numbers, and
+        # None weights or () algos is a document leaving the key out
+        for name, key in _DOC_KEYS.items():
             value = getattr(self, name)
-            if name == "target" and value is None:
+            absent = value is None if name == "weights" else name == "algos" and value == ()
+            if absent or name in ("matrix", "constants"):
                 continue
-            if not _IS_TYPE["integer"](value):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.algo not in ALGORITHMS:
-            raise ParameterError(f"unknown algorithm {self.algo!r}; expected one of {ALGORITHMS}")
-        for a in self.algos:
-            if a not in ALGORITHMS:
-                raise ParameterError(f"unknown algorithm {a!r}; expected one of {ALGORITHMS}")
-        if self.class_name not in GENERATORS:
-            raise ParameterError(
-                f"unknown class generator {self.class_name!r}; expected one of {GENERATORS}"
-            )
-        if self.trials < 1:
-            raise ParameterError("trials must be at least 1")
+            node, path = _schema_node(key), f"config.{key}"
+            _check_schema(value, node, path)
+            # what the schema cannot say: NaN breaks no bound, and 16.0 is
+            # kept as 16, for range() and indexing
+            if _IS_TYPE["number"](value) and math.isnan(value):
+                raise ParameterError(f"{path}: must be a number, got nan")
+            if "integer" in node.get("type", ()) and value is not None:
+                object.__setattr__(self, name, int(value))
         if not isinstance(self.constants, Constants):
             raise ParameterError(f"constants must be a Constants, got {self.constants!r}")
-        # the schema's number rule: True would read as 1.0
-        given = [("epsilon", self.eps), ("delta", self.delta), ("rho", self.rho), ("eta", self.eta)]
-        given += [(f"weights[{i}]", w) for i, w in enumerate(self.weights or ())]
-        for name, value in given:
-            if not _IS_TYPE["number"](value):
-                raise ParameterError(f"{name} must be a number, got {value!r}")
-        for name, value in (("epsilon", self.eps), ("delta", self.delta), ("rho", self.rho)):
-            if not 0.0 < value < 1.0:
-                raise ParameterError(f"{name} must lie in (0, 1), got {value}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ParameterError(f"eta must lie in [0, 1], got {self.eta}")
-        for name, seed in (("b_seed", self.b_seed), ("data_seed", self.data_seed)):
-            if not (isinstance(seed, str) and re.search(_SEED_PATTERN, seed)):
-                raise ParameterError(f"{name} must be hex text, got {seed!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -266,13 +269,18 @@ class ExperimentConfig:
         ``minimum``, ``maximum``, ``exclusiveMinimum``, ``exclusiveMaximum``,
         ``minItems``, ``items``, ``pattern``, ``properties`` and
         ``additionalProperties``.  A mismatch raises ParameterError naming
-        the offending path, such as ``config.class.size``.
+        the offending path, such as ``config.class.size``.  Each key sets
+        the field ``_DOC_KEYS`` maps to it, and the constructor's own checks
+        follow, so a document fails as its Python spelling does, NaN included.
         """
         _check_schema(doc, CONFIG_SCHEMA, "config")
         # only the keys the document has, so the field defaults are the only copy
-        renamed = {"generator": "class_name", "size": "domain_size", "epsilon": "eps"}
-        items = {**doc.get("class", {}), **doc}.items()
-        kwargs = {renamed.get(k, k): v for k, v in items if k != "class"}
+        kwargs = {}
+        for name, key in _DOC_KEYS.items():
+            outer, _, last = key.rpartition(".")
+            part = doc.get(outer, {}) if outer else doc
+            if last in part:
+                kwargs[name] = part[last]
         if "matrix" in kwargs:
             kwargs["matrix"] = tuple(tuple(row) for row in kwargs["matrix"])
         for key in ("weights", "algos"):

@@ -281,8 +281,11 @@ def _loop_estimate(
     return measure
 
 
-def _select_final(hclass: HypothesisClass, space: VersionSpace, rs: RandomString) -> int:
-    """Shared-randomness pick among survivors, invariant to index accidents.
+def _select_final(
+    hclass: HypothesisClass, space: VersionSpace, rs: RandomString
+) -> tuple[int, bytes]:
+    """Shared-randomness pick among survivors, invariant to index accidents,
+    returned with its signature.
 
     Each distinct surviving prediction signature is ranked by the shared
     string's keyed hash under "final-order", the signature itself breaking a
@@ -300,10 +303,10 @@ def _select_final(hclass: HypothesisClass, space: VersionSpace, rs: RandomString
         lowest_by_sig.setdefault(hclass.signature(int(i)), int(i))
     if not lowest_by_sig:
         raise EmptyVersionSpaceError("no surviving signature to select")
-    if len(lowest_by_sig) == 1:
-        return next(iter(lowest_by_sig.values()))
-    sig = min(lowest_by_sig, key=lambda s: (rs.rank("final-order", s), s))
-    return lowest_by_sig[sig]
+    sig = next(iter(lowest_by_sig))
+    if len(lowest_by_sig) > 1:
+        sig = min(lowest_by_sig, key=lambda s: (rs.rank("final-order", s), s))
+    return lowest_by_sig[sig], sig
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +352,8 @@ def run_replical(
         _loop_estimate(problem, sched, shared, rng, counters),
         lambda errs, est: (v, v, None), trace  # keep errors up to the shared threshold
     )
-    chosen = _select_final(problem.hclass, space, shared)
-    return _result("replical", problem, chosen, space, counters, rounds, est, trace)
+    chosen, sig = _select_final(problem.hclass, space, shared)
+    return _result("replical", problem, chosen, space, counters, rounds, est, trace, sig=sig)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +458,8 @@ def run_replica2(
             labels_so_far=counters.labels,
         )
     )
-    chosen = _select_final(hclass, space, shared)
+    chosen, sig = _select_final(hclass, space, shared)
     return _result(
-        "replica2", problem, chosen, space, counters, rounds, dmass, trace, flags=tuple(flags)
+        "replica2", problem, chosen, space, counters, rounds, dmass, trace,
+        flags=tuple(flags), sig=sig,
     )

@@ -4,13 +4,14 @@ import hashlib
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ralearn as ra
 from ralearn import baselines, cli, core, harness, replicable
@@ -323,6 +324,90 @@ def test_schema_uses_only_checked_keywords():
         subs = (node.get("items"), node.get("additionalProperties"))
         nodes.extend(n for n in subs if isinstance(n, dict))
     assert used <= checked
+
+
+# how the fields are named in a document, read independently of the harness
+_RENAMED = {"generator": "class_name", "size": "domain_size", "epsilon": "eps"}
+
+
+def _python_fields(doc):
+    """The ExperimentConfig keywords a document's keys spell, its weights and
+    algos lists as the tuples a Python caller passes."""
+    items = {**doc["class"], **{k: v for k, v in doc.items() if k != "class"}}
+    kwargs = {_RENAMED.get(k, k): v for k, v in items.items()}
+    for name in ("weights", "algos"):
+        if isinstance(kwargs.get(name), list):
+            kwargs[name] = tuple(kwargs[name])
+    return kwargs
+
+
+def _failure(make):
+    try:
+        make()
+    except ra.ParameterError as e:
+        return str(e)
+    return None
+
+
+@given(doc=_near_valid_docs())
+@settings(max_examples=1000, deadline=None)
+def test_python_and_document_configs_fail_alike(doc):
+    """A config built in Python is refused exactly when its document is, and
+    with the document's message when it breaks one rule.  Left out: the
+    matrix and constants, which have their own Python types, unknown keys,
+    and ``"algos": []`` and ``"weights": null``, whose Python spellings
+    ``()`` and ``None`` mean an absent key."""
+    assume(isinstance(doc, dict) and isinstance(doc.get("class"), dict))
+    assume(not {"matrix", "bogus"} & set(doc["class"]) and not {"constants", "bogus"} & set(doc))
+    assume(doc.get("algos") != [] and doc["class"].get("weights", 0) is not None)
+    from_python = _failure(lambda: ExperimentConfig(**_python_fields(doc)))
+    from_document = _failure(lambda: ExperimentConfig.from_dict(doc))
+    assert (from_python is None) == (from_document is None), (from_python, from_document)
+    values = [*doc.values(), *doc["class"].values()]
+    nans = sum(isinstance(v, float) and math.isnan(v) for v in values)
+    if len(list(_REFERENCE.iter_errors(doc))) + nans == 1:
+        assert from_python == from_document
+
+
+def test_python_config_gets_the_document_message():
+    # these passed the Python checks once and failed only in build_problem
+    message = "config does not match the schema: config.class.size: 0 is less than the minimum of 1"
+    for make in (
+        lambda: ExperimentConfig(domain_size=0),
+        lambda: ExperimentConfig.from_dict({"class": {"size": 0}}),
+    ):
+        with pytest.raises(ra.ParameterError) as caught:
+            make()
+        assert str(caught.value) == message
+    for kwargs, path in (
+        ({"target": -1}, "config.class.target"),
+        ({"weights": (-0.5, 1.5)}, r"config.class.weights\[0\]"),
+        ({"weights": ()}, "config.class.weights"),
+    ):
+        with pytest.raises(ra.ParameterError, match=path):
+            ExperimentConfig(domain_size=2, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "key, name, flag",
+    [
+        ("epsilon", "eps", "--epsilon"),
+        ("delta", "delta", "--delta"),
+        ("rho", "rho", "--rho"),
+        ("class.eta", "eta", "--nu"),
+    ],
+)
+def test_nan_is_refused_everywhere(key, name, flag, capsys):
+    """NaN breaks no bound, so the schema alone would let ``eps=nan`` through."""
+    outer, _, last = key.rpartition(".")
+    message = rf"{last}\b.*\bnan$"
+    with pytest.raises(ra.ParameterError, match=message):
+        ExperimentConfig(**{name: math.nan})
+    doc = json.loads(f'{{"{last}": NaN}}')
+    with pytest.raises(ra.ParameterError, match=message):
+        ExperimentConfig.from_dict({outer: doc} if outer else doc)
+    assert cli.main(["pair", "--algo", "cal", "--trials", "1", flag, "nan"]) == 3
+    assert re.search(message, capsys.readouterr().err.strip())
 
 
 def test_empty_and_default_documents_give_the_default_config():

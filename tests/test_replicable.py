@@ -261,7 +261,9 @@ _DUPLICATES = ra.explicit(
 
 
 def _pick(h, members, rs):
-    return _select_final(h, ra.VersionSpace.from_indices(members, h.n_hypotheses), rs)
+    mask = np.zeros(h.n_hypotheses, dtype=bool)
+    mask[members] = True
+    return _select_final(h, ra.VersionSpace(mask), rs)[0]
 
 
 def test_final_pick_depends_only_on_the_surviving_signatures():
@@ -325,6 +327,25 @@ def test_final_pick_agreement_matches_jaccard_similarity():
         agree += _pick(h, first, rs) == _pick(h, second, rs)
     sigma = math.sqrt(jaccard * (1 - jaccard) / n)
     assert abs(agree / n - jaccard) <= 4 * sigma, agree / n
+
+
+def test_replical_side_builds_the_chosen_signature_once(monkeypatch):
+    # the final pick hands the signature it built to the result
+    h = ra.thresholds(32)
+    problem = ra.Problem(h, ra.DataModel.realizable(h, 16))
+    plan = replical_plan(problem, 0.1, 0.1, 0.3)
+    built = []
+    original = ra.HypothesisClass.signature
+
+    def counting(self, i):
+        built.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(ra.HypothesisClass, "signature", counting)
+    res = run_replical(problem, plan, ra.RandomString("01"), _rng())
+    assert res.survivors == (16,)
+    assert built == [16]
+    assert res.signature == original(h, 16)
 
 
 # ---------------------------------------------------------------------------
