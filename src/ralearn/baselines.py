@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -85,8 +85,7 @@ def _check_constant(name: str, v) -> None:
         raise ParameterError(f"constant {name} must be a positive number, got {v!r}")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """State of one elimination round, captured before the update.
 
     ``disagreement`` is the exact mass for baselines and the replicable
@@ -108,15 +107,13 @@ class RoundRecord:
     labels_so_far: int = 0
 
 
-_ROUND_FIELDS = tuple(f.name for f in fields(RoundRecord))
+class RunResult(NamedTuple):
+    """Outcome of one learner execution, a named tuple of no arrays.
 
-
-@dataclass(frozen=True)
-class RunResult:
-    """Outcome of one learner execution.
-
-    Contains no arrays, so two results compare equal exactly when every
-    field, including the returned signature and the full trace, is identical.
+    Two results compare equal, as tuples, exactly when every field, the
+    returned signature and the full trace of ``RoundRecord`` tuples
+    included, is identical.  ``_asdict`` gives the fields by name and
+    ``_replace`` a copy with some of them changed.
     """
 
     algo: str
@@ -133,16 +130,15 @@ class RunResult:
     flags: tuple[str, ...] = ()
 
     def to_jsonable(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = self._asdict()
         doc["signature"] = self.signature.hex()
         doc["survivors"] = list(self.survivors)
-        doc["trace"] = [{col: getattr(r, col) for col in _ROUND_FIELDS} for r in self.trace]
+        doc["trace"] = [r._asdict() for r in self.trace]
         doc["flags"] = list(self.flags)
         return doc
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """The sizes of one baseline run, fixed for a whole batch.
 
     ``eps`` is the accuracy target they were computed for, where ``cal``'s

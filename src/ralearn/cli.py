@@ -22,7 +22,6 @@ import sys
 from typing import Optional
 
 from .core import ParameterError, Problem, conditional_true_errors
-from .diagnostics import classify_thresholds, interval_profile
 from .harness import (
     ALGORITHMS,
     CONFIG_SCHEMA,
@@ -247,6 +246,9 @@ def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, st
 
 
 def _cmd_gridcheck(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[str, str]:
+    # imported here, so the other commands never load it
+    from .diagnostics import classify_thresholds, interval_profile
+
     problem = Problem(*build_problem(cfg))
     hclass, model = problem.hclass, problem.model
     # the loop grid the replicable learner of the schedule's setting draws

@@ -15,7 +15,7 @@ import math
 import numbers
 import operator
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -257,6 +257,12 @@ class ExperimentConfig:
                 raise ParameterError(f"{path}: must be a number, got nan")
             if "integer" in node.get("type", ()) and value is not None:
                 object.__setattr__(self, name, int(value))
+        # a NaN or infinite weight breaks no bound either; checked once every
+        # field has met its node, so a document that also breaks the schema
+        # fails with the schema's message on either path
+        for i, w in enumerate(self.weights or ()):
+            if not math.isfinite(w):
+                raise ParameterError(f"config.class.weights[{i}]: must be a finite number, got {w!r}")
         if not isinstance(self.constants, Constants):
             raise ParameterError(f"constants must be a Constants, got {self.constants!r}")
 
@@ -321,8 +327,7 @@ def data_stream(data_seed: str, *key: int) -> np.random.Generator:
 # paired trials
 
 
-@dataclass(frozen=True)
-class PairOutcome:
+class PairOutcome(NamedTuple):
     """Both sides of one paired run, or the failures that replaced them."""
 
     pair_index: int
@@ -336,8 +341,7 @@ class PairOutcome:
     agreed: bool
 
 
-@dataclass(frozen=True)
-class TrialRow:
+class TrialRow(NamedTuple):
     """One CSV row: one side of one paired trial."""
 
     trial: int
@@ -357,12 +361,19 @@ class TrialRow:
     agreed: bool
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(TrialRow))
+CSV_COLUMNS = TrialRow._fields
 
 
-@dataclass(frozen=True)
-class ReplicabilityReport:
-    """Aggregate statistics over a batch of paired runs."""
+class ReplicabilityReport(NamedTuple):
+    """Aggregate statistics over a batch of paired runs, with one
+    ``TrialRow`` per side that ran.
+
+    A named tuple: two reports compare equal, as tuples, exactly when every
+    statistic and row is identical, and ``_replace`` gives a copy with some
+    fields changed.  ``to_jsonable`` is ``_asdict`` with the failure counts
+    as an object and each row as one, the document ``pair --format json``
+    prints.
+    """
 
     algo: str
     pairs: int
@@ -381,9 +392,9 @@ class ReplicabilityReport:
     rows: tuple[TrialRow, ...]
 
     def to_jsonable(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = self._asdict()
         doc["failure_counts"] = dict(self.failure_counts)
-        doc["rows"] = [{col: getattr(r, col) for col in CSV_COLUMNS} for r in self.rows]
+        doc["rows"] = [r._asdict() for r in self.rows]
         return doc
 
 
@@ -550,8 +561,7 @@ def run_paired_trials(cfg: ExperimentConfig) -> ReplicabilityReport:
 # sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One learner at one accuracy target, summarized over ``trials`` single
     runs: mean and largest label count, mean unlabeled draws, mean exact
     error, and the share of runs whose error is at most ν + ε."""
@@ -566,18 +576,17 @@ class SweepRow:
     within_target_fraction: float
 
 
-SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+SWEEP_COLUMNS = SweepRow._fields
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(NamedTuple):
     """A label-complexity sweep: one row per learner and accuracy target, in
     the order the sweep ran them; ``SWEEP_COLUMNS`` names the CSV columns."""
 
     rows: tuple[SweepRow, ...]
 
     def to_jsonable(self) -> dict:
-        return {"rows": [{col: getattr(r, col) for col in SWEEP_COLUMNS} for r in self.rows]}
+        return {"rows": [r._asdict() for r in self.rows]}
 
 
 def label_complexity_sweep(cfg: ExperimentConfig, eps_list: Sequence[float]) -> SweepTable:
@@ -638,17 +647,11 @@ def _csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def report_csv(report: ReplicabilityReport) -> str:
-    return _csv_text(
-        CSV_COLUMNS,
-        ([getattr(r, col) for col in CSV_COLUMNS] for r in report.rows),
-    )
+    return _csv_text(CSV_COLUMNS, report.rows)
 
 
 def sweep_csv(table: SweepTable) -> str:
-    return _csv_text(
-        SWEEP_COLUMNS,
-        ([getattr(r, col) for col in SWEEP_COLUMNS] for r in table.rows),
-    )
+    return _csv_text(SWEEP_COLUMNS, table.rows)
 
 
 def json_text(payload) -> str:

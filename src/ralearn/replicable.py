@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -129,8 +129,7 @@ def build_grid(
 # sample-size schedule
 
 
-@dataclass(frozen=True)
-class ScheduleParams:
+class ScheduleParams(NamedTuple):
     """Every deterministic size used by one replicable run, its grids
     included: the loop and final grids span ``top_loop`` and ``top_final``
     with ``interval_count`` selectable thresholds each.

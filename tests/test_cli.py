@@ -326,16 +326,19 @@ def test_schema_error_is_parameter_error_in_a_child_process(tmp_path):
 
 
 def test_cli_import_leaves_jsonschema_unloaded():
-    # configs are validated in-house; jsonschema is a test dependency only
+    # configs are validated in-house; jsonschema is a test dependency only,
+    # and diagnostics is imported by gridcheck alone
+    unloaded = ("jsonschema", "ralearn.diagnostics")
+    code = f"import ralearn.cli, sys; print([m in sys.modules for m in {unloaded}])"
     proc = subprocess.run(
-        [sys.executable, "-c", "import ralearn.cli, sys; print('jsonschema' in sys.modules)"],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"
 
 
 def test_pair_stdout_is_bit_stable(capsys):

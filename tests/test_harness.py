@@ -395,19 +395,36 @@ def test_python_config_gets_the_document_message():
         ("delta", "delta", "--delta"),
         ("rho", "rho", "--rho"),
         ("class.eta", "eta", "--nu"),
+        ("class.weights", "weights", None),
     ],
 )
-def test_nan_is_refused_everywhere(key, name, flag, capsys):
-    """NaN breaks no bound, so the schema alone would let ``eps=nan`` through."""
+def test_nan_is_refused_everywhere(key, name, flag, tmp_path, capsys):
+    """NaN breaks no bound, so the schema alone would let ``eps=nan`` through.
+
+    Nor does an infinite weight break the weights' minimum of 0, so each
+    weight is tried both ways.  No flag sets the weights (``flag`` is None):
+    a config file carries them to the CLI.
+    """
     outer, _, last = key.rpartition(".")
-    message = rf"{last}\b.*\bnan$"
-    with pytest.raises(ra.ParameterError, match=message):
-        ExperimentConfig(**{name: math.nan})
-    doc = json.loads(f'{{"{last}": NaN}}')
-    with pytest.raises(ra.ParameterError, match=message):
-        ExperimentConfig.from_dict({outer: doc} if outer else doc)
-    assert cli.main(["pair", "--algo", "cal", "--trials", "1", flag, "nan"]) == 3
-    assert re.search(message, capsys.readouterr().err.strip())
+    if flag is None:
+        cases = [((bad, 1.0), f"[{token}, 1.0]", rf"{last}\[0\]: .*\b{bad}$")
+                 for bad, token in ((math.nan, "NaN"), (math.inf, "Infinity"))]
+    else:
+        cases = [(math.nan, "NaN", rf"{last}\b.*\bnan$")]
+    for value, token, message in cases:
+        with pytest.raises(ra.ParameterError, match=message):
+            ExperimentConfig(**{name: value})
+        doc = json.loads(f'{{"{last}": {token}}}')
+        with pytest.raises(ra.ParameterError, match=message):
+            ExperimentConfig.from_dict({outer: doc} if outer else doc)
+        if flag is None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({outer: doc}))
+            given = ["--config", str(path)]
+        else:
+            given = [flag, "nan"]
+        assert cli.main(["pair", "--algo", "cal", "--trials", "1", *given]) == 3
+        assert re.search(message, capsys.readouterr().err.strip())
 
 
 def test_empty_and_default_documents_give_the_default_config():
