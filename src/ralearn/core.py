@@ -122,7 +122,7 @@ class HypothesisClass:
         if not integral or n < 1 or start.size != end.size:
             raise ParameterError("domain size must be a positive integer, with one end per run")
         object.__setattr__(self, "domain_size", int(n))
-        per_row = np.diff(first, append=start.size)
+        per_row = np.concatenate((first[1:], [start.size])) - first
         if first.size == 0 or first[0] != 0 or per_row.min() < 1:
             raise ParameterError("first must start at 0 and strictly increase below the run count")
         # each run ends by the next one's start, except where a row ends; an
@@ -131,7 +131,7 @@ class HypothesisClass:
         apart[first[1:] - 1] = True
         empty = np.flatnonzero(start >= end)
         lone = per_row[np.searchsorted(first, empty, side="right") - 1] == 1
-        ordered = apart.all() and lone.all() and not np.any(start[empty] | end[empty])
+        ordered = apart.all() and lone.all() and not (start[empty] | end[empty]).any()
         if not ordered or start.min() < 0 or end.max() > n:
             raise ParameterError(f"runs must be ordered, in [0, {n}], nonempty but a lone [0, 0)")
         row = np.repeat(np.arange(first.size), per_row)
@@ -229,14 +229,14 @@ class DataModel:
             raise ParameterError("weights, base_labels, flip_rates must share one 1d shape")
         if w.size == 0:
             raise ParameterError("domain must be nonempty")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
+        if not ((w >= 0) & (w < np.inf)).all():
             raise ParameterError("weights must be finite and nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise ParameterError("weights must sum to 1")
         # written as membership so a NaN rate is rejected too
-        if not np.all((f >= 0) & (f <= 1)):
+        if not ((f >= 0) & (f <= 1)).all():
             raise ParameterError("flip rates must lie in [0, 1]")
-        uniform = bool(np.all(w == 1.0 / w.size))
+        uniform = bool((w == 1.0 / w.size).all())
         if not uniform:
             w = w / w.sum()
         bf = b.astype(np.float64)
@@ -248,9 +248,9 @@ class DataModel:
             object.__setattr__(self, name, arr)
         sure = p1 == 1.0
         sure.setflags(write=False)
-        object.__setattr__(self, "_certain_ones", sure if np.all(sure | (p1 == 0.0)) else None)
+        object.__setattr__(self, "_certain_ones", sure if (sure | (p1 == 0.0)).all() else None)
         object.__setattr__(self, "_uniform", uniform)
-        object.__setattr__(self, "_flip", float(f[0]) if np.all(f == f[0]) else None)
+        object.__setattr__(self, "_flip", float(f[0]) if (f == f[0]).all() else None)
 
     @classmethod
     def realizable(
@@ -495,27 +495,39 @@ def disagreement_mass(model: DataModel, region: np.ndarray) -> float:
     return float(np.add.reduce(model.weights[mask]))
 
 
-def _range_min(lo: np.ndarray, hi: np.ndarray, values: np.ndarray, size: int, none) -> np.ndarray:
+def _range_min(lo: np.ndarray, length: np.ndarray, values: np.ndarray, size: int, none) -> np.ndarray:
     """In each of ``size`` columns, the least ``values[i]`` over the ranges
-    ``[lo[i], hi[i])`` covering it, else ``none``, which exceeds every value:
-    one sparse-table pass, O(ranges + size log size).  A range of length L is
-    written at level ``floor(log2 L)`` as its first and last block of that
-    size, then each level is pushed into its blocks' halves.  Empty ranges
-    write the no-op ``none``, a spare column keeping them in bounds."""
-    length = hi - lo
-    values = np.where(length > 0, values, none)
-    level = np.frexp(np.maximum(length, 1))[1] - 1
-    levels, width = int(level.max()) + 1, size + 1
-    table = np.full(levels * width, none, dtype=values.dtype)
-    at = level * np.int64(width)
-    np.minimum.at(table, at + lo, values)
-    np.minimum.at(table, at + hi - (np.int64(1) << level), values)
-    table = table.reshape(levels, width)
+    ``[lo[i], lo[i] + length[i])`` covering it, else ``none``, which exceeds
+    every value: one sparse-table pass, O(ranges + size log size).  Empty
+    ranges are dropped.  A range of length L is written at level
+    ``k = floor(log2 L)`` as its first and last block of length ``2**k``,
+    placed by two per-length tables, then each level is pushed into its
+    blocks' halves."""
+    kept = np.flatnonzero(length > 0)
+    lo, length, values = lo[kept], length[kept], values[kept]
+    top = int(length.max(initial=1))
+    levels = top.bit_length()
+    # by length L at level k: the first block's place in the flat table less
+    # the range's start, k * size, and the last block's, k * size + L - 2**k
+    block = 1 << np.arange(levels)
+    per_level = np.minimum(block, top + 1 - block)
+    per_level[0] += 1  # L = 0, never read
+    row = np.arange(0, levels * size, size)
+    head, tail = row.repeat(per_level), (row - block).repeat(per_level)
+    tail += np.arange(top + 1)
+    table = np.full(levels * size, none, dtype=values.dtype)
+    at = head[length]
+    at += lo
+    np.minimum.at(table, at, values)
+    at = tail[length]
+    at += lo
+    np.minimum.at(table, at, values)
+    table = table.reshape(levels, size)
     for k in range(levels - 1, 0, -1):
         half = 1 << (k - 1)
         np.minimum(table[k - 1], table[k], out=table[k - 1])
         np.minimum(table[k - 1, half:], table[k, :-half], out=table[k - 1, half:])
-    return table[0, :size]
+    return table[0]
 
 
 def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: int) -> float:
@@ -524,35 +536,62 @@ def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: 
 
     A ball's region is where ``near``, in each column the least distance of
     a row differing there from the center, is at most the radius.  A row
-    differs on its runs where the center predicts 0 and on its gaps where it
-    predicts 1, so ``near`` is one range-min (``_range_min``) of distances
-    over the runs, in columns [0, n), and the gaps, in [n, 2n).  With uniform
-    weights the distances are integer counts ``d``, and a ball's ratio is
-    ``C / d``, C read from one cumulative count of ``near``.  With others a
-    ball takes in every distance within ``PROB_TOL``, at one masked sum each.
+    differs from the center only on its runs where the center predicts 0 and
+    on its gaps where it predicts 1, so ``near`` is one range-min
+    (``_range_min``) over the n columns ranked within their kind, the
+    center's 1-columns first, by one prefix count of the center's ones: a
+    gap's range is its 1-columns, a run's its 0-columns.  With uniform
+    weights the distances are integer counts ``d``, read from the same prefix
+    count and held in the narrowest unsigned integer that fits n + 1, and a
+    ball's ratio is ``C / d``, C read from one cumulative count of ``near``.
+    With others the distances are the float64 mismatch product's, and a ball
+    takes in every distance within ``PROB_TOL``, at one masked sum each over
+    ``near`` put back in column order.
     """
     _check_center(hclass, model, center)
     base = hclass.row(center)
     n = hclass.domain_size
+    start, end, first = hclass.start, hclass.end, hclass.first
+    # ones[x]: the center's ones before column x, so a 1-column x ranks
+    # ones[x] and a 0-column ranks n_ones + x - ones[x]
+    ones = np.zeros(n + 1, dtype=np.int64)
+    np.add.accumulate(base, out=ones[1:])
+    n_ones, ones_start, ones_end = int(ones[n]), ones[start], ones[end]
+    ones_in = ones_end - ones_start
+    # the ranges, in place: each run's 0-columns, then the gap of 1-columns
+    # before each run, from the previous run's end or 0, then the gap after
+    # each row's last run
+    runs = start.size
+    lo, length = np.empty((2, 2 * runs + first.size), dtype=np.int64)
+    zeros_in = np.subtract(end, start, out=length[:runs])
+    zeros_in -= ones_in
+    np.subtract(start, ones_start, out=lo[:runs])
+    lo[:runs] += n_ones
+    before, last_end = lo[runs : 2 * runs], lo[2 * runs :]
+    before[1:] = ones_end[:-1]
+    last_end[:-1] = before[first[1:]]
+    last_end[-1] = ones_end[-1]
+    before[first] = 0
+    np.subtract(ones_start, before, out=length[runs : 2 * runs])
+    np.subtract(n_ones, last_end, out=length[2 * runs :])
     if model._uniform:
-        d, none = _mismatch_counts(hclass, base), n + 1
+        # a row's mismatches: the center's ones, plus the 0-columns and less
+        # the 1-columns its runs cover
+        d = zeros_in - ones_in
+        if runs != first.size:
+            d = np.add.reduceat(d, first)
+        d += n_ones
+        d, none = d.astype(np.min_scalar_type(n + 1)), n + 1
     else:
         d, none = _mismatch_times(hclass, base, model.weights), np.inf
-    # a row's gaps: before each run, from the previous run's end or 0, and after its last
-    start, end, first = hclass.start, hclass.end, hclass.first
-    before = np.roll(end, 1)
-    before[first] = 0
-    last = np.append(first[1:], start.size) - 1
-    lo = np.concatenate((start, before + n, end[last] + n))
-    hi = np.concatenate((end, start + n, np.full(first.size, 2 * n)))
-    per_run = d[hclass._row]
-    near = _range_min(lo, hi, np.concatenate((per_run, per_run, d)), 2 * n, none)
-    near = np.where(base == 0, near[:n], near[n:])
+    per_run = d if runs == first.size else d[hclass._row]
+    near = _range_min(lo, length, np.concatenate((per_run, per_run, d)), n, none)
     if model._uniform:
         # covered[r]: the columns where some row at most r away differs
         covered = np.cumsum(np.bincount(near, minlength=n + 2))
         radii = np.flatnonzero(np.bincount(d))[1:]  # the center's own d is 0
         return float((covered[radii] / radii).max(initial=0.0))
+    near = near[np.where(base == 1, ones[:n], n_ones + np.arange(n) - ones[:n])]
     # a ball ends just before the first distance past its radius + PROB_TOL
     radii = np.unique(d)
     after = np.searchsorted(radii, radii + PROB_TOL, side="right").tolist()
@@ -740,10 +779,17 @@ def intervals(n: int) -> HypothesisClass:
     if n < 1:
         raise ParameterError("domain size must be positive")
     _check_class_cells(n * (n + 1) // 2 + 1, n)
-    # the empty rule is the run [0, 0), then [a, b] (0-based, b >= a) is [a, b + 1)
-    a, b = np.triu_indices(n)
-    start, end = np.insert(a, 0, 0), np.insert(b + 1, 0, 0)
-    return HypothesisClass(start, end, np.arange(a.size + 1), n)
+    # the empty rule is the run [0, 0); then block k = 1..n holds the rules
+    # [k - 1, b) for b = k..n, one per place i from at[k] on, whose end is
+    # i - at[k] + k, which the empty rule's i = at[0] = k = 0 also meets
+    k = np.arange(n + 1)
+    size = n + 1 - k
+    size[0] = 1
+    at = np.cumsum(size) - size
+    start = np.repeat(k - 1, size)
+    start[0] = 0
+    rules = int(at[n]) + 1
+    return HypothesisClass(start, np.arange(rules) - np.repeat(at - k, size), np.arange(rules), n)
 
 
 def worst_case(n: int) -> HypothesisClass:

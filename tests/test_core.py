@@ -192,6 +192,19 @@ def test_thresholds_match_a_literal_triangle():
         assert named == [f"[{t},{n}]" for t in range(1, n + 1)] + ["empty"]
 
 
+def test_intervals_runs_equal_the_triangular_indices():
+    # every size the cell cap allows, against the triangular-index
+    # construction: the empty run, then [a, b + 1) for (a, b) in triu order
+    for n in range(1, 407):
+        a, b = np.triu_indices(n)
+        h = ra.intervals(n)
+        assert np.array_equal(h.start, np.insert(a, 0, 0)), n
+        assert np.array_equal(h.end, np.insert(b + 1, 0, 0)), n
+        assert np.array_equal(h.first, np.arange(a.size + 1)), n
+    with pytest.raises(ra.ParameterError, match="cap"):
+        ra.intervals(407)
+
+
 def test_intervals_count():
     h = ra.intervals(4)
     # empty concept plus one concept per pair a <= b
@@ -1027,6 +1040,103 @@ def test_coefficient_of_more_rows_than_uint16_ranks():
     center = int(np.flatnonzero(perm == 0)[0])
     m = ra.DataModel.realizable(h, center, np.array([1, 1, 1, 1, 1, 59]) / 64)
     assert ra.disagreement_coefficient(h, m, center) == _theta_row_scan(h, m, center) == 5.0
+
+
+def _runs_class(rows, n):
+    """A class built directly from each row's runs as given, so touching
+    runs stay apart; ``[]`` is a row of zeros."""
+    runs = [r or [(0, 0)] for r in rows]
+    start = np.array([s for r in runs for s, _ in r])
+    end = np.array([e for r in runs for _, e in r])
+    first = np.cumsum([0] + [len(r) for r in runs[:-1]])
+    return ra.HypothesisClass(start, end, first, n)
+
+
+def _zero_laced_weights(g, n):
+    """Random weights with about a third of the points at weight 0."""
+    w = g.dirichlet(np.ones(n))
+    w[g.random(n) < 0.35] = 0.0
+    w[g.integers(n)] += 1.0
+    return w / w.sum()
+
+
+def _check_theta(h, center, g):
+    """theta at ``center`` under uniform weights against the exact rational
+    oracle and under zero-laced weights against the row scan."""
+    uniform = ra.DataModel.realizable(h, center)
+    assert ra.disagreement_coefficient(h, uniform, center) == float(_exact_geometry(h, center)[1])
+    weighted = ra.DataModel.realizable(h, center, _zero_laced_weights(g, h.domain_size))
+    assert ra.disagreement_coefficient(h, weighted, center) == _theta_row_scan(h, weighted, center)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_coefficient_at_a_center_of_all_zeros_or_all_ones(n):
+    # a row differs from an all-zeros center only on its runs and from an
+    # all-ones center only on its gaps, so one kind of column is empty
+    g = np.random.default_rng(n)
+    pred = g.integers(0, 2, (12, n)).astype(np.uint8)
+    pred[0], pred[1] = 0, 1
+    h = ra.explicit(pred)
+    for center in (0, 1):
+        _check_theta(h, center, g)
+
+
+def test_coefficient_over_touching_runs_and_empty_rows():
+    rows = [[], [(0, 2), (2, 5)], [(0, 5)], [(3, 4), (4, 6), (6, 9)], [],
+            [(1, 2), (2, 3), (7, 9)], [(0, 9)], [(8, 9)]]
+    h = _runs_class(rows, 9)
+    g = np.random.default_rng(3)
+    for center in range(h.n_hypotheses):
+        _check_theta(h, center, g)
+    # random rows with their runs cut into touching pieces have the theta of
+    # the rows as ``explicit`` reads them
+    for seed in range(40):
+        g = np.random.default_rng(seed)
+        pred = g.integers(0, 2, (int(g.integers(1, 12)), int(g.integers(1, 16))))
+        pred[g.random(len(pred)) < 0.2] = 0
+        whole = ra.explicit(pred)
+        cut = []
+        for r in range(whole.n_hypotheses):
+            pieces = []
+            for s, e in whole._runs(r):
+                edges = [s, *sorted(set(g.integers(s + 1, e, 2).tolist())), e] if e - s > 1 else [s, e]
+                pieces += [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
+            cut.append(pieces)
+        h = _runs_class(cut, whole.domain_size)
+        assert h.predictions.tobytes() == whole.predictions.tobytes()
+        for center in {0, int(g.integers(h.n_hypotheses))}:
+            _check_theta(h, center, g)
+            for w in (None, _zero_laced_weights(g, h.domain_size)):
+                m = ra.DataModel.realizable(h, center, w)
+                theta = ra.disagreement_coefficient(h, m, center)
+                assert theta == ra.disagreement_coefficient(whole, m, center)
+
+
+@pytest.mark.parametrize(
+    "n, width",
+    [(254, np.uint8), (255, np.uint16), (256, np.uint16),
+     (65534, np.uint16), (65535, np.uint32), (65536, np.uint32)],
+)
+def test_coefficient_where_the_table_widens(n, width):
+    # the uniform table holds the narrowest unsigned integer that fits the
+    # n + 1 of a column no row differs on.  In the first class the center's
+    # complement sits at distance n; in the second no row differs on column
+    # 0 and one sits at n - 1, so a wrapped n + 1 would cover column 0.
+    g = np.random.default_rng(n)
+    center = g.integers(0, 2, n).astype(np.uint8)
+    flipped = center.copy()
+    flipped[g.integers(n)] ^= 1
+    block = center.copy()
+    block[n // 3 : n // 2] ^= 1
+    other = g.integers(0, 2, n).astype(np.uint8)
+    apart = np.stack([center, 1 - center, block, other])
+    apart[:, 0] = center[0]
+    for pred in (np.stack([center, 1 - center, flipped, block, other]), apart):
+        h = ra.explicit(pred)
+        with mock.patch.object(core, "_range_min", wraps=core._range_min) as table:
+            _check_theta(h, 0, g)
+        assert table.call_args_list[0].args[2].dtype == width
+        assert table.call_args_list[1].args[2].dtype == np.float64
 
 
 @pytest.mark.parametrize("center", [-1, 9])

@@ -3,7 +3,8 @@
 ``import ralearn`` loads each public name on first read, and
 ``ralearn.__main__.run``, which ``python -m ralearn`` and the installed
 command both call, runs ``cli.main`` with the import-time objects frozen out
-of garbage collection.
+of garbage collection.  The test settings in ``pyproject.toml`` turn every
+warning into an error without letting a failing property test stop the run.
 """
 
 import ast
@@ -133,3 +134,33 @@ def test_main_in_process_leaves_the_collector_alone(enabled, capsys):
         assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_a_failing_hypothesis_test_leaves_the_run_going(tmp_path):
+    # a failing @given test makes Hypothesis's plugin import libcst, whose
+    # import warns; under the "error" filter that stopped the whole run with
+    # INTERNALERROR.  The same warning raised from anywhere else still fails.
+    (tmp_path / "test_two.py").write_text(
+        "import warnings\n"
+        "import pytest\n"
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+        "\n"
+        "def test_passes():\n"
+        "    with pytest.raises(DeprecationWarning):\n"
+        "        warnings.warn('mypy_extensions.TypedDict is deprecated', DeprecationWarning)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_two.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert b"INTERNALERROR" not in out, out.decode()
+    assert b"1 failed, 1 passed" in proc.stdout, out.decode()
+    assert proc.returncode == 1
