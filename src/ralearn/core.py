@@ -3,25 +3,20 @@
 The domain is a finite set of points carrying an explicit probability vector,
 and a hypothesis class is a set of {0,1} rows over it, stored as their runs
 of ones: the generators emit runs, and ``explicit`` reads a matrix's once.
-Because everything is finite and explicit, error rates, disagreement masses,
-and the disagreement coefficient are computed exactly.  A version space's
-disagreement region, a coverage count over its members' runs, is a boolean
-mask over the domain; the full class's is computed once per problem
-(``Problem.region``), and learners hand each later one to
+A version space's disagreement region, a coverage count over its members'
+runs, is a boolean mask over the domain; the full class's is computed once
+per problem (``Problem.region``), and learners hand each later one to
 ``disagreement_mass`` and to the samplers.  A ``Problem`` keeps the exact
-error of every hypothesis (``Problem.errors``), which gives the noise floor
-and every returned hypothesis's error.
+error of every hypothesis (``Problem.errors``), the noise floor and theta.
 
-Elimination and the uniform-weight geometry share one integer primitive
-(``_row_sums``): a row's sum of an int64 vector over its ones is two lookups
-per run in a prefix sum, exact for every draw count int64 holds.  A model
-whose every weight is ``1 / n`` (every config without ``weights``) gets each
-row's mismatch count d against a 0/1 row this way, hence a distance
-``d / n``, for one flip rate ``eta`` an error ``eta + (1 - 2*eta) * (d / n)``,
-and a disagreement coefficient of exact ratios ``C / d``, C the columns
-where a ball disagrees; no BLAS call is made, so no result depends on the
-BLAS build.  Other weights, per-point flip rates and conditional errors keep
-one float64 mismatch product (``_mismatch_times``) over rows built from runs.
+Everything is finite, so errors, masses and theta are exact.  Elimination and
+the geometry share one integer primitive (``_row_sums``): a row's sum of an
+int64 vector over its ones, two lookups per run in a prefix sum.  Weights
+are integer masses over a total D (``DataModel``), so a row's mismatch mass
+M against a 0/1 row gives its distance ``M / D``, for one flip rate ``eta``
+its error ``eta + (1 - 2*eta) * (M / D)``, and theta is a maximum of exact
+ratios; no BLAS call is made.  Per-point flip rates and conditional errors
+keep one float64 mismatch product (``_mismatch_times``).
 
 The two samplers at the bottom are the only stochastic piece; they draw
 counts from the model inside a given region through a caller-owned numpy
@@ -41,9 +36,10 @@ PROB_TOL = 1e-12
 # the built-in generators refuse a class of more cells (bytes) than this
 MAX_CLASS_CELLS = 2**25
 
-# the float geometry's mismatch products build the class's rows from their
-# runs of ones, compare and cast them to float64 in row blocks of at most
-# this many cells (1 MB in float64)
+# weights other than 1 / n are held as counts of 2**-53, exact in float64
+_UNITS = 2**53
+
+# the float mismatch products build rows in blocks of at most this many cells
 _BLOCK_CELLS = 2**17
 
 # the samplers hand draw counts to numpy as int64
@@ -201,16 +197,17 @@ class DataModel:
     ``flip_rates`` holds the per-point probability that the base label is
     flipped; all zeros means labels are deterministic (the realizable case).
     Construction records once whether every label is certain (each P[label =
-    1 | x] is 0 or 1, as when every flip rate is 0 or 1): ``_certain_ones``
-    is then the read-only mask of the points labeled 1, and None otherwise.
-    It also records whether every given weight is ``1 / n`` (``_uniform``, as
-    ``uniform_weights`` gives), which puts the geometry on its integer path,
-    and the one flip rate every point shares (``_flip``, None when the rates
-    differ).  Uniform weights are kept as given; any others, which need only
-    sum to 1 within 1e-9, are stored normalized once, ``w / w.sum()``, so the
-    geometry, the conditional sampler and the whole-domain sampler all read
-    one distribution.  The sampling weights of the whole domain are computed
-    on first use and kept (``_whole_domain_weights``).
+    1 | x] is 0 or 1): ``_certain_ones`` is then the read-only mask of the
+    points labeled 1, else None; and the flip rate every point shares
+    (``_flip``, else None).  Exact quantities read the weights as read-only
+    int64 masses ``_mass`` over ``_total``: 1 each over n when every weight
+    is ``1 / n``, kept as given.  Any others, which need only sum to 1 within
+    1e-9, are normalized, ``w / w.sum()``, and rounded once to counts of
+    2**-53 by largest remainders, each moving by less than 2**-53 (a positive
+    weight keeps a unit, a zero one gets none, the largest settles the rest);
+    ``weights`` is then ``_mass / _UNITS``, exact, so the geometry and both
+    samplers read one distribution.  The whole domain's sampling weights are
+    computed on first use and kept (``_whole_domain_weights``).
     """
 
     weights: np.ndarray
@@ -218,7 +215,8 @@ class DataModel:
     flip_rates: np.ndarray
     _label_one: np.ndarray = field(init=False, repr=False)
     _certain_ones: Optional[np.ndarray] = field(init=False, repr=False)
-    _uniform: bool = field(init=False, repr=False)
+    _mass: np.ndarray = field(init=False, repr=False)
+    _total: int = field(init=False, repr=False)
     _flip: Optional[float] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -236,20 +234,29 @@ class DataModel:
         # written as membership so a NaN rate is rejected too
         if not ((f >= 0) & (f <= 1)).all():
             raise ParameterError("flip rates must lie in [0, 1]")
-        uniform = bool((w == 1.0 / w.size).all())
-        if not uniform:
-            w = w / w.sum()
+        if (w == 1.0 / w.size).all():
+            mass, total = np.ones(w.size, dtype=np.int64), w.size
+        else:
+            # the floors of the quotas w * 2**53 (exact scalings), a unit more
+            # to each largest remainder, ties to the lower index
+            quota = w / w.sum() * _UNITS
+            mass = np.maximum(np.floor(quota), w > 0).astype(np.int64)
+            left = np.where(w > 0, quota - mass, -1.0)
+            extra = min(max(_UNITS - int(mass.sum()), 0), int(np.count_nonzero(w)))
+            mass[np.argsort(-left, kind="stable")[:extra]] += 1
+            mass[np.argmax(mass)] += _UNITS - int(mass.sum())
+            w, total = mass / _UNITS, _UNITS
         bf = b.astype(np.float64)
         p1 = bf * (1.0 - f) + (1.0 - bf) * f
         for name, arr in (
-            ("weights", w), ("base_labels", b), ("flip_rates", f), ("_label_one", p1)
+            ("weights", w), ("base_labels", b), ("flip_rates", f), ("_label_one", p1), ("_mass", mass)
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         sure = p1 == 1.0
         sure.setflags(write=False)
         object.__setattr__(self, "_certain_ones", sure if (sure | (p1 == 0.0)).all() else None)
-        object.__setattr__(self, "_uniform", uniform)
+        object.__setattr__(self, "_total", total)
         object.__setattr__(self, "_flip", float(f[0]) if (f == f[0]).all() else None)
 
     @classmethod
@@ -289,12 +296,8 @@ class DataModel:
 
     @cached_property
     def _whole_domain_weights(self) -> np.ndarray:
-        """Read-only sampling weights of the whole domain, the given weights
-        over their sum: ``weights`` itself unless uniform, which are divided
-        by their sum here.  ``conditional_weights`` returns them for an
-        all-True region."""
-        if not self._uniform:
-            return self.weights
+        """Read-only sampling weights of the whole domain, the weights over
+        their sum; ``conditional_weights`` returns them for an all-True region."""
         w = self.weights / self.weights.sum()
         w.setflags(write=False)
         return w
@@ -350,12 +353,6 @@ def _check_same_domain(hclass: HypothesisClass, model: DataModel) -> None:
         raise ParameterError("hypothesis class and data model disagree on domain size")
 
 
-def _check_center(hclass: HypothesisClass, model: DataModel, center: int) -> None:
-    _check_same_domain(hclass, model)
-    if not 0 <= center < hclass.n_hypotheses:
-        raise ParameterError(f"center index {center} out of range")
-
-
 def _member_runs(hclass: HypothesisClass, members: Optional[np.ndarray]) -> np.ndarray | slice:
     """An index of the class's runs that keeps those of the rows in the
     boolean mask ``members``, every run when None.  With one run per row the
@@ -379,11 +376,12 @@ def _row_sums(hclass: HypothesisClass, values: np.ndarray, members: Optional[np.
     return sums
 
 
-def _mismatch_counts(hclass: HypothesisClass, base: np.ndarray) -> np.ndarray:
-    """Each row's int64 count of cells differing from the 0/1 row ``base``: its
-    ones, plus over the row's ones +1 where ``base`` is 0 and -1 where it is 1."""
-    values = 1 - 2 * base.astype(np.int64)
-    return _row_sums(hclass, values) + int(np.count_nonzero(base))
+def _mismatch_masses(hclass: HypothesisClass, model: DataModel, base: np.ndarray) -> np.ndarray:
+    """Each row's int64 mass of the cells where it differs from the 0/1 row
+    ``base``: the mass of ``base``'s ones, plus over the row's ones the
+    mass where ``base`` is 0, less the mass where it is 1."""
+    ones = model._mass * base
+    return _row_sums(hclass, model._mass - 2 * ones) + int(np.add.reduce(ones))
 
 
 def _mismatch_times(hclass: HypothesisClass, base: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -411,18 +409,19 @@ def _errors_under(hclass: HypothesisClass, model: DataModel, weights: np.ndarray
     return mismatch + float(weights @ f)
 
 
-def true_errors(hclass: HypothesisClass, model: DataModel) -> np.ndarray:
-    """Exact population error of every hypothesis: with uniform weights and
-    one flip rate ``eta``, ``eta + (1 - 2*eta) * (d / n)`` for a row that
-    differs from the base labels on ``d`` of the ``n`` points (exactly
-    ``d / n`` when noiseless, ``eta`` for a copy of the base row); for any
-    other model one float product (``_errors_under``)."""
+def true_errors(
+    hclass: HypothesisClass, model: DataModel, masses: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Exact population error of every hypothesis: with one flip rate
+    ``eta``, ``eta + (1 - 2*eta) * (M / D)``, ``M`` a row's mismatch mass
+    against the base labels (``masses`` when given) of the model's total
+    ``D``; with per-point flip rates one float product (``_errors_under``)."""
     _check_same_domain(hclass, model)
     eta = model._flip
-    if model._uniform and eta is not None:
-        d = _mismatch_counts(hclass, model.base_labels)
-        return eta + (1.0 - 2.0 * eta) * (d / hclass.domain_size)
-    return _errors_under(hclass, model, model.weights)
+    if eta is None:
+        return _errors_under(hclass, model, model.weights)
+    masses = _mismatch_masses(hclass, model, model.base_labels) if masses is None else masses
+    return eta + (1.0 - 2.0 * eta) * (masses / model._total)
 
 
 def conditional_true_errors(
@@ -530,26 +529,33 @@ def _range_min(lo: np.ndarray, length: np.ndarray, values: np.ndarray, size: int
     return table[0]
 
 
-def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: int) -> float:
+def disagreement_coefficient(
+    hclass: HypothesisClass, model: DataModel, center: int, masses: Optional[np.ndarray] = None
+) -> float:
     """Supremum over the realized positive radii of the disagreement mass of
-    the ball around ``center`` over the radius; 0.0 if every row copies it.
+    the ball around ``center`` over the radius; 0.0 if every row copies it
+    up to zero-mass points.
 
-    A ball's region is where ``near``, in each column the least distance of
-    a row differing there from the center, is at most the radius.  A row
-    differs from the center only on its runs where the center predicts 0 and
-    on its gaps where it predicts 1, so ``near`` is one range-min
-    (``_range_min``) over the n columns ranked within their kind, the
-    center's 1-columns first, by one prefix count of the center's ones: a
-    gap's range is its 1-columns, a run's its 0-columns.  With uniform
-    weights the distances are integer counts ``d``, read from the same prefix
-    count and held in the narrowest unsigned integer that fits n + 1, and a
-    ball's ratio is ``C / d``, C read from one cumulative count of ``near``.
-    With others the distances are the float64 mismatch product's, and a ball
-    takes in every distance within ``PROB_TOL``, at one masked sum each over
-    ``near`` put back in column order.
+    Distances are mismatch masses against the center's row; ``masses``,
+    those against the base labels (``true_errors``'s), serve when the
+    center's is 0.  A row differs from the center only on its runs where the
+    center is 0 and its gaps where it is 1, so ``near``, each column's least
+    distance of a row differing there, is one range-min (``_range_min``)
+    over the columns ranked within their kind, the center's 1-columns first,
+    by one prefix count of its ones: a gap's range is its 1-columns, a run's
+    its 0-columns.  The table holds the distances when the total is below
+    the row count, else their ranks, in the narrowest unsigned integer that
+    fits; a ball's ratio ``C / d``, C its cumulative mass over ``near``, is
+    one exact division, and no radii are merged.
     """
-    _check_center(hclass, model, center)
-    base = hclass.row(center)
+    _check_same_domain(hclass, model)
+    if not 0 <= center < hclass.n_hypotheses:
+        raise ParameterError(f"center index {center} out of range")
+    if masses is not None and masses[center] == 0:
+        base, d = model.base_labels, masses
+    else:
+        base = hclass.row(center)
+        d = _mismatch_masses(hclass, model, base)
     n = hclass.domain_size
     start, end, first = hclass.start, hclass.end, hclass.first
     # ones[x]: the center's ones before column x, so a 1-column x ranks
@@ -557,16 +563,13 @@ def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: 
     ones = np.zeros(n + 1, dtype=np.int64)
     np.add.accumulate(base, out=ones[1:])
     n_ones, ones_start, ones_end = int(ones[n]), ones[start], ones[end]
-    ones_in = ones_end - ones_start
-    # the ranges, in place: each run's 0-columns, then the gap of 1-columns
-    # before each run, from the previous run's end or 0, then the gap after
-    # each row's last run
+    # the ranges, in place: each run's 0-columns, then the 1-column gaps before
+    # each run (from the previous run's end or 0) and after each row's last run
     runs = start.size
     lo, length = np.empty((2, 2 * runs + first.size), dtype=np.int64)
-    zeros_in = np.subtract(end, start, out=length[:runs])
-    zeros_in -= ones_in
-    np.subtract(start, ones_start, out=lo[:runs])
-    lo[:runs] += n_ones
+    zeros_start = start - ones_start
+    np.add(zeros_start, n_ones, out=lo[:runs])
+    np.subtract(end - ones_end, zeros_start, out=length[:runs])
     before, last_end = lo[runs : 2 * runs], lo[2 * runs :]
     before[1:] = ones_end[:-1]
     last_end[:-1] = before[first[1:]]
@@ -574,33 +577,27 @@ def disagreement_coefficient(hclass: HypothesisClass, model: DataModel, center: 
     before[first] = 0
     np.subtract(ones_start, before, out=length[runs : 2 * runs])
     np.subtract(n_ones, last_end, out=length[2 * runs :])
-    if model._uniform:
-        # a row's mismatches: the center's ones, plus the 0-columns and less
-        # the 1-columns its runs cover
-        d = zeros_in - ones_in
-        if runs != first.size:
-            d = np.add.reduceat(d, first)
-        d += n_ones
-        d, none = d.astype(np.min_scalar_type(n + 1)), n + 1
+    # radii: the distinct positive distances; key: each row's, at: each radius's
+    if model._total < d.size:
+        # the distances key themselves: counting total + 1 bins beats a sort
+        radii, none = np.flatnonzero(np.bincount(d))[1:], model._total + 1
+        key, at = d.astype(np.min_scalar_type(none)), radii
     else:
-        d, none = _mismatch_times(hclass, base, model.weights), np.inf
-    per_run = d if runs == first.size else d[hclass._row]
-    near = _range_min(lo, length, np.concatenate((per_run, per_run, d)), n, none)
-    if model._uniform:
-        # covered[r]: the columns where some row at most r away differs
-        covered = np.cumsum(np.bincount(near, minlength=n + 2))
-        radii = np.flatnonzero(np.bincount(d))[1:]  # the center's own d is 0
-        return float((covered[radii] / radii).max(initial=0.0))
-    near = near[np.where(base == 1, ones[:n], n_ones + np.arange(n) - ones[:n])]
-    # a ball ends just before the first distance past its radius + PROB_TOL
-    radii = np.unique(d)
-    after = np.searchsorted(radii, radii + PROB_TOL, side="right").tolist()
-    limits, best, k = np.append(radii, np.inf), 0.0, 0
-    while k < radii.size:
-        if radii[k] > PROB_TOL:
-            best = max(best, disagreement_mass(model, near < limits[after[k]]) / float(radii[k]))
-        k = after[k]
-    return best
+        # each row keyed by its distance's rank, from the center's own 0 up
+        order = np.argsort(d)
+        ranked = d[order]
+        step = np.concatenate(([False], ranked[1:] != ranked[:-1]))
+        key = np.empty(d.size, dtype=np.min_scalar_type(d.size))
+        key[order] = np.cumsum(step, dtype=key.dtype)
+        radii, none, at = ranked[step], d.size, np.arange(1, np.count_nonzero(step) + 1)
+    per_run = key if runs == first.size else key[hclass._row]
+    near = _range_min(lo, length, np.concatenate((per_run, per_run, key)), n, none)
+    # covered[k]: the mass of the columns where some row at most the radius
+    # keyed k away differs, float64 sums of integers to at most 2**53: exact
+    on = base.view(bool)
+    ranked_mass = np.concatenate((model._mass[on], model._mass[~on]))
+    covered = np.cumsum(np.bincount(near, ranked_mass, minlength=none + 1))
+    return float((covered[at] / radii).max(initial=0.0))
 
 
 def noise_rate(hclass: HypothesisClass, model: DataModel) -> tuple[float, int]:
@@ -617,12 +614,12 @@ class Problem:
     ``errors`` is the read-only exact error of every hypothesis
     (``true_errors``); ``nu`` is its minimum, the best-in-class error, and
     ``center`` the lowest index achieving it; ``theta`` is the disagreement
-    coefficient at ``center``; ``region`` is the disagreement region of the
-    full class, the mask every learner starts from.  Learners and the harness
-    take a Problem, so a batch computes these once instead of once per run,
-    and a returned hypothesis's error is read from ``errors``, the vector
-    ``nu`` comes from.  ``region`` is computed on first use, so a batch whose
-    learner never asks for it (``erm``) does not pay for it.
+    coefficient at ``center``, reusing the mismatch pass of ``errors`` where
+    it can; ``region`` is the disagreement region of the full class, the mask
+    every learner starts from, computed on first use, so a batch whose
+    learner never asks for it (``erm``) does not pay for it.  Learners and
+    the harness take a Problem, so a batch computes these once instead of
+    once per run, and a returned hypothesis's error is read from ``errors``.
     """
 
     hclass: HypothesisClass
@@ -633,13 +630,16 @@ class Problem:
     theta: float = field(init=False)
 
     def __post_init__(self):
-        errors = true_errors(self.hclass, self.model)
+        hclass, model = self.hclass, self.model
+        _check_same_domain(hclass, model)
+        masses = None if model._flip is None else _mismatch_masses(hclass, model, model.base_labels)
+        errors = true_errors(hclass, model, masses)
         errors.setflags(write=False)
         center = int(np.argmin(errors))
         object.__setattr__(self, "errors", errors)
         object.__setattr__(self, "nu", float(errors[center]))
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "theta", disagreement_coefficient(self.hclass, self.model, center))
+        object.__setattr__(self, "theta", disagreement_coefficient(hclass, model, center, masses))
 
     @cached_property
     def region(self) -> np.ndarray:

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ralearn import cli, replicable
@@ -715,14 +716,23 @@ def test_module_entry_point():
     assert "theta=4" in proc.stdout
 
 
-def test_outputs_do_not_depend_on_the_blas_thread_count():
-    # thresholds(512) has 263k cells, over 2**17; with uniform weights the
-    # geometry is integer work, so no BLAS product reaches theta, nu or an
-    # error, here or in the noisy a2 batch
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # thresholds(512) has 263k cells, over 2**17; with uniform weights, and
+    # with random ones given through a config, the geometry is integer work,
+    # so no BLAS product reaches theta, nu or an error, here or in the noisy
+    # a2 batches
     problem = ["--class", "thresholds", "--domain-size", "512", "--format", "json"]
+    weights = np.random.default_rng(0).dirichlet(np.ones(512)).tolist()
+    doc = {"class": {"generator": "thresholds", "size": 512, "weights": weights, "target": 200}}
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(doc))
+    weighted = ["--config", str(path), "--format", "json"]
+    noisy = ["--algo", "a2", "--nu", "0.1", "--epsilon", "0.2", "--trials", "2"]
     commands = (
         ["theta", *problem],
-        ["pair", *problem, "--algo", "a2", "--nu", "0.1", "--epsilon", "0.2", "--trials", "2"],
+        ["pair", *problem, *noisy],
+        ["theta", *weighted],
+        ["pair", *weighted, *noisy],
     )
     outputs = set()
     for threads in ("1", "2", "3"):
@@ -735,9 +745,11 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
             for command in commands
         ))
     assert len(outputs) == 1
-    theta, pair = outputs.pop()
+    theta, pair, weighted_theta, weighted_pair = outputs.pop()
     assert json.loads(theta)["theta"] == 2.0
     assert json.loads(pair)["rows"][0]["nu"] == 0.1
+    assert json.loads(weighted_theta)["best_index"] == 200
+    assert json.loads(weighted_pair)["rows"][0]["nu"] == 0.1
 
 
 _GRIDCHECK = ["gridcheck", *_PROBLEM, "--rho", "0.3"]

@@ -1,6 +1,7 @@
 """Exact-quantity oracles for classes, models, distances, and sampling."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -35,16 +36,13 @@ def _hypothesis_distance(hclass, model, h1, h2):
 
 def _distances_from(hclass, model, center):
     """Oracle: each hypothesis's distance from ``center``, the mass where its
-    row differs from the center's.  Under uniform weights it is the count of
-    such points over n, counted on the rows (exact).  Under others it is
-    the sum of their weights as the float geometry's one product
-    (``_mismatch_times``) adds them, since theta divides by those very sums
-    and the row scan below must match it exactly."""
+    row differs from the center's: the model's multiplicities summed on the
+    rows, in integers, and divided once by their total.  That is the count of
+    such points over n under uniform weights, and under others a multiple of
+    2**-53; both exact."""
     base = hclass.row(center)
-    if model._uniform:
-        differ = [np.count_nonzero(hclass.row(h) != base) for h in range(hclass.n_hypotheses)]
-        return np.array(differ) / hclass.domain_size
-    return core._mismatch_times(hclass, base, model.weights)
+    differ = [model._mass[hclass.row(h) != base].sum() for h in range(hclass.n_hypotheses)]
+    return np.array(differ, dtype=np.int64) / model._total
 
 
 def _error_ball(hclass, model, center, radius):
@@ -56,7 +54,9 @@ def _theta_row_scan(hclass, model, center):
     """Oracle: the disagreement coefficient by growing the ball one
     hypothesis at a time in the stable distance order, OR-ing each row's
     disagreement with the center into the region, and taking one masked sum
-    per distance (within ``PROB_TOL``)."""
+    per distinct distance.  Under weights held over 2**53 every distance and
+    every masked sum is exact, so the scan is the exact maximum rounded once;
+    under uniform ones the sums of 1/n are not."""
     d = _distances_from(hclass, model, center)
     order = np.argsort(d, kind="stable")
     pred = hclass.predictions
@@ -67,10 +67,10 @@ def _theta_row_scan(hclass, model, center):
     n = hclass.n_hypotheses
     while pos < n:
         radius = d[order[pos]]
-        while pos < n and d[order[pos]] <= radius + PROB_TOL:
+        while pos < n and d[order[pos]] == radius:
             region |= pred[order[pos]] != base
             pos += 1
-        if radius <= PROB_TOL:
+        if radius == 0.0:
             continue
         best = max(best, ra.disagreement_mass(model, region) / float(radius))
     return best
@@ -274,11 +274,38 @@ def test_weights_within_tolerance_are_normalized_once():
     # the weights over their sum, 1.0, so the geometry must read 1.0 too
     h = ra.thresholds(1)
     model = ra.DataModel.realizable(h, 1, np.array([0.9999999999999999]))
-    assert model.weights.tolist() == [1.0] and not model._uniform
+    assert model.weights.tolist() == [1.0] and model._mass.tolist() == [2**53]
     assert ra.true_errors(h, model).tolist() == [1.0, 0.0]
     assert _distances_from(h, model, 1).tolist() == [1.0, 0.0]
     assert ra.disagreement_mass(model, np.ones(1, dtype=bool)) == 1.0
     assert model._whole_domain_weights.tolist() == [1.0]
+
+
+def test_weights_become_multiplicities_over_2_to_the_53():
+    # every weighting but 1/n is rounded once, after normalization, to int64
+    # multiplicities summing to 2**53 by largest remainders: each weight
+    # moves by less than 2**-53, stays positive if it was, and stays zero if
+    # it was; ``weights`` is then exact, the multiplicities over 2**53
+    g = np.random.default_rng(11)
+    config_weights = np.array([(i % 5 + 1) / 108 for i in range(37)])
+    for w in [g.dirichlet(np.ones(n)) for n in (2, 3, 37, 1000)] + [
+        _zero_laced_weights(g, 50), config_weights, np.array([1, 1, 1, 1, 1, 59]) / 64
+    ]:
+        model = ra.DataModel(w, np.zeros(w.size), np.zeros(w.size))
+        mass = model._mass
+        assert mass.dtype == np.int64 and not mass.flags.writeable
+        assert model._total == 2**53 and sum(mass.tolist()) == 2**53
+        assert model.weights.tolist() == [m / 2**53 for m in mass.tolist()]
+        assert np.abs(model.weights - w / w.sum()).max() < 2.0**-53
+        assert ((mass > 0) == (w > 0)).all()
+    # a weight of 1e-300 keeps one unit, which the largest weight gives up
+    model = ra.DataModel(np.array([1e-300, 0.0, 1.0]), np.zeros(3), np.zeros(3))
+    assert model._mass.tolist() == [1, 0, 2**53 - 1]
+    assert model.weights[0] == 2.0**-53 and model.weights[1] == 0.0
+    # uniform weights are one unit each over n, and kept as given
+    uniform = ra.DataModel(ra.uniform_weights(7), np.zeros(7), np.zeros(7))
+    assert uniform._mass.tolist() == [1] * 7 and uniform._total == 7
+    assert uniform.weights.tobytes() == ra.uniform_weights(7).tobytes()
 
 
 def test_model_weight_validation():
@@ -706,11 +733,12 @@ def test_run_form_round_trips_an_explicit_matrix(seed, n_h, n_x, eta, block):
     # alternating (a run per other column); n_h = 1 and n_x = 1 give a
     # single row and a single column.  Every reader of the runs is checked
     # against the matrix: rows and signatures, the disagreement region of
-    # random member masks against the rows' min != max, and theta against
-    # the row scan under random weights, whose products build the rows in
-    # blocks of ``block`` cells (the module's own for None), and under
-    # uniform ones the exact rational oracle, which the row scan's float
-    # sums match only approximately
+    # random member masks against the rows' min != max, the float mismatch
+    # product, built in blocks of ``block`` cells (the module's own for
+    # None), against the matrix's own blocks, and theta against the row scan
+    # under random weights, exact there, and under uniform ones the exact
+    # rational oracle, which the row scan's float sums match only
+    # approximately
     g = np.random.default_rng(seed)
     pred = g.integers(0, 2, (n_h, n_x)).astype(np.uint8)
     fill = g.integers(0, 4, n_h)
@@ -731,9 +759,9 @@ def test_run_form_round_trips_an_explicit_matrix(seed, n_h, n_x, eta, block):
     base = int(g.integers(n_h))
     for center in {0, base, n_h - 1}:
         weighted = ra.DataModel.agnostic(h, base, eta, g.dirichlet(np.ones(n_x)))
+        theta = ra.disagreement_coefficient(h, weighted, center)
+        assert theta == _theta_row_scan(h, weighted, center)
         with mock.patch.object(core, "_BLOCK_CELLS", block or core._BLOCK_CELLS):
-            theta = ra.disagreement_coefficient(h, weighted, center)
-            assert theta == _theta_row_scan(h, weighted, center)
             # the product's bits depend on the row blocks, which must be the
             # matrix's own
             step = max(1, core._BLOCK_CELLS // n_x)
@@ -962,8 +990,9 @@ _THETA_SIZES = list(range(1, 65)) + [100, 333]
 
 @pytest.mark.parametrize("make", [ra.thresholds, ra.intervals, ra.worst_case])
 def test_coefficient_equals_the_row_scan_on_built_in_classes(make):
-    # weighted models take the float path, which the row scan mirrors bit
-    # for bit; uniform weights are checked against the exact oracle below
+    # weighted models' distances and masses are exact, and so is the row
+    # scan over them; uniform weights are checked against the exact oracle
+    # below
     g = np.random.default_rng(19)
     for n in _THETA_SIZES:
         h = make(n)
@@ -1017,6 +1046,92 @@ def test_uniform_weight_geometry_is_exact_on_random_classes(seed, n_h, n_x, eta)
     m = ra.DataModel.agnostic(h, int(g.integers(0, n_h)), eta)
     for center in {0, int(g.integers(0, n_h)), n_h - 1}:
         _check_exact_geometry(h, m, center)
+
+
+def _check_fraction_geometry(hclass, model, g):
+    """theta at a few centers, every error and the mass of random regions
+    against ``fractions.Fraction`` sums of the model's multiplicities, read
+    one cell at a time.  theta and a mass are the exact rationals rounded
+    once; an error with ``eta`` > 0 is the formula's IEEE expression, within
+    two ulps of the exact one."""
+    n, total = hclass.domain_size, model._total
+    weight = [Fraction(m, total) for m in model._mass.tolist()]
+    rows = [hclass.row(h).tolist() for h in range(hclass.n_hypotheses)]
+
+    def mass(cells):
+        return sum((weight[x] for x in cells), Fraction(0))
+
+    def differ(row, base):
+        return [x for x in range(n) if row[x] != base[x]]
+
+    eta = Fraction(model._flip)
+    labels = model.base_labels.tolist()
+    exact = [eta + (1 - 2 * eta) * mass(differ(r, labels)) for r in rows]
+    errors = ra.true_errors(hclass, model)
+    for err, want in zip(errors.tolist(), exact):
+        assert err == float(want) if eta == 0 else abs(Fraction(err) - want) <= 2 * math.ulp(1.0)
+    problem = ra.Problem(hclass, model)
+    assert problem.errors.tobytes() == errors.tobytes()
+    for center in {0, problem.center, int(g.integers(hclass.n_hypotheses))}:
+        # grow the ball by distance, its region's mass with it
+        balls = sorted((mass(differ(r, rows[center])), differ(r, rows[center])) for r in rows)
+        best, region, covered = Fraction(0), set(), Fraction(0)
+        for k, (d, cells) in enumerate(balls):
+            covered += mass(set(cells) - region)
+            region.update(cells)
+            if d > 0 and (k + 1 == len(balls) or balls[k + 1][0] != d):
+                best = max(best, covered / d)
+        assert ra.disagreement_coefficient(hclass, model, center) == float(best)
+        if center == problem.center:
+            assert problem.theta == float(best)
+    for _ in range(3):
+        region = g.random(n) < g.random()
+        assert ra.disagreement_mass(model, region) == float(mass(np.flatnonzero(region)))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_h=st.integers(1, 30),
+    n_x=st.integers(1, 12),
+    eta=st.sampled_from([0.0, 0.05, 0.3, 0.7]),
+)
+@settings(max_examples=100, deadline=None)
+def test_weighted_geometry_is_exact_on_random_classes(seed, n_h, n_x, eta):
+    g = np.random.default_rng(seed)
+    h = _random_rows(g, n_h, n_x)
+    w = g.dirichlet(np.ones(n_x)) if seed % 2 else _zero_laced_weights(g, n_x)
+    _check_fraction_geometry(h, ra.DataModel.agnostic(h, int(g.integers(0, n_h)), eta, w), g)
+
+
+@pytest.mark.parametrize("make", [ra.thresholds, ra.intervals])
+def test_weighted_geometry_is_exact_on_built_in_classes(make):
+    g = np.random.default_rng(23)
+    for n in list(range(1, 13)) + [20, 31]:
+        h = make(n)
+        for target in sorted({0, h.n_hypotheses // 2, h.n_hypotheses - 1}):
+            for eta in (0.0, 0.1, 0.7):
+                model = ra.DataModel.agnostic(h, target, eta, g.dirichlet(np.ones(n)))
+                _check_fraction_geometry(h, model, g)
+
+
+def test_weighted_problem_never_multiplies_or_sums_floats(monkeypatch):
+    # with one flip rate, a weighted Problem's errors and theta are integer
+    # work on the runs, and theta is for any flip rates: no float mismatch
+    # product, no masked float sum
+    def refuse(*args):
+        raise AssertionError("the geometry took a float path")
+
+    g = np.random.default_rng(29)
+    h = ra.intervals(24)
+    models = [ra.DataModel.agnostic(h, 60, eta, g.dirichlet(np.ones(24))) for eta in (0.0, 0.1, 0.7)]
+    per_point = ra.DataModel.agnostic(h, 60, g.random(24) * 0.4, g.dirichlet(np.ones(24)))
+    monkeypatch.setattr(core, "_mismatch_times", refuse)
+    monkeypatch.setattr(core, "disagreement_mass", refuse)
+    for model in models:
+        problem = ra.Problem(h, model)
+        assert problem.theta > 0.0 and problem.errors.min() == problem.nu
+    for center in (0, 60, 299):
+        assert ra.disagreement_coefficient(h, per_point, center) > 0.0
 
 
 def test_thresholds_coefficient_is_exactly_two_at_inner_targets():
@@ -1118,25 +1233,22 @@ def test_coefficient_over_touching_runs_and_empty_rows():
      (65534, np.uint16), (65535, np.uint32), (65536, np.uint32)],
 )
 def test_coefficient_where_the_table_widens(n, width):
-    # the uniform table holds the narrowest unsigned integer that fits the
-    # n + 1 of a column no row differs on.  In the first class the center's
-    # complement sits at distance n; in the second no row differs on column
-    # 0 and one sits at n - 1, so a wrapped n + 1 would cover column 0.
+    # the table holds the narrowest unsigned integer that fits the key of a
+    # column no row differs on: n + 1 under uniform weights, whose keys are
+    # the distances, and the row count under others, whose keys are their
+    # ranks.  Two copies of the empty center and one flip of each column but
+    # the first make n + 1 rows, so both keys are n + 1, and a wrapped key
+    # would put column 0, weighted 1/2 under the random weights, in a ball.
+    # The ball at the k-th smallest flip mass d takes in the k smallest.
+    h = _runs_class([[], []] + [[(i, i + 1)] for i in range(1, n)], n)
     g = np.random.default_rng(n)
-    center = g.integers(0, 2, n).astype(np.uint8)
-    flipped = center.copy()
-    flipped[g.integers(n)] ^= 1
-    block = center.copy()
-    block[n // 3 : n // 2] ^= 1
-    other = g.integers(0, 2, n).astype(np.uint8)
-    apart = np.stack([center, 1 - center, block, other])
-    apart[:, 0] = center[0]
-    for pred in (np.stack([center, 1 - center, flipped, block, other]), apart):
-        h = ra.explicit(pred)
+    for w in (None, np.concatenate(([0.5], g.dirichlet(np.ones(n - 1)) / 2))):
+        m = ra.DataModel.realizable(h, 0, w)
+        flips = sorted(m._mass[1:].tolist())
+        theta = max(Fraction(c, d) for c, d in zip(itertools.accumulate(flips), flips))
         with mock.patch.object(core, "_range_min", wraps=core._range_min) as table:
-            _check_theta(h, 0, g)
-        assert table.call_args_list[0].args[2].dtype == width
-        assert table.call_args_list[1].args[2].dtype == np.float64
+            assert ra.disagreement_coefficient(h, m, 0) == float(theta)
+        assert table.call_args.args[2].dtype == width
 
 
 @pytest.mark.parametrize("center", [-1, 9])

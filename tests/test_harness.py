@@ -996,8 +996,9 @@ def test_golden_sweep_json_digest():
 
 
 # Goldens whose sums are inexact in binary: the class has no power-of-two
-# domain and the weights are not dyadic, so a changed summation order in an
-# error, a mass or a conditional distribution moves a digest.  intervals(37)
+# domain and the given weights are not dyadic, so a changed rounding of the
+# weights to 2**-53, or a changed summation order in a conditional
+# distribution, moves a digest.  intervals(37)
 # weighs point i by (i % 5 + 1) / 108; the explicit class has constant first,
 # second and last columns, so its full disagreement region is not all True,
 # and weighs column j by (j + 1) / 45.  Each batch pins its report CSV and
@@ -1036,23 +1037,23 @@ INEXACT_BATCHES = {
 # (report CSV sha256, sha256 of every side's RunResult JSON, one per line)
 INEXACT_DIGESTS = {
     "a2-explicit": (
-        "568e56a8085d8abcece581280548a1ca5c6a72f30effbb2bb4f0f68af5552294",
-        "795bc41eed7311a8e6f7101021f7f4bd43eba30567a123718900a6ed7693ff5b",
+        "821d002d6a9c0b3899583d99dad2a3e39f1733aed1cff127f46c2b6498881a8a",
+        "295cb5ef8be1eea8eb7b72e0a48eb967a16274280c766a496dafcb0dd1488c9c",
     ),
     "a2-noisy": (
         "df63e7df453bb5fe20895ee4386aaf0c2e0965e92c961b98d1b924220266c4aa",
-        "62fba5f3dafdc4995a20d8e28681b73d6bb9b56d6524157233f37152cd53c83c",
+        "b1b91eb4457160fb4c702d167552be80a22b6ba6de28032907cfdfa3b38a12c5",
     ),
     "cal-explicit": (
-        "a3c39533ba704f9b96cb4d60c47703b6985088a553e6f74cc2df269818cf2263",
+        "cb9e9848431512f8cdc26052b995eae4d841e7e2a8f0e7293c3c35d4d4a87913",
         "1c88b54642db0eebd5b1770b07705f6fe0a8a63f224fcdfd16a2124b94f96530",
     ),
     "cal-weighted": (
-        "30c480bd6dbf74f56b66fd7cf49504eb6e336e3d2b71b8f9275f7dde017b990f",
-        "ec513a1f46e4c5e644d91e629fa4c314af1091c5802b3053675448e43d2999d1",
+        "80acf02738dac7b118ad179d017dd6e677ce834236c9610df474b038d5ead1c6",
+        "8e1b6b1a526107f95514a7fc418e7f49ee2c876bd49a560745f5cde391d363d8",
     ),
     "erm-explicit": (
-        "f81419d9c919b50238ca99c443219a2d885f89671528298ab48f3388e7191a4d",
+        "1de87e9a5dfb8651bfee82cc400e8ffee6682d5d3f9e7c85525653329ed96054",
         "55d8adf0bf32558fc70f68744a4e32df2408f21a12b5ecc38c149ad0f22dfd53",
     ),
     "erm-noisy": (
@@ -1064,16 +1065,16 @@ INEXACT_DIGESTS = {
         "ec18c8f2e948c10177b77a359fdf22dcf29dc6c79c33819f70aca762dff9dbf6",
     ),
     "replica2-explicit": (
-        "74adeb7f7e731e6a971c5ecab95ab33981fd3ec9363be90334ba9f31e0250b36",
-        "bfa801c5a911471a278b944de0718d8c27b26007a1a51fdbb4ab5c6fe0754afb",
+        "916b2a0f1f8c7fa4ac27594df09b172be69bdc3ef42d25fff38b6e29d4dafc53",
+        "e3c3c39390a4d74fbe5ecae695bd4d149df669b8f665fdb4099c7a032360ce4e",
     ),
     "replica2-noisy": (
         "ead74cdd688b48ce507a3ff6fcad6259c6ac34337246d072618767b77673cc24",
-        "7f622133a8111de45194d8e480b6f07fdf132ddd5d617793c7ba466c877eb490",
+        "1948378be8bd700f78df3b41c46a1437082c3f044963bee421fe4010cddc3c84",
     ),
     "replical-explicit": (
-        "dcfbd66364363fe2255e184d10f85d4ba031dec22bf7a24dcd7c0108b2caa153",
-        "29e5ffa9e969875bfa3acfe09f349422edbc36d9c6ee9412c7b9395f3ce135a9",
+        "35da264a9154455ba7c8f123b4dbbf0895ab2e0e6d15ee8201f8e05577b31bfb",
+        "ea4d066c4d8aa87a9409078f6257b54dbfec5b06d1f5dff17727aaf8bfd5b152",
     ),
     "replical-weighted": (
         "b916bc5c9f4e752748b7c56778c5d39f450b00386bdb6c8c7cbdf8ee704bcd75",
@@ -1087,7 +1088,7 @@ def test_inexact_batches_exercise_what_they_are_for():
     assert not explicit.region.all()
     for name, cfg in INEXACT_BATCHES.items():
         _, model = build_problem(cfg)
-        assert not model._uniform, name
+        assert model._total == 2**53, name
         report = run_paired_trials(cfg)
         assert report.failure_counts == (), name
         if cfg.algo != "erm":
