@@ -32,7 +32,6 @@ from .core import (
     _coverage_region,
     disagreement_mass,
     empirical_errors_from_counts,
-    hash_signature,
     sample_labeled_counts,
 )
 
@@ -180,18 +179,15 @@ def _result(
     final_estimate: float,
     trace: list[RoundRecord],
     flags: tuple[str, ...] = (),
-    sig: Optional[bytes] = None,
 ) -> RunResult:
     """The side's ``RunResult``: its ``error`` is read from ``problem.errors``,
-    the vector ``nu`` comes from, and its hash is of the signature bytes,
-    ``sig`` when the caller already holds the chosen row's."""
-    if sig is None:
-        sig = problem.hclass.signature(chosen)
+    the vector ``nu`` comes from, and its signature and hash from the
+    problem's memo, shared with every other result that returns ``chosen``."""
     return RunResult(
         algo=algo,
         hypothesis_index=chosen,
-        signature=sig,
-        signature_hash=hash_signature(sig),
+        signature=problem.signature(chosen),
+        signature_hash=problem.signature_hash(chosen),
         labels_used=counters.labels,
         unlabeled_used=counters.unlabeled,
         rounds=rounds,
@@ -277,9 +273,7 @@ def run_passive_erm(problem: Problem, plan: Plan, rng: np.random.Generator) -> R
     counters = SampleCounters()
     hclass, model = problem.hclass, problem.model
     # full version space: labels come from D itself, not a conditional region
-    count0, count1 = sample_labeled_counts(
-        model, np.ones(hclass.domain_size, dtype=bool), plan.k, rng, counters
-    )
+    count0, count1 = sample_labeled_counts(model, problem.whole_domain, plan.k, rng, counters)
     errs = empirical_errors_from_counts(hclass, count0, count1)
     best = int(np.argmin(errs))
     chosen = np.zeros(hclass.n_hypotheses, dtype=bool)

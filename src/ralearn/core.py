@@ -7,7 +7,8 @@ A version space's disagreement region, a coverage count over its members'
 runs, is a boolean mask over the domain; the full class's is computed once
 per problem (``Problem.region``), and learners hand each later one to
 ``disagreement_mass`` and to the samplers.  A ``Problem`` keeps the exact
-error of every hypothesis (``Problem.errors``), the noise floor and theta.
+error of every hypothesis (``Problem.errors``), the noise floor and theta,
+and builds each returned or ranked row's signature once (``Problem.signature``).
 
 Everything is finite, so errors, masses and theta are exact.  Elimination and
 the geometry share one integer primitive (``_row_sums``): a row's sum of an
@@ -166,7 +167,8 @@ class HypothesisClass:
 
     def signature(self, h: int) -> bytes:
         """The prediction row as bytes; equal signatures mean equal behavior.
-        Joined from the row's stretches: on a few runs, a tenth of ``_block``."""
+        Joined from the row's stretches: on a few runs, a tenth of ``_block``.
+        Built anew on every call; ``Problem.signature`` keeps one per problem."""
         parts, at = [], 0
         for s, e in self._runs(h):
             parts += (bytes(s - at), b"\1" * (e - s))
@@ -617,9 +619,19 @@ class Problem:
     coefficient at ``center``, reusing the mismatch pass of ``errors`` where
     it can; ``region`` is the disagreement region of the full class, the mask
     every learner starts from, computed on first use, so a batch whose
-    learner never asks for it (``erm``) does not pay for it.  Learners and
-    the harness take a Problem, so a batch computes these once instead of
-    once per run, and a returned hypothesis's error is read from ``errors``.
+    learner never asks for it (``erm``) does not pay for it; ``whole_domain``
+    is the all-True mask passive sampling draws through, also on first use.
+    Learners and the harness take a Problem, so a batch computes these once
+    instead of once per run, and a returned hypothesis's error is read from
+    ``errors``.
+
+    ``signature(h)`` memoizes each hypothesis's row bytes, built the first
+    time ``h`` is asked for, and ``signature_hash(h)`` their
+    ``hash_signature``, hashed only for a returned hypothesis: every result
+    returning ``h`` and every final pick ranking it then shares one bytes
+    object, and the results one hash string.  The memo holds one row per
+    distinct hypothesis a learner returned or ranked, so never more than
+    ``n_hypotheses * domain_size`` bytes, and lives as long as the Problem.
     """
 
     hclass: HypothesisClass
@@ -628,6 +640,8 @@ class Problem:
     nu: float = field(init=False)
     center: int = field(init=False)
     theta: float = field(init=False)
+    _signatures: dict[int, bytes] = field(init=False, repr=False, default_factory=dict)
+    _hashes: dict[int, str] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         hclass, model = self.hclass, self.model
@@ -647,6 +661,28 @@ class Problem:
         mask = disagreement_mask(self.hclass, VersionSpace.full(self.hclass.n_hypotheses))
         mask.setflags(write=False)
         return mask
+
+    @cached_property
+    def whole_domain(self) -> np.ndarray:
+        """Read-only all-True mask over the domain."""
+        mask = np.ones(self.hclass.domain_size, dtype=bool)
+        mask.setflags(write=False)
+        return mask
+
+    def signature(self, h: int) -> bytes:
+        """Hypothesis ``h``'s row bytes (``HypothesisClass.signature``), the
+        same object on every call."""
+        sig = self._signatures.get(h)
+        if sig is None:
+            sig = self._signatures[h] = self.hclass.signature(h)
+        return sig
+
+    def signature_hash(self, h: int) -> str:
+        """``hash_signature(self.signature(h))``, the same string on every call."""
+        digest = self._hashes.get(h)
+        if digest is None:
+            digest = self._hashes[h] = hash_signature(self.signature(h))
+        return digest
 
     @property
     def sizing_theta(self) -> float:

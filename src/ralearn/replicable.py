@@ -42,7 +42,6 @@ from .baselines import (
 from .core import (
     PROB_TOL,
     EmptyVersionSpaceError,
-    HypothesisClass,
     ParameterError,
     Problem,
     SampleCounters,
@@ -280,11 +279,8 @@ def _loop_estimate(
     return measure
 
 
-def _select_final(
-    hclass: HypothesisClass, space: VersionSpace, rs: RandomString
-) -> tuple[int, bytes]:
-    """Shared-randomness pick among survivors, invariant to index accidents,
-    returned with its signature.
+def _select_final(problem: Problem, space: VersionSpace, rs: RandomString) -> int:
+    """Shared-randomness pick among survivors, invariant to index accidents.
 
     Each distinct surviving prediction signature is ranked by the shared
     string's keyed hash under "final-order", the signature itself breaking a
@@ -295,17 +291,18 @@ def _select_final(
     |S1 xor S2| / |S1 or S2| over the string (MinHash).  The cost is one hash
     per distinct survivor, and none when one signature survives: it is then
     the minimum whatever its rank, and ranking draws nothing, so skipping it
-    changes no output.
+    changes no output.  The signatures come from ``problem.signature``, so
+    each survivor's row is joined once per problem, not once per side.
     """
     lowest_by_sig: dict[bytes, int] = {}
-    for i in space.indices():
-        lowest_by_sig.setdefault(hclass.signature(int(i)), int(i))
+    for i in space.indices().tolist():
+        lowest_by_sig.setdefault(problem.signature(i), i)
     if not lowest_by_sig:
         raise EmptyVersionSpaceError("no surviving signature to select")
     sig = next(iter(lowest_by_sig))
     if len(lowest_by_sig) > 1:
         sig = min(lowest_by_sig, key=lambda s: (rs.rank("final-order", s), s))
-    return lowest_by_sig[sig], sig
+    return lowest_by_sig[sig]
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +348,8 @@ def run_replical(
         _loop_estimate(problem, sched, shared, rng, counters),
         lambda errs, est: (v, v, None), trace  # keep errors up to the shared threshold
     )
-    chosen, sig = _select_final(problem.hclass, space, shared)
-    return _result("replical", problem, chosen, space, counters, rounds, est, trace, sig=sig)
+    chosen = _select_final(problem, space, shared)
+    return _result("replical", problem, chosen, space, counters, rounds, est, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +454,7 @@ def run_replica2(
             labels_so_far=counters.labels,
         )
     )
-    chosen, sig = _select_final(hclass, space, shared)
+    chosen = _select_final(problem, space, shared)
     return _result(
-        "replica2", problem, chosen, space, counters, rounds, dmass, trace,
-        flags=tuple(flags), sig=sig,
+        "replica2", problem, chosen, space, counters, rounds, dmass, trace, flags=tuple(flags)
     )

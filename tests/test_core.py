@@ -1378,6 +1378,35 @@ def test_problem_region_is_computed_on_first_use(monkeypatch, thresholds8, unifo
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "hclass",
+    [ra.thresholds(37), ra.intervals(12), ra.worst_case(9), _random_class(31, 40, 23)],
+    ids=["thresholds", "intervals", "worst_case", "explicit"],
+)
+def test_problem_signature_memo_holds_each_row_and_its_hash(hclass):
+    p = ra.Problem(hclass, ra.DataModel.realizable(hclass, 0))
+    for h in range(hclass.n_hypotheses):
+        sig = p.signature(h)
+        assert sig == hclass.signature(h) and p.signature(h) is sig
+        assert not p._hashes  # ranking alone hashes nothing
+    for h in range(hclass.n_hypotheses):
+        sig_hash = p.signature_hash(h)
+        assert sig_hash == core.hash_signature(p.signature(h))
+        assert p.signature_hash(h) is sig_hash
+    assert len(p._signatures) == len(p._hashes) == hclass.n_hypotheses
+    with pytest.raises(IndexError):
+        p.signature(hclass.n_hypotheses)
+
+
+def test_problem_whole_domain_is_a_read_only_all_true_mask(thresholds8, uniform8):
+    p = ra.Problem(thresholds8, uniform8)
+    assert p.whole_domain.dtype == bool and p.whole_domain.all()
+    assert p.whole_domain.shape == (thresholds8.domain_size,)
+    assert p.whole_domain is p.whole_domain
+    with pytest.raises(ValueError, match="read-only"):
+        p.whole_domain[0] = False
+
+
 def test_problem_sizing_theta_stands_in_for_zero():
     h = ra.explicit([[0, 1, 0]])
     p = ra.Problem(h, ra.DataModel.realizable(h, 0))

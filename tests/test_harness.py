@@ -683,6 +683,36 @@ def test_batch_computes_the_exact_errors_once(monkeypatch):
         assert r.signature == hclass.signature(h)
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_results_returning_one_hypothesis_share_its_signature(monkeypatch, algo):
+    # the batch's Problem builds each returned row and its hash once, so the
+    # sides that pick one hypothesis hold the same two objects
+    outcomes = []
+    summarize = harness.summarize_pairs
+    monkeypatch.setattr(
+        harness, "summarize_pairs", lambda cfg, o, *a: outcomes.extend(o) or summarize(cfg, o, *a)
+    )
+    report = run_paired_trials(replace(GOLDEN_BATCHES[algo], trials=10))
+    assert report.pairs == len(outcomes) == 10 and not report.failure_counts
+    first_by_index = {}
+    for r in (r for o in outcomes for r in (o.result_first, o.result_second)):
+        first = first_by_index.setdefault(r.hypothesis_index, r)
+        assert r.signature is first.signature
+        assert r.signature_hash is first.signature_hash
+    assert len(first_by_index) < 2 * report.pairs
+
+
+def test_memory_guard_erm_batch_keeps_one_row_per_returned_hypothesis():
+    cfg = ExperimentConfig(domain_size=1024, algo="erm", eps=0.01, delta=0.05, trials=500)
+    problem = ra.Problem(*build_problem(cfg))
+    results = [
+        r for o in iter_paired_runs(cfg, problem=problem) for r in (o.result_first, o.result_second)
+    ]
+    assert len(results) == 1000 and None not in results
+    indices = {r.hypothesis_index for r in results}
+    assert len({id(r.signature) for r in results}) == len(indices) < len(results)
+
+
 @pytest.mark.parametrize("algo", ["a2", "replica2"])
 def test_noisy_sides_never_beat_the_noise_floor(algo):
     # err_final and nu come from one vector, so no side can round below nu

@@ -1,5 +1,6 @@
 """Offset grids, sample schedules, and the two replicable learners."""
 
+import functools
 import math
 
 import numpy as np
@@ -260,10 +261,15 @@ _DUPLICATES = ra.explicit(
 )
 
 
+@functools.cache
+def _problem(h):
+    return ra.Problem(h, ra.DataModel.realizable(h, 0))
+
+
 def _pick(h, members, rs):
     mask = np.zeros(h.n_hypotheses, dtype=bool)
     mask[members] = True
-    return _select_final(h, ra.VersionSpace(mask), rs)[0]
+    return _select_final(_problem(h), ra.VersionSpace(mask), rs)
 
 
 def test_final_pick_depends_only_on_the_surviving_signatures():
@@ -330,7 +336,7 @@ def test_final_pick_agreement_matches_jaccard_similarity():
 
 
 def test_replical_side_builds_the_chosen_signature_once(monkeypatch):
-    # the final pick hands the signature it built to the result
+    # the final pick and the result read one signature from the problem's memo
     h = ra.thresholds(32)
     problem = ra.Problem(h, ra.DataModel.realizable(h, 16))
     plan = replical_plan(problem, 0.1, 0.1, 0.3)
