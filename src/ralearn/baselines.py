@@ -205,36 +205,42 @@ def _eliminate(
     cap: int,
     rng: np.random.Generator,
     counters: SampleCounters,
-    measure: Callable[[np.ndarray, int], tuple[float, bool]],
+    measure: Callable[[float, int], tuple[float, bool]],
     cut: Callable[[np.ndarray, float], tuple[float, float, Optional[float]]],
     trace: list[RoundRecord],
-) -> tuple[VersionSpace, np.ndarray, float, int]:
+) -> tuple[VersionSpace, np.ndarray, float, float, int]:
     """The elimination loop every active learner runs, from the full class.
 
-    Each round ``measure(region, rounds)`` gives the guard value and whether
-    to stop; otherwise ``k`` labels are drawn from the region, the members
-    are scored, and ``cut(errs, value)`` gives ``(keep_bound, threshold,
+    Each round ``measure(mass, rounds)`` gives the guard value and whether
+    to stop, ``mass`` the exact mass of the current disagreement region;
+    otherwise ``k`` labels are drawn from the region, the members are
+    scored, and ``cut(errs, value)`` gives ``(keep_bound, threshold,
     slack)``: members with error at most ``keep_bound`` survive, and the
     other two go into the round's record.  Returns the last version space,
-    its region, the last guard value and the number of rounds run.
+    its region and that region's mass, the last guard value and the number
+    of rounds run.
 
-    The members stay a plain boolean mask until the exit: None, every row,
-    before the first cut, whose region is ``problem.region``.
+    The loop owns each round's region and mass, one ``disagreement_mass``
+    call per version space: before the first cut they are
+    ``problem.region`` and ``problem.region_mass``, shared by the batch, and
+    a cut to one survivor leaves an all-False region of mass 0.0 with no
+    coverage count and no mass sum.  The members stay a plain boolean mask until the
+    exit: None, every row, before the first cut.
     """
-    hclass = problem.hclass
+    hclass, model = problem.hclass, problem.model
     members, size = None, hclass.n_hypotheses
-    region = problem.region
+    region, mass = problem.region, problem.region_mass
     rounds = 0
     while True:
-        value, done = measure(region, rounds)
+        value, done = measure(mass, rounds)
         if done:
             space = VersionSpace.full(size) if members is None else VersionSpace(members)
-            return space, region, value, rounds
+            return space, region, mass, value, rounds
         if rounds >= cap:
             raise RoundCapExceededError(
                 f"no exit after {rounds} rounds (cap {cap}); disagreement still {value}"
             )
-        count0, count1 = sample_labeled_counts(problem.model, region, k, rng, counters)
+        count0, count1 = sample_labeled_counts(model, region, k, rng, counters)
         errs = empirical_errors_from_counts(hclass, count0, count1, members)
         keep_bound, threshold, slack = cut(errs, value)
         trace.append(RoundRecord(rounds, value, size, threshold, slack, counters.labels))
@@ -244,6 +250,7 @@ def _eliminate(
         if size == 0:
             raise EmptyVersionSpaceError("version space must be nonempty")
         region = _coverage_region(hclass, members, size)
+        mass = disagreement_mass(model, region) if size > 1 else 0.0
         rounds += 1
 
 
@@ -335,10 +342,8 @@ def run_cal(problem: Problem, plan: Plan, rng: np.random.Generator) -> RunResult
     exits once the exact disagreement mass is at most ``plan.eps``.
     """
     counters = SampleCounters()
-    model = problem.model
 
-    def measure(region, rounds):
-        dmass = disagreement_mass(model, region)
+    def measure(dmass, rounds):
         return dmass, dmass <= plan.eps + PROB_TOL
 
     def consistent(errs, dmass):
@@ -346,7 +351,7 @@ def run_cal(problem: Problem, plan: Plan, rng: np.random.Generator) -> RunResult
         return 0.0, 0.0, None
 
     trace: list[RoundRecord] = []
-    space, _, dmass, rounds = _eliminate(
+    space, _, dmass, _, rounds = _eliminate(
         problem, plan.k, ROUND_CAP_FACTOR * plan.n_max, rng, counters, measure, consistent, trace
     )
     chosen = int(space.indices()[0])
@@ -400,8 +405,7 @@ def run_a2(problem: Problem, plan: Plan, rng: np.random.Generator) -> RunResult:
     hclass, model, nu = problem.hclass, problem.model, problem.nu
     t_size = problem.sizing_theta
 
-    def measure(region, rounds):
-        dmass = disagreement_mass(model, region)
+    def measure(dmass, rounds):
         done = dmass < 8.0 * t_size * nu if nu > PROB_TOL else rounds >= plan.n_max
         return dmass, dmass <= PROB_TOL or done
 
@@ -412,7 +416,7 @@ def run_a2(problem: Problem, plan: Plan, rng: np.random.Generator) -> RunResult:
         return cutoff, cutoff, plan.radius
 
     trace: list[RoundRecord] = []
-    space, region, dmass, rounds = _eliminate(
+    space, region, dmass, _, rounds = _eliminate(
         problem, plan.k, ROUND_CAP_FACTOR * plan.n_max, rng, counters, measure, cut, trace
     )
     if plan.k_final > 0 and dmass > PROB_TOL:

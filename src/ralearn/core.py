@@ -4,9 +4,11 @@ The domain is a finite set of points carrying an explicit probability vector,
 and a hypothesis class is a set of {0,1} rows over it, stored as their runs
 of ones: the generators emit runs, and ``explicit`` reads a matrix's once.
 A version space's disagreement region, a coverage count over its members'
-runs, is a boolean mask over the domain; the full class's is computed once
-per problem (``Problem.region``), and learners hand each later one to
-``disagreement_mass`` and to the samplers.  A ``Problem`` keeps the exact
+runs, is a boolean mask over the domain, all False at one member; the full
+class's region and its mass are computed once per problem (``Problem.region``,
+``Problem.region_mass``), and the elimination loop takes each later region's
+mass once, with ``disagreement_mass``, and hands the region to the labeled
+sampler and the mass to ``region_hit_count``.  A ``Problem`` keeps the exact
 error of every hypothesis (``Problem.errors``), the noise floor and theta,
 and builds each returned or ranked row's signature once (``Problem.signature``).
 
@@ -474,9 +476,12 @@ def _coverage_region(hclass: HypothesisClass, members: np.ndarray, size: int) ->
     """Boolean mask of domain points where the ``size`` rows in the boolean
     mask ``members`` are not unanimous: where the count of them predicting 1,
     a running sum of +1 at each of their runs' starts and -1 at its end, is
-    neither 0 nor ``size``."""
-    runs = _member_runs(hclass, members)
+    neither 0 nor ``size``.  One row is unanimous everywhere, so ``size`` 1
+    gives all False with no pass over the runs."""
     n = hclass.domain_size
+    if size == 1:
+        return np.zeros(n, dtype=bool)
+    runs = _member_runs(hclass, members)
     count = np.bincount(hclass.start[runs], minlength=n + 1)
     count -= np.bincount(hclass.end[runs], minlength=n + 1)
     cover = np.add.accumulate(count[:n], out=count[:n])
@@ -618,8 +623,9 @@ class Problem:
     ``center`` the lowest index achieving it; ``theta`` is the disagreement
     coefficient at ``center``, reusing the mismatch pass of ``errors`` where
     it can; ``region`` is the disagreement region of the full class, the mask
-    every learner starts from, computed on first use, so a batch whose
-    learner never asks for it (``erm``) does not pay for it; ``whole_domain``
+    every learner starts from, and ``region_mass`` its ``disagreement_mass``,
+    both computed on first use, so a batch whose learner never asks for them
+    (``erm``) does not pay for them; ``whole_domain``
     is the all-True mask passive sampling draws through, also on first use.
     Learners and the harness take a Problem, so a batch computes these once
     instead of once per run, and a returned hypothesis's error is read from
@@ -661,6 +667,12 @@ class Problem:
         mask = disagreement_mask(self.hclass, VersionSpace.full(self.hclass.n_hypotheses))
         mask.setflags(write=False)
         return mask
+
+    @cached_property
+    def region_mass(self) -> float:
+        """``disagreement_mass`` of ``region``, the mass every elimination
+        loop starts from."""
+        return disagreement_mass(self.model, self.region)
 
     @cached_property
     def whole_domain(self) -> np.ndarray:
@@ -722,22 +734,22 @@ def _check_draws(m: int) -> None:
 
 
 def region_hit_count(
-    model: DataModel,
-    region_mask: np.ndarray,
-    m: int,
-    rng: np.random.Generator,
-    counters: SampleCounters,
+    mass: float, m: int, rng: np.random.Generator, counters: SampleCounters
 ) -> int:
-    """How many of ``m`` fresh unlabeled draws land in a region.
+    """How many of ``m`` fresh unlabeled draws land in a region of the given
+    probability ``mass`` (``disagreement_mass``, which its caller holds).
 
     Distributionally identical to drawing the points and testing membership,
-    since only the count matters to the caller; the draw is a single binomial.
+    since only the count matters to the caller; the draw is a single binomial,
+    and none at ``m`` 0 or ``mass`` 0, where ``binomial`` reads nothing from
+    the stream either.
     """
     _check_draws(m)
+    if not 0.0 <= mass <= 1.0 + PROB_TOL:
+        raise ParameterError(f"region mass must lie in [0, 1], got {mass}")
     counters.unlabeled += m
-    if m == 0:
+    if m == 0 or mass == 0.0:
         return 0
-    mass = disagreement_mass(model, region_mask)
     return int(rng.binomial(m, min(mass, 1.0)))
 
 

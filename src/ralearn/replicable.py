@@ -47,7 +47,6 @@ from .core import (
     SampleCounters,
     VersionSpace,
     WrongSettingError,
-    disagreement_mass,
     empirical_errors_from_counts,
     region_hit_count,
     sample_labeled_counts,
@@ -259,20 +258,21 @@ def size_schedule(
 
 
 def _loop_estimate(
-    problem: Problem,
     sched: ScheduleParams,
     rs: RandomString,
     rng: np.random.Generator,
     counters: SampleCounters,
-) -> Callable[[np.ndarray, int], tuple[float, bool]]:
+) -> Callable[[float, int], tuple[float, bool]]:
     """The loop guard of both learners: a replicable estimate of the region's
     mass from ``sched.t_unlabeled`` fresh unlabeled draws (at least 1 when
     the schedule has a loop query), under "region-estimate-{round}", done
-    once it falls below ``sched.exit_level``."""
+    once it falls below ``sched.exit_level``.  The draws land in the region
+    with the exact ``mass`` ``_eliminate`` holds for it, so the guard never
+    reads the region itself; at mass 0 they draw nothing."""
     t = sched.t_unlabeled
 
-    def measure(region: np.ndarray, rounds: int) -> tuple[float, bool]:
-        hits = region_hit_count(problem.model, region, t, rng, counters)
+    def measure(mass: float, rounds: int) -> tuple[float, bool]:
+        hits = region_hit_count(mass, t, rng, counters)
         est = rstat_answer_from_mean(sched.sq_loop, hits / t, rs, f"region-estimate-{rounds}")
         return est, est < sched.exit_level
 
@@ -343,9 +343,9 @@ def run_replical(
     shared = rs.clone()
     v = build_grid(sched.top_loop, sched.interval_count, "realizable", shared).threshold
     trace: list[RoundRecord] = []
-    space, _, est, rounds = _eliminate(
+    space, _, _, est, rounds = _eliminate(
         problem, sched.k, sched.round_cap, rng, counters,
-        _loop_estimate(problem, sched, shared, rng, counters),
+        _loop_estimate(sched, shared, rng, counters),
         lambda errs, est: (v, v, None), trace  # keep errors up to the shared threshold
     )
     chosen = _select_final(problem, space, shared)
@@ -427,17 +427,17 @@ def run_replica2(
     if sched.sq_loop is None:
         # the loop's exit level 16 * theta * nu is at least 1; final phase alone
         flags.append("loop-guard-unsatisfiable")
-        space, region, rounds = VersionSpace.full(hclass.n_hypotheses), problem.region, 0
+        space, rounds = VersionSpace.full(hclass.n_hypotheses), 0
+        region, dmass = problem.region, problem.region_mass
     else:
-        space, region, _, rounds = _eliminate(
+        space, region, dmass, _, rounds = _eliminate(
             problem, sched.k, sched.round_cap, rng, counters,
-            _loop_estimate(problem, sched, shared, rng, counters), cut, trace
+            _loop_estimate(sched, shared, rng, counters), cut, trace
         )
     v_final = build_grid(
         sched.top_final, sched.interval_count, "agnostic-final", shared, grid.selected_index
     ).threshold
     pre_size = space.size
-    dmass = disagreement_mass(model, region)
     floor_final: Optional[float] = None
     if dmass > PROB_TOL:
         count0, count1 = sample_labeled_counts(model, region, sched.k_final, rng, counters)

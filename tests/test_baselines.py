@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import ralearn as ra
+from ralearn.core import PROB_TOL
 from ralearn.baselines import (
     Constants,
+    _eliminate,
     a2_plan,
     a2_round_bound,
     cal_plan,
@@ -279,3 +281,47 @@ def test_loop_records_count_labels_through_their_round(algo):
     assert loop == [(r + 1) * k for r in range(res.rounds)]
     if algo in ("cal", "replical"):
         assert res.trace[-1].labels_so_far == res.labels_used == res.rounds * k
+
+
+def _eliminate_problems():
+    """Thresholds, intervals and random explicit classes, with noisy labels
+    and uneven weights on some; the narrow explicit ones repeat rows, so a
+    cut can keep several members that agree everywhere."""
+    g = np.random.default_rng(11)
+    t40 = ra.thresholds(40)
+    yield ra.Problem(t40, ra.DataModel.realizable(t40, 20))
+    t33 = ra.thresholds(33)
+    yield ra.Problem(t33, ra.DataModel.agnostic(t33, 9, 0.1, g.dirichlet(np.ones(33))))
+    i10 = ra.intervals(10)
+    yield ra.Problem(i10, ra.DataModel.agnostic(i10, 17, 0.05))
+    for n_h, n in ((40, 5), (24, 30), (60, 12)):
+        h = ra.explicit(g.integers(0, 2, (n_h, n)))
+        yield ra.Problem(h, ra.DataModel.agnostic(h, int(g.integers(n_h)), 0.2, g.dirichlet(np.ones(n))))
+
+
+def test_eliminate_returns_the_region_and_exact_mass_of_its_version_space():
+    # the loop carries each round's region and mass instead of recomputing
+    # them from the version space; stopped after r rounds, what it returns
+    # must be what the version space gives from scratch, bit for bit
+    seen = set()
+    for p, problem in enumerate(_eliminate_problems()):
+        hclass, model = problem.hclass, problem.model
+        for r in range(4):
+
+            def measure(mass, rounds):
+                return mass, rounds >= r or mass <= PROB_TOL
+
+            def keep_best(errs, value):
+                return float(errs.min()), None, None
+
+            trace = []
+            space, region, mass, value, rounds = _eliminate(
+                problem, 6, 10, _rng(100 * p + r), ra.SampleCounters(), measure, keep_best, trace
+            )
+            assert rounds == len(trace) <= r
+            assert region.tolist() == ra.disagreement_mask(hclass, space).tolist()
+            assert type(mass) is float and value == mass
+            assert mass.hex() == ra.disagreement_mass(model, region).hex()
+            seen.add((space.size == 1, mass == 0.0))
+    # one survivor, several that agree everywhere, and a region of positive mass
+    assert seen == {(True, True), (False, True), (False, False)}

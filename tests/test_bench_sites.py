@@ -169,8 +169,8 @@ _SPAN_COUNTS = (
     "baselines.result",
 )
 SMOKE_SPAN_COUNTS = {
-    "cal-t1024": (18, 18, 26, 1, 0, 8),
-    "replical-i48": (8, 8, 14, 1, 6, 6),
+    "cal-t1024": (18, 18, 12, 1, 0, 8),
+    "replical-i48": (8, 8, 3, 1, 6, 6),
     "erm-t1024": (40, 40, 0, 0, 0, 40),
 }
 

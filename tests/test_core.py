@@ -841,6 +841,20 @@ def test_singleton_space_has_empty_region(thresholds8, uniform8):
     space = _space([4], 9)
     assert np.flatnonzero(ra.disagreement_mask(thresholds8, space)).size == 0
     assert ra.disagreement_mass(uniform8, ra.disagreement_mask(thresholds8, space)) == 0.0
+    # one row is unanimous whatever its runs, touching ones and a row of
+    # zeros included, so every singleton's region is all False at mass 0;
+    # each pair's region, counted over the members' runs, is where they differ
+    touching = _runs_class([[(0, 2), (2, 5)], [(1, 3)], [], [(0, 1), (1, 2), (2, 9)], [(4, 9)]], 9)
+    for h in (touching, ra.intervals(7), ra.worst_case(6), thresholds8):
+        model = ra.DataModel.realizable(h, 0)
+        n_h = h.n_hypotheses
+        for i in range(n_h):
+            mask = ra.disagreement_mask(h, _space([i], n_h))
+            assert mask.shape == (h.domain_size,) and mask.dtype == bool and not mask.any()
+            assert ra.disagreement_mass(model, mask) == 0.0
+            j = (i + 1) % n_h
+            pair = ra.disagreement_mask(h, _space([i, j], n_h))
+            assert pair.tolist() == (h.row(i) != h.row(j)).tolist()
 
 
 def test_full_thresholds_region_is_whole_domain():
@@ -1437,8 +1451,8 @@ def test_label_counter_tracks_draws(thresholds8, uniform8, counters):
     assert counters.labels == 12
 
 
-def test_unlabeled_counter_tracks_draws(uniform8, counters):
-    ra.region_hit_count(uniform8, np.ones(8, dtype=bool), 33, np.random.default_rng(0), counters)
+def test_unlabeled_counter_tracks_draws(counters):
+    ra.region_hit_count(1.0, 33, np.random.default_rng(0), counters)
     assert counters.unlabeled == 33
 
 
@@ -1450,7 +1464,7 @@ def test_draw_counts_past_int64_are_parameter_errors(uniform8, counters, count):
     with pytest.raises(ra.ParameterError, match="largest drawable count"):
         ra.sample_labeled_counts(uniform8, full, count, g, counters)
     with pytest.raises(ra.ParameterError, match="largest drawable count"):
-        ra.region_hit_count(uniform8, full, count, g, counters)
+        ra.region_hit_count(1.0, count, g, counters)
     assert counters.labels == 0 and counters.unlabeled == 0
 
 
@@ -1619,6 +1633,15 @@ _STREAM_CANARIES = {
 }
 
 
+@pytest.mark.parametrize("n", [1, 18378127, 10**13 + 3])
+def test_numpy_binomial_at_probability_zero_reads_nothing(n):
+    # ``region_hit_count`` returns 0 without a draw at mass 0, which leaves
+    # the stream where this binomial would
+    g = np.random.default_rng(20241209)
+    assert g.binomial(n, 0.0) == 0
+    assert g.random(4).tobytes() == np.random.default_rng(20241209).random(4).tobytes()
+
+
 @pytest.mark.parametrize("name", list(_STREAM_CANARIES))
 def test_numpy_stream_canary(name):
     draw, pinned = _STREAM_CANARIES[name]
@@ -1631,8 +1654,24 @@ def test_numpy_stream_canary(name):
     )
 
 
+def test_region_hit_count_reads_nothing_at_mass_zero(counters):
+    # the draws still count as unlabeled ones; the stream is left untouched
+    g = np.random.default_rng(5)
+    assert ra.region_hit_count(0.0, 10**6, g, counters) == 0
+    assert counters.unlabeled == 10**6
+    assert g.random(4).tobytes() == np.random.default_rng(5).random(4).tobytes()
+
+
+@pytest.mark.parametrize("mass", [-0.1, 1.5, float("nan")])
+def test_region_hit_count_refuses_a_mass_outside_0_1(counters, mass):
+    with pytest.raises(ra.ParameterError, match="region mass"):
+        ra.region_hit_count(mass, 10, np.random.default_rng(0), counters)
+    assert counters.unlabeled == 0
+
+
 def test_region_hit_count_binomial_bounds(uniform8, counters):
-    hits = ra.region_hit_count(uniform8, np.array([True] * 4 + [False] * 4), 10_000, np.random.default_rng(0), counters)
+    mass = ra.disagreement_mass(uniform8, np.array([True] * 4 + [False] * 4))
+    hits = ra.region_hit_count(mass, 10_000, np.random.default_rng(0), counters)
     assert 0 <= hits <= 10_000
     assert abs(hits - 5000) <= 3 * np.sqrt(10_000 * 0.25)
     assert counters.unlabeled == 10_000

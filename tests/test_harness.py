@@ -758,6 +758,28 @@ def test_learners_derive_one_region_per_version_space(monkeypatch, algo):
     assert len(calls) == result.rounds + 1
 
 
+@pytest.mark.parametrize("algo", ["cal", "a2", "replical", "replica2"])
+def test_learners_take_one_mass_per_region_of_several_members(monkeypatch, algo):
+    # the full class's region mass is taken once per problem, and each cut
+    # adds one mass call if it leaves two or more members and none if it
+    # leaves one, whose region is all False at mass 0; four sides on
+    # thresholds(32), which repeats no row, make both kinds of cut
+    regions = _count_calls(monkeypatch, "_coverage_region")
+    masses = _count_calls(monkeypatch, "disagreement_mass")
+    noisy = dict(target=32, eta=0.005) if GOLDEN_BATCHES[algo].eta else {}
+    cfg = replace(GOLDEN_BATCHES[algo], domain_size=32, eps=0.05, **noisy)
+    problem = ra.Problem(*build_problem(cfg))
+    learner = harness.LEARNERS[algo]
+    plan = learner.size(problem, cfg)
+    for side in range(4):
+        learner.run(problem, plan, ra.RandomString(cfg.b_seed), data_stream(cfg.data_seed, side, 0))
+    full, *cuts = [size for _, _, size in regions]
+    assert full == problem.hclass.n_hypotheses
+    assert 1 in cuts and max(cuts) > 1
+    assert len(masses) == 1 + sum(size > 1 for size in cuts)
+    assert all(region.any() for _, region in masses)
+
+
 def _count_sizing(monkeypatch, algos) -> list:
     """Wrap each learner's sizing function in the registry; returns the
     (algo, eps) of every call."""
